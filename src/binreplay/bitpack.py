@@ -117,11 +117,6 @@ def xnor_dot(a: BitTensor, b: BitTensor) -> int:
     return a.size - 2 * int(popcount(a.words ^ b.words).sum())
 
 
-def _packed_rows(bits01_2d: np.ndarray) -> np.ndarray:
-    """Pack each row of a 2-D 0/1 array into word-aligned uint64 rows."""
-    return _pack01(bits01_2d)
-
-
 def _xnor_gemm(a_rows: np.ndarray, b_rows: np.ndarray, k: int) -> np.ndarray:
     """a_rows (m, W) vs b_rows (n, W) packed over a k-long inner axis -> (m, n) int32."""
     diff = popcount(a_rows[:, None, :] ^ b_rows[None, :, :]).sum(axis=-1, dtype=np.int64)
@@ -139,8 +134,8 @@ def bin_matmul(a: BitTensor, w: BitTensor) -> np.ndarray:
     k2, n = w.shape
     if k != k2:
         raise BitShapeError(f"inner dimensions disagree: {a.shape} x {w.shape}")
-    a_rows = _packed_rows(a.unpack01())
-    w_cols = _packed_rows(w.unpack01().T)
+    a_rows = _pack01(a.unpack01())
+    w_cols = _pack01(w.unpack01().T)
     return _xnor_gemm(a_rows, w_cols, k)
 
 
@@ -171,18 +166,21 @@ class BinConvSpec:
         return oh, ow
 
 
-def _patches01(x01: np.ndarray, spec: BinConvSpec) -> np.ndarray:
-    """im2col on a 0/1 NHWC array; padded positions get 0 (i.e. -1)."""
-    n, h, w, c = x01.shape
+def patches(x: np.ndarray, spec: BinConvSpec, pad_value: float) -> np.ndarray:
+    """im2col on an NHWC array, in x's dtype: one row per output position.
+
+    Padded positions hold pad_value: 0 for the packed 0/1 kernel (bit 0 is
+    -1), 0.0 for float convs, -1.0 for +-1 values of a binary conv.
+    """
+    n, h, w, c = x.shape
     oh, ow = spec.out_hw(h, w)
-    p = spec.padding
+    p, s = spec.padding, spec.stride
     if p:
-        x01 = np.pad(x01, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=0)
-    cols = np.empty((n, oh, ow, spec.kernel_h, spec.kernel_w, c), dtype=np.uint8)
-    s = spec.stride
+        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=pad_value)
+    cols = np.empty((n, oh, ow, spec.kernel_h, spec.kernel_w, c), dtype=x.dtype)
     for i in range(spec.kernel_h):
         for j in range(spec.kernel_w):
-            cols[:, :, :, i, j, :] = x01[:, i : i + oh * s : s, j : j + ow * s : s, :]
+            cols[:, :, :, i, j, :] = x[:, i : i + oh * s : s, j : j + ow * s : s, :]
     return cols.reshape(n * oh * ow, spec.kernel_h * spec.kernel_w * c)
 
 
@@ -203,6 +201,6 @@ def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec) -> np.ndarray:
     n, h, wd, _ = x.shape
     oh, ow = spec.out_hw(h, wd)
     k = spec.kernel_h * spec.kernel_w * spec.in_channels
-    a_rows = _packed_rows(_patches01(x.unpack01(), spec))
-    w_cols = _packed_rows(w.unpack01().reshape(k, spec.out_channels).T)
+    a_rows = _pack01(patches(x.unpack01(), spec, 0))
+    w_cols = _pack01(w.unpack01().reshape(k, spec.out_channels).T)
     return _xnor_gemm(a_rows, w_cols, k).reshape(n, oh, ow, spec.out_channels)

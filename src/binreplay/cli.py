@@ -194,17 +194,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     g, head, bw = serialize.read_checkpoint(args.checkpoint)
-    if os.path.isdir(args.dataset):
-        xs, ys, n_classes = serialize.read_dataset(os.path.join(args.dataset, "test.brds"))
-    else:
-        xs, ys, n_classes = serialize.read_dataset(args.dataset)
+    path = os.path.join(args.dataset, "test.brds") if os.path.isdir(args.dataset) else args.dataset
+    xs, ys, n_classes = serialize.read_dataset(path)
     if xs.shape[1:] != g.input_shape:
         raise ConfigError(f"dataset shape {xs.shape[1:]} != model input {g.input_shape}")
     if n_classes != head.max_classes:
         raise ConfigError(f"dataset classes {n_classes} != head classes {head.max_classes}")
-    acc = learner.evaluate(g, head, xs, ys, bw)
+    acc, per_class = learner.per_class_accuracy(g, head, xs, ys, bw)
     print(f"accuracy {acc!r}")
-    for cls, a in sorted(learner.per_class_accuracy(g, head, xs, ys, bw).items()):
+    for cls, a in sorted(per_class.items()):
         print(f"class {cls}: {a:.4f}")
     return 0
 

@@ -59,9 +59,12 @@ def begin_experience(head: CWRHead, classes_present) -> None:
 
 def record_training(head: CWRHead, labels) -> None:
     """Count the samples trained in the current experience, per class."""
-    for c in np.asarray(labels, dtype=np.int64).ravel():
-        head.cur_counts[c] += 1
-        head.trained_now.add(int(c))
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    bad = labels[(labels < 0) | (labels >= head.max_classes)]
+    if bad.size:
+        raise CWRError(f"class id {int(bad[0])} outside [0, {head.max_classes})")
+    head.cur_counts += np.bincount(labels, minlength=head.max_classes)
+    head.trained_now.update(np.unique(labels).tolist())
 
 
 def consolidate(head: CWRHead) -> None:

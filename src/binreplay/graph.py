@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bitpack
 from .bitpack import BinConvSpec, BitTensor
-from .quant import QuantParams, calibrate_range, dequantize, quant_params, quantize, qmatmul
+from .quant import QuantError, QuantParams, calibrate_range, dequantize, quant_params, quantize, qmatmul
 
 FORWARD_BITS = (8, 16, 32)
 BACKWARD_NONBIN_BITS = (8, 16, 32)
@@ -36,6 +36,8 @@ LAYER_KINDS = (
     "softmax_ce_head",
 )
 BINARY_KINDS = ("binary_dense", "binary_conv2d")
+# kinds that run another kind's code: the head is a dense layer by another name
+KIND_ALIASES = {"softmax_ce_head": "dense"}
 # layers whose outputs get snapped to a calibrated q_f grid in quantized mode
 SNAP_KINDS = ("dense", "conv2d", "softmax_ce_head", "batchnorm", "add", "concat", "prelu", "global_avg_pool")
 
@@ -130,6 +132,11 @@ class Graph:
 # quantization helpers
 
 
+def _snap(x: np.ndarray, scale: float, lo: int, hi: int) -> np.ndarray:
+    """Nearest point of the grid scale * [lo, hi]; out-of-range values saturate."""
+    return np.clip(np.rint(x / scale), lo, hi) * scale
+
+
 def fake_quant(x: np.ndarray, bits: int | None) -> np.ndarray:
     """Quantize-dequantize with a dynamic symmetric per-tensor scale."""
     if bits is None:
@@ -137,16 +144,12 @@ def fake_quant(x: np.ndarray, bits: int | None) -> np.ndarray:
     m = float(np.max(np.abs(x), initial=0.0))
     if m == 0.0:
         return x
-    scale = 2.0 * m / (2**bits - 1)
-    q = np.clip(np.rint(x / scale), -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
-    return q * scale
+    return _snap(x, 2.0 * m / (2**bits - 1), -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
 
 
 def snap_to_fixed_grid(x: np.ndarray, scale: float, bits: int, symmetric: bool = False) -> np.ndarray:
     hi = 2 ** (bits - 1) - 1
-    lo = -hi if symmetric else -(2 ** (bits - 1))
-    q = np.clip(np.rint(x / scale), lo, hi)
-    return q * scale
+    return _snap(x, scale, -hi if symmetric else -(2 ** (bits - 1)), hi)
 
 
 def f32_precision(x: np.ndarray) -> np.ndarray:
@@ -166,12 +169,16 @@ def latent_grid_scale(bits: int) -> float:
 
 
 def _snap_activation(y: np.ndarray, p: QuantParams | None, bits: int | None) -> np.ndarray:
+    """dequantize(quantize(y, p)), byte for byte, without the integer tensor."""
     if bits is None:
         return y
     if p is None:
         lo, hi = calibrate_range([y])
         p = quant_params(lo, hi, bits, signed=False)
-    return dequantize(quantize(y, p))
+    if np.isnan(y).any():
+        raise QuantError(f"NaN activation cannot be snapped to the {p.bits}-bit grid")
+    # + 0.0 turns -0.0 into the +0.0 that the integer round trip gives
+    return _snap(y, p.scale, p.qmin - p.zero_point, p.qmax - p.zero_point) + 0.0
 
 
 def _node_in_qparams(graph: Graph, node: LayerNode, x: np.ndarray, bits: int) -> QuantParams:
@@ -183,41 +190,20 @@ def _node_in_qparams(graph: Graph, node: LayerNode, x: np.ndarray, bits: int) ->
     return quant_params(lo, hi, bits, signed=False)
 
 
-def _int_gemm(xq, wq):
-    """Integer gemm on QuantizedTensors with 64-bit accumulation.
-
-    Used when operand bitwidths exceed what 32-bit accumulators can take;
-    for 8-bit operands qmatmul (32-bit accumulator contract) is used instead.
-    """
-    acc = (xq.data - xq.params.zero_point) @ (wq.data - wq.params.zero_point)
-    return acc * (xq.params.scale * wq.params.scale)
-
-
 def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bits: int) -> np.ndarray:
     lo, hi = calibrate_range([w2d])
     wp = quant_params(lo, hi, bits, signed=True)
     xq = quantize(x2d, in_params)
     wq = quantize(w2d, wp)
-    if bits == 8:
+    if bits == 8:  # qmatmul holds 8-bit operands to its 32-bit accumulator contract
         return dequantize(qmatmul(xq, wq))
-    return _int_gemm(xq, wq)
+    # wider operands could overflow 32 bits: accumulate in 64
+    acc = (xq.data - xq.params.zero_point) @ (wq.data - wq.params.zero_point)
+    return acc * (xq.params.scale * wq.params.scale)
 
 
 # ---------------------------------------------------------------------------
-# im2col / col2im for float convolutions
-
-
-def _float_patches(x: np.ndarray, spec: BinConvSpec) -> np.ndarray:
-    n, h, w, c = x.shape
-    oh, ow = spec.out_hw(h, w)
-    p, s = spec.padding, spec.stride
-    if p:
-        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    cols = np.empty((n, oh, ow, spec.kernel_h, spec.kernel_w, c), dtype=x.dtype)
-    for i in range(spec.kernel_h):
-        for j in range(spec.kernel_w):
-            cols[:, :, :, i, j, :] = x[:, i : i + oh * s : s, j : j + ow * s : s, :]
-    return cols.reshape(n * oh * ow, spec.kernel_h * spec.kernel_w * c)
+# col2im, the adjoint of bitpack.patches
 
 
 def _col2im(gcols: np.ndarray, spec: BinConvSpec, n: int, h: int, w: int) -> np.ndarray:
@@ -285,11 +271,11 @@ def softmax_ce(logits: np.ndarray, one_hot: np.ndarray) -> tuple[float, np.ndarr
 
 def _forward_node(graph, idx, node, ins, config, want_cache):
     bits = config.q_f
-    kind = node.kind
+    kind = KIND_ALIASES.get(node.kind, node.kind)
     x = ins[0] if ins else None
     cache = None
 
-    if kind in ("dense", "softmax_ce_head"):
+    if kind == "dense":
         w, b = node.params["w"], node.params["b"]
         if x.ndim != 2 or x.shape[1] != w.shape[0]:
             raise GraphError(f"node {idx} ({node.name}): input shape {x.shape} vs weight {w.shape}")
@@ -306,7 +292,7 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
             raise GraphError(f"node {idx} ({node.name}): input shape {x.shape} vs spec {spec}")
         n, h, wd, _ = x.shape
         oh, ow = spec.out_hw(h, wd)
-        patches = _float_patches(x, spec)
+        patches = bitpack.patches(x, spec, 0.0)
         wmat = w.reshape(-1, spec.out_channels)
         if bits is None:
             y = patches @ wmat
@@ -376,23 +362,16 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
-    acts: dict[int, np.ndarray] = {}
-    start = 0
-    if from_level is None:
-        if isinstance(x, BitTensor):
-            x = x.unpack().astype(np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        if config.q_f is not None and graph.input_qparams is not None:
-            x = dequantize(quantize(x, graph.input_qparams))
-        acts[-1] = x
-    else:
-        if isinstance(x, BitTensor):
-            x = x.unpack().astype(np.float64)
-        acts[from_level] = np.asarray(x, dtype=np.float64)
-        start = from_level + 1
+    if isinstance(x, BitTensor):
+        x = x.unpack().astype(np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if from_level is None and graph.input_qparams is not None:
+        x = _snap_activation(x, graph.input_qparams, config.q_f)
+    level = -1 if from_level is None else from_level
+    acts: dict[int, np.ndarray] = {level: x}
     cache: dict[int, object] = {}
     want_cache = mode == "train"
-    for idx in range(start, len(graph.nodes)):
+    for idx in range(level + 1, len(graph.nodes)):
         node = graph.nodes[idx]
         ins = [acts[i] for i in node.inputs]
         y, c = _forward_node(graph, idx, node, ins, config, want_cache)
@@ -422,11 +401,11 @@ def _node_backward_bits(node: LayerNode, config: BitwidthConfig) -> int | None:
 
 def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
     """Returns (input grads aligned with node.inputs, param grads)."""
-    kind = node.kind
+    kind = KIND_ALIASES.get(node.kind, node.kind)
     pgrads = {}
     gins = [None] * len(node.inputs)
 
-    if kind in ("dense", "softmax_ce_head"):
+    if kind == "dense":
         x = cache_entry
         w = node.params["w"]
         if node.trainable:
@@ -440,7 +419,7 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
         n, h, wd, _ = x.shape
         gmat = g.reshape(-1, spec.out_channels)
         if node.trainable:
-            patches = _float_patches(x, spec)
+            patches = bitpack.patches(x, spec, 0.0)
             pgrads["w"] = (patches.T @ gmat).reshape(node.params["w"].shape)
             pgrads["b"] = gmat.sum(axis=0)
         if need_input_grad[0]:
@@ -460,9 +439,7 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
         gmat = g.reshape(-1, spec.out_channels)
         if node.trainable and config.q_b_bin != 1:
             # padded positions contribute -1, matching the forward kernel
-            xpm = xb.unpack().astype(np.float64)
-            oh, ow = spec.out_hw(h, wd)
-            patches = _padded_pm1_patches(xpm, spec)
+            patches = bitpack.patches(xb.unpack().astype(np.float64), spec, -1.0)
             pgrads["latent"] = (patches.T @ gmat).reshape(
                 spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels
             )
@@ -504,19 +481,6 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
     else:  # pragma: no cover
         raise GraphError(f"node {idx}: unhandled kind {kind}")
     return gins, pgrads
-
-
-def _padded_pm1_patches(xpm: np.ndarray, spec: BinConvSpec) -> np.ndarray:
-    n, h, w, c = xpm.shape
-    oh, ow = spec.out_hw(h, w)
-    p, s = spec.padding, spec.stride
-    if p:
-        xpm = np.pad(xpm, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=-1.0)
-    cols = np.empty((n, oh, ow, spec.kernel_h, spec.kernel_w, c))
-    for i in range(spec.kernel_h):
-        for j in range(spec.kernel_w):
-            cols[:, :, :, i, j, :] = xpm[:, i : i + oh * s : s, j : j + ow * s : s, :]
-    return cols.reshape(n * oh * ow, spec.kernel_h * spec.kernel_w * c)
 
 
 def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: BitwidthConfig,
@@ -605,8 +569,8 @@ def infer_shapes(graph: Graph) -> dict[int, tuple[int, ...]]:
     shapes: dict[int, tuple[int, ...]] = {-1: graph.input_shape}
     for idx, node in enumerate(graph.nodes):
         ins = [shapes[i] for i in node.inputs]
-        kind = node.kind
-        if kind in ("dense", "softmax_ce_head", "binary_dense"):
+        kind = KIND_ALIASES.get(node.kind, node.kind)
+        if kind in ("dense", "binary_dense"):
             w_in, w_out = _dense_dims(node)
             if ins[0] != (w_in,):
                 raise GraphError(f"node {idx} ({node.name}): input shape {ins[0]} vs ({w_in},)")
@@ -640,8 +604,8 @@ def _dense_dims(node: LayerNode) -> tuple[int, int]:
 
 
 def _node_macs(node: LayerNode, in_shape: tuple[int, ...]) -> int:
-    kind = node.kind
-    if kind in ("dense", "softmax_ce_head", "binary_dense"):
+    kind = KIND_ALIASES.get(node.kind, node.kind)
+    if kind in ("dense", "binary_dense"):
         w_in, w_out = _dense_dims(node)
         return w_in * w_out
     if kind in ("conv2d", "binary_conv2d"):

@@ -223,10 +223,6 @@ def frozen_region_hash(g: Graph) -> str:
 # training phases
 
 
-def _compute_features(g: Graph, xs, cfg_bw, from_level=None, mode="infer"):
-    return forward(g, xs, cfg_bw, mode=mode, from_level=from_level)
-
-
 def _latents_for(g: Graph, xs: np.ndarray, bw: BitwidthConfig, batch: int = 128) -> np.ndarray:
     """Run the frozen region; replay-level outputs are +-1 by construction."""
     outs = []
@@ -234,6 +230,12 @@ def _latents_for(g: Graph, xs: np.ndarray, bw: BitwidthConfig, batch: int = 128)
         lat, _ = forward(g, xs[i : i + batch], bw, mode="infer", stop_level=g.replay_level)
         outs.append(lat)
     return np.concatenate(outs, axis=0)
+
+
+def _remember(mem: ReplayMemory, lat: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> None:
+    """Offer each row's latent, stored as 1 bit per value, to the reservoir."""
+    samples = [LatentSample(activation=bitpack.binarize(a), label=int(y)) for a, y in zip(lat, labels)]
+    replay.update_after_experience(mem, samples, rng)
 
 
 def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
@@ -269,10 +271,7 @@ def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
     freeze_backbone(g, cfg)
 
     mem = ReplayMemory(quota=cfg.quota, max_classes=head.max_classes)
-    lat = _latents_for(g, exp0.inputs, cfg.bitwidth)
-    samples = [LatentSample(activation=bitpack.binarize(lat[i]), label=int(exp0.labels[i]))
-               for i in range(len(lat))]
-    replay.update_after_experience(mem, samples, rng)
+    _remember(mem, _latents_for(g, exp0.inputs, cfg.bitwidth), exp0.labels, rng)
     return mem, float(np.mean(losses))
 
 
@@ -326,29 +325,33 @@ def run_experience(g: Graph, head: cwr.CWRHead, mem: ReplayMemory, exp: Experien
                 sgd_step(g, pgrads, cfg.learning_rate, bw)
     cwr.consolidate(head)
 
-    samples = [LatentSample(activation=bitpack.binarize(lat_new[i]), label=int(exp.labels[i]))
-               for i in range(len(lat_new))]
-    replay.update_after_experience(mem, samples, rng)
+    _remember(mem, lat_new, exp.labels, rng)
     return float(np.mean(losses))
+
+
+def _predict(g: Graph, head: cwr.CWRHead, xs: np.ndarray, bw: BitwidthConfig,
+             batch: int = 256) -> np.ndarray:
+    """Top-1 class per row with consolidated weights; argmax breaks ties low."""
+    pred = np.empty(len(xs), dtype=np.int64)
+    for i in range(0, len(xs), batch):
+        feats, _ = forward(g, xs[i : i + batch], bw, mode="infer")
+        pred[i : i + batch] = np.argmax(cwr.predict(head, feats), axis=1)
+    return pred
 
 
 def evaluate(g: Graph, head: cwr.CWRHead, xs: np.ndarray, ys: np.ndarray,
              bw: BitwidthConfig, batch: int = 256) -> float:
-    """Top-1 accuracy with consolidated weights; argmax breaks ties low."""
-    correct = 0
-    for i in range(0, len(xs), batch):
-        feats, _ = forward(g, xs[i : i + batch], bw, mode="infer")
-        pred = np.argmax(cwr.predict(head, feats), axis=1)
-        correct += int(np.sum(pred == ys[i : i + batch]))
-    return correct / len(xs)
+    """Top-1 accuracy with consolidated weights."""
+    return int(np.sum(_predict(g, head, xs, bw, batch) == ys)) / len(xs)
 
 
-def per_class_accuracy(g: Graph, head: cwr.CWRHead, xs, ys, bw: BitwidthConfig) -> dict[int, float]:
-    out = {}
-    for cls in np.unique(ys):
-        m = ys == cls
-        out[int(cls)] = evaluate(g, head, xs[m], ys[m], bw)
-    return out
+def per_class_accuracy(g: Graph, head: cwr.CWRHead, xs, ys,
+                       bw: BitwidthConfig) -> tuple[float, dict[int, float]]:
+    """The accuracy evaluate returns, and the accuracy on each class in ys,
+    from one forward pass over xs."""
+    hit = _predict(g, head, xs, bw) == ys
+    per_class = {int(c): int(np.sum(hit[ys == c])) / int(np.sum(ys == c)) for c in np.unique(ys)}
+    return int(np.sum(hit)) / len(xs), per_class
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ the target directory followed by an atomic rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -150,12 +151,19 @@ def read_dataset(path):
             raise FormatError(f"unsupported dataset version {version}")
         shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
         (class_count,) = struct.unpack("<H", _read_exact(f, 2))
+        # each sample is an f32 tensor record and a u16 label: check the
+        # header against the file before allocating what it claims
+        need = count * (7 + 4 * rank + 4 * math.prod(shape) + 2)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if need > left:
+            raise FormatError(f"{path}: header claims {count} samples of shape {shape}, "
+                              f"which need at least {need} bytes; {left} remain")
         xs = np.empty((count,) + shape)
         ys = np.empty(count, dtype=np.int64)
         for i in range(count):
             x = read_tensor(f)
-            if x.shape != shape:
-                raise FormatError(f"{path}: sample {i} shape {x.shape} != header {shape}")
+            if not isinstance(x, np.ndarray) or x.shape != shape:
+                raise FormatError(f"{path}: sample {i} is not a float tensor of shape {shape}")
             xs[i] = x
             (ys[i],) = struct.unpack("<H", _read_exact(f, 2))
     return xs, ys, class_count
@@ -197,21 +205,36 @@ def read_replay_memory(path) -> ReplayMemory:
 # checkpoints
 
 
+# descriptor keys; read_checkpoint accepts exactly these
+_QPARAMS_KEYS = ("bits", "scale", "zero_point", "signed")
+_SPEC_KEYS = ("kernel_h", "kernel_w", "stride", "padding", "in_channels", "out_channels")
+_BITWIDTH_KEYS = ("q_f", "q_b_nonbin", "q_b_bin")
+_HEAD_KEYS = ("feature_dim", "max_classes", "past_counts", "seen")
+_NODE_KEYS = ("kind", "name", "inputs", "trainable", "attrs", "param_names", "param_scales",
+              "out_qparams", "has_weight_bits")
+_DESCRIPTOR_KEYS = ("input_shape", "replay_level", "input_qparams", "bitwidth", "nodes", "head")
+
+
+def _fields(d, keys, where: str) -> dict:
+    """d itself, if it is an object with exactly these keys."""
+    if not isinstance(d, dict) or set(d) != set(keys):
+        got = sorted(d) if isinstance(d, dict) else type(d).__name__
+        raise FormatError(f"checkpoint {where}: expected keys {sorted(keys)}, got {got}")
+    return d
+
+
 def _qparams_to_json(p: QuantParams | None):
     if p is None:
         return None
-    return {"bits": p.bits, "scale": p.scale, "zero_point": p.zero_point, "signed": p.signed}
+    return {k: getattr(p, k) for k in _QPARAMS_KEYS}
 
 
-def _qparams_from_json(d):
-    return None if d is None else QuantParams(**d)
+def _qparams_from_json(d, where: str):
+    return None if d is None else QuantParams(**_fields(d, _QPARAMS_KEYS, where))
 
 
 def _spec_to_json(s: BinConvSpec):
-    return {
-        "kernel_h": s.kernel_h, "kernel_w": s.kernel_w, "stride": s.stride,
-        "padding": s.padding, "in_channels": s.in_channels, "out_channels": s.out_channels,
-    }
+    return {k: getattr(s, k) for k in _SPEC_KEYS}
 
 
 def graph_descriptor(graph: Graph, bitwidth: BitwidthConfig) -> dict:
@@ -268,28 +291,29 @@ def read_checkpoint(path):
         version, blen = struct.unpack("<BI", _read_exact(f, 5))
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        desc = json.loads(_read_exact(f, blen))
+        desc = _fields(json.loads(_read_exact(f, blen)), _DESCRIPTOR_KEYS, "descriptor")
         graph = Graph(tuple(desc["input_shape"]))
         graph.replay_level = desc["replay_level"]
-        graph.input_qparams = _qparams_from_json(desc["input_qparams"])
-        for nd in desc["nodes"]:
+        graph.input_qparams = _qparams_from_json(desc["input_qparams"], "input_qparams")
+        for i, nd in enumerate(desc["nodes"]):
+            nd = _fields(nd, _NODE_KEYS, f"node {i}")
             attrs = dict(nd["attrs"])
             if "spec" in attrs:
-                attrs["spec"] = BinConvSpec(**attrs["spec"])
+                attrs["spec"] = BinConvSpec(**_fields(attrs["spec"], _SPEC_KEYS, f"node {i} spec"))
             node = LayerNode(kind=nd["kind"], name=nd["name"], inputs=list(nd["inputs"]),
                              trainable=nd["trainable"], attrs=attrs)
             node.param_scales = dict(nd["param_scales"])
-            node.out_qparams = _qparams_from_json(nd["out_qparams"])
+            node.out_qparams = _qparams_from_json(nd["out_qparams"], f"node {i} out_qparams")
             graph.nodes.append(node)
         for nd, node in zip(desc["nodes"], graph.nodes):
             for pname in nd["param_names"]:
                 node.params[pname] = read_tensor(f)
             if nd["has_weight_bits"]:
                 node.weight_bits = read_tensor(f)
-        hd = desc["head"]
+        hd = _fields(desc["head"], _HEAD_KEYS, "head")
         head = cwr_mod.init(hd["feature_dim"], hd["max_classes"])
         head.past_counts = np.asarray(hd["past_counts"], dtype=np.int64)
         head.seen = set(hd["seen"])
         head.cw = read_tensor(f)
-    bw = BitwidthConfig(**desc["bitwidth"])
+    bw = BitwidthConfig(**_fields(desc["bitwidth"], _BITWIDTH_KEYS, "bitwidth"))
     return graph, head, bw

@@ -136,6 +136,39 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad),
                      "--dataset", str(dataset_dir)]) == 1
 
+    def test_dataset_count_beyond_file_length(self, trained_dir, tmp_path, capsys):
+        p = tmp_path / "huge.brds"
+        p.write_bytes(b"BRDS" + struct.pack("<BIB3IH", 1, 2**32 - 1, 3, 8, 8, 1, 4))
+        assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.brck"),
+                     "--dataset", str(p)]) == 1
+        assert "header claims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["input_qparams"].update(extra=1),
+        lambda d: d["nodes"][0]["out_qparams"].pop("scale"),
+        lambda d: d["nodes"][0]["attrs"]["spec"].update(dilation=1),
+        lambda d: d["nodes"][0]["attrs"]["spec"].pop("stride"),
+        lambda d: d["bitwidth"].update(q_x="8"),
+        lambda d: d["bitwidth"].pop("q_f"),
+        lambda d: d["head"].update(bias=0),
+        lambda d: d["head"].pop("seen"),
+        lambda d: d.pop("head"),
+        lambda d: d["nodes"][0].pop("inputs"),
+    ], ids=["qparams-extra", "qparams-missing", "spec-extra", "spec-missing",
+            "bitwidth-extra", "bitwidth-missing", "head-extra", "head-missing-key",
+            "head-missing", "node-missing-key"])
+    def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path):
+        data = (trained_dir / "checkpoint.brck").read_bytes()
+        (blen,) = struct.unpack("<I", data[5:9])  # magic, version byte, blob length
+        desc = json.loads(data[9 : 9 + blen])
+        mutate(desc)
+        blob = json.dumps(desc, sort_keys=True).encode()
+        bad = tmp_path / "bad.brck"
+        bad.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + blen:])
+        with pytest.raises(serialize.FormatError):
+            serialize.read_checkpoint(bad)
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+
     def test_class_count_mismatch(self, trained_dir, tmp_path):
         other = tmp_path / "other"
         main(["synth", "--out", str(other), "--classes", "3",

@@ -34,6 +34,24 @@ class TestBeginExperience:
             cwr.begin_experience(cwr.init(2, 3), [3])
 
 
+class TestRecordTraining:
+    def test_counts_per_class(self):
+        head = cwr.init(2, 3)
+        cwr.begin_experience(head, [0, 2])
+        cwr.record_training(head, [2, 0, 2])
+        assert head.cur_counts.tolist() == [1, 0, 2]
+        assert head.trained_now == {0, 2}
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_out_of_range_label_rejected(self, label):
+        head = cwr.init(2, 3)
+        cwr.begin_experience(head, [0, 1, 2])
+        with pytest.raises(CWRError, match="outside"):
+            cwr.record_training(head, [0, label])
+        assert head.cur_counts.tolist() == [0, 0, 0]
+        assert head.trained_now == set()
+
+
 class TestConsolidate:
     def test_first_experience_is_mean_shift(self):
         # past = 0 forces w_past = 0: cw_j = tw_j - mean(tw)

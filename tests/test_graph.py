@@ -10,6 +10,7 @@ from binreplay.graph import (
     BitwidthConfig,
     Graph,
     GraphError,
+    _snap_activation,
     backward,
     fake_quant,
     forward,
@@ -21,6 +22,8 @@ from binreplay.graph import (
     softmax_ce,
     ste_backward,
 )
+from binreplay.learner import build_reference_model, calibrate_activations, initialize_bn_stats
+from binreplay.quant import QuantError, dequantize, quant_params, quantize
 from helpers import (
     FLOAT_CFG,
     analytic_grads,
@@ -329,6 +332,52 @@ class TestForwardModes:
         cfg = BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)
         a, _ = forward(g, x, cfg, mode="infer")
         b, _ = forward(g, x, cfg, mode="infer")
+        assert a.tobytes() == b.tobytes()
+
+
+class TestActivationSnap:
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    @pytest.mark.parametrize("lo,hi", [(-1.5, 2.0), (0.0, 1.0)])
+    def test_matches_integer_round_trip_bytes(self, bits, lo, hi, rng):
+        p = quant_params(lo, hi, bits, signed=False)
+        s = p.scale
+        y = np.concatenate([rng.uniform(-3.0, 3.0, size=500),
+                            [0.0, -0.0, -5e-324, -1e-300, -s / 4, -s / 2, s / 2, -1.5 * s,
+                             np.inf, -np.inf]])
+        got = _snap_activation(y, p, bits)
+        assert got.tobytes() == dequantize(quantize(y, p)).tobytes()
+        assert not np.any(np.signbit(got) & (got == 0))  # no -0.0 survives
+
+    @staticmethod
+    def _calibrated(rng):
+        g = build_reference_model((6, 6, 1), channels=4, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(8, 6, 6, 1))
+        initialize_bn_stats(g, xs)
+        calibrate_activations(g, xs, 8)
+        return g, xs
+
+    def test_nan_input_raises(self, rng):
+        g, xs = self._calibrated(rng)
+        xs[0, 2, 3, 0] = np.nan
+        with pytest.raises(QuantError, match="NaN"):
+            forward(g, xs, BitwidthConfig())
+
+    def test_nan_batchnorm_gamma_raises(self, rng):
+        g, xs = self._calibrated(rng)
+        next(n for n in g.nodes if n.kind == "batchnorm").params["gamma"][0] = np.nan
+        with pytest.raises(QuantError, match="NaN"):
+            forward(g, xs, BitwidthConfig())
+
+    def test_infinite_input_saturates(self, rng):
+        g, xs = self._calibrated(rng)
+        p = g.input_qparams
+        inf_x, sat_x = xs.copy(), xs.copy()
+        inf_x[0, 0, 0, 0], inf_x[1, 2, 2, 0] = np.inf, -np.inf
+        sat_x[0, 0, 0, 0] = (p.qmax - p.zero_point) * p.scale
+        sat_x[1, 2, 2, 0] = (p.qmin - p.zero_point) * p.scale
+        a, _ = forward(g, inf_x, BitwidthConfig())
+        b, _ = forward(g, sat_x, BitwidthConfig())
+        assert np.all(np.isfinite(a))
         assert a.tobytes() == b.tobytes()
 
 

@@ -159,6 +159,24 @@ class TestProtocol:
         assert acc == np.mean(preds == tey)
         assert acc == log.final_accuracy
 
+    def test_per_class_accuracy_is_one_pass(self, run, small_data, monkeypatch):
+        cfg, (log, g, head, mem) = run
+        _, (tex, tey) = small_data
+        want = {int(c): learner.evaluate(g, head, tex[tey == c], tey[tey == c], cfg.bitwidth)
+                for c in np.unique(tey)}
+        rows = []
+        orig = learner.forward
+
+        def spy(graph, x, *args, **kwargs):
+            rows.append(len(x))
+            return orig(graph, x, *args, **kwargs)
+
+        monkeypatch.setattr(learner, "forward", spy)
+        acc, per_class = learner.per_class_accuracy(g, head, tex, tey, cfg.bitwidth)
+        assert sum(rows) == len(tex)
+        assert acc == log.final_accuracy
+        assert per_class == want
+
     def test_csv_shape_and_determinism(self, small_data):
         (trx, try_), (tex, tey) = small_data
         logs = []

@@ -2,6 +2,7 @@
 
 import io
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -118,6 +119,32 @@ class TestDatasetFormat:
         p = tmp_path / "d.brds"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
+            read_dataset(p)
+
+    def test_count_beyond_file_length_rejected_before_allocation(self, tmp_path):
+        # a bare 24-byte header claiming 2**32 - 1 samples of 12x12x1 (4.5 TiB as f64)
+        p = tmp_path / "d.brds"
+        p.write_bytes(b"BRDS" + struct.pack("<BIB3IH", 1, 2**32 - 1, 3, 12, 12, 1, 10))
+        assert p.stat().st_size == 24
+        with pytest.raises(FormatError, match="header claims"):
+            read_dataset(p)
+
+    def test_one_sample_short_rejected(self, tmp_path, rng):
+        p = tmp_path / "d.brds"
+        write_dataset(p, rng.normal(size=(3, 2, 2, 1)), [0, 1, 2], 3)
+        data = bytearray(p.read_bytes())
+        data[5:9] = struct.pack("<I", 4)  # the header's sample count
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="header claims"):
+            read_dataset(p)
+
+    def test_non_float_sample_rejected(self, tmp_path):
+        p = tmp_path / "d.brds"
+        with open(p, "wb") as f:
+            f.write(b"BRDS" + struct.pack("<BIB2IH", 1, 1, 2, 4, 4, 2))
+            write_tensor(f, pack(np.ones((4, 4), dtype=np.int8)))
+            f.write(struct.pack("<H", 0) + b"\x00" * 64)
+        with pytest.raises(FormatError, match="not a float tensor"):
             read_dataset(p)
 
 
