@@ -97,6 +97,19 @@ def unpack(b: BitTensor) -> np.ndarray:
     return b.unpack()
 
 
+def stack(tensors) -> BitTensor:
+    """BitTensors of one shape stacked along a new leading axis, without
+    unpacking them one by one."""
+    shape = tensors[0].shape
+    if any(t.shape != shape for t in tensors):
+        raise BitShapeError("stack expects tensors of one shape")
+    words = np.stack([t.words for t in tensors])
+    size = tensors[0].size
+    if size % WORD_BITS:  # each tensor ends in pad bits: repack without them
+        words = _pack01(_unpack01(words, size).reshape(-1))
+    return BitTensor(shape=(len(tensors),) + shape, words=words)
+
+
 def binarize(x) -> BitTensor:
     """Sign binarization: bit set iff value >= 0 (ties at 0 go to +1)."""
     from .quant import QuantizedTensor  # local import to avoid a cycle
@@ -118,9 +131,16 @@ def xnor_dot(a: BitTensor, b: BitTensor) -> int:
 
 
 def _xnor_gemm(a_rows: np.ndarray, b_rows: np.ndarray, k: int) -> np.ndarray:
-    """a_rows (m, W) vs b_rows (n, W) packed over a k-long inner axis -> (m, n) int32."""
-    diff = popcount(a_rows[:, None, :] ^ b_rows[None, :, :]).sum(axis=-1, dtype=np.int64)
-    return (k - 2 * diff).astype(np.int32)
+    """a_rows (m, W) vs b_rows (n, W) packed over a k-long inner axis -> (m, n) int32.
+
+    One pass per packed word: each adds popcount(a XOR b) of that word into
+    an (m, n) accumulator, so no (m, n, W) intermediate is built.  Pad bits
+    are zero in both operands and never count.
+    """
+    diff = np.zeros((a_rows.shape[0], b_rows.shape[0]), dtype=np.int32)
+    for j in range(a_rows.shape[1]):
+        diff += popcount(a_rows[:, j, None] ^ b_rows[None, :, j])
+    return k - 2 * diff
 
 
 def bin_matmul(a: BitTensor, w: BitTensor) -> np.ndarray:
@@ -170,7 +190,7 @@ def patches(x: np.ndarray, spec: BinConvSpec, pad_value: float) -> np.ndarray:
     """im2col on an NHWC array, in x's dtype: one row per output position.
 
     Padded positions hold pad_value: 0 for the packed 0/1 kernel (bit 0 is
-    -1), 0.0 for float convs, -1.0 for +-1 values of a binary conv.
+    -1), 0.0 for float convs.
     """
     n, h, w, c = x.shape
     oh, ow = spec.out_hw(h, w)
@@ -184,12 +204,23 @@ def patches(x: np.ndarray, spec: BinConvSpec, pad_value: float) -> np.ndarray:
     return cols.reshape(n * oh * ow, spec.kernel_h * spec.kernel_w * c)
 
 
-def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec) -> np.ndarray:
+def conv_rows(x: BitTensor, spec: BinConvSpec) -> np.ndarray:
+    """Packed im2col of an NHWC BitTensor: (N*OH*OW, W) uint64 words.
+
+    Row r holds output position r's K = kernel_h * kernel_w * in_channels
+    patch bits, packed as _pack01 packs them; padded positions are 0 bits,
+    i.e. -1.
+    """
+    return _pack01(patches(x.unpack01(), spec, 0))
+
+
+def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray | None = None) -> np.ndarray:
     """Binary 2-D convolution (NHWC x KHWIO) via im2col + XNOR gemm.
 
     Padded positions contribute -1.  Returns exact int32 counts of shape
     (N, OH, OW, out_channels); every element lies in [-K, K] with
-    K = kernel_h * kernel_w * in_channels.
+    K = kernel_h * kernel_w * in_channels.  rows, when given, is
+    conv_rows(x, spec), which a caller that keeps it need not compute twice.
     """
     if len(x.shape) != 4:
         raise BitShapeError(f"input must be NHWC, got shape {x.shape}")
@@ -201,6 +232,7 @@ def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec) -> np.ndarray:
     n, h, wd, _ = x.shape
     oh, ow = spec.out_hw(h, wd)
     k = spec.kernel_h * spec.kernel_w * spec.in_channels
-    a_rows = _pack01(patches(x.unpack01(), spec, 0))
+    if rows is None:
+        rows = conv_rows(x, spec)
     w_cols = _pack01(w.unpack01().reshape(k, spec.out_channels).T)
-    return _xnor_gemm(a_rows, w_cols, k).reshape(n, oh, ow, spec.out_channels)
+    return _xnor_gemm(rows, w_cols, k).reshape(n, oh, ow, spec.out_channels)

@@ -310,8 +310,9 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
         xb = bitpack.binarize(x) if not isinstance(x, BitTensor) else x
         if len(xb.shape) != 4 or xb.shape[3] != spec.in_channels:
             raise GraphError(f"node {idx} ({node.name}): input shape {xb.shape} vs spec {spec}")
-        y = bitpack.bin_conv2d(xb, node.weight_bits, spec).astype(np.float64)
-        cache = xb
+        rows = bitpack.conv_rows(xb, spec)
+        y = bitpack.bin_conv2d(xb, node.weight_bits, spec, rows).astype(np.float64)
+        cache = (xb.shape, rows)
     elif kind == "binarize":
         y = np.where(x >= 0, 1.0, -1.0)
         cache = x
@@ -434,12 +435,13 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
             gins[0] = g @ wpm.T
     elif kind == "binary_conv2d":
         spec = node.attrs["spec"]
-        xb = cache_entry
-        n, h, wd, _ = xb.shape
+        (n, h, wd, _), rows = cache_entry
         gmat = g.reshape(-1, spec.out_channels)
         if node.trainable and config.q_b_bin != 1:
-            # padded positions contribute -1, matching the forward kernel
-            patches = bitpack.patches(xb.unpack().astype(np.float64), spec, -1.0)
+            # the forward's packed patch rows as +-1; padded positions are
+            # 0 bits there, so they contribute -1 here as in the kernel
+            k = spec.kernel_h * spec.kernel_w * spec.in_channels
+            patches = (bitpack._unpack01(rows, k).astype(np.int8) * 2 - 1).astype(np.float64)
             pgrads["latent"] = (patches.T @ gmat).reshape(
                 spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels
             )

@@ -310,9 +310,8 @@ def run_experience(g: Graph, head: cwr.CWRHead, mem: ReplayMemory, exp: Experien
                 k = _replay_draw_size(len(idx), cfg)
                 if k > 0:
                     drawn = replay.sample_minibatch(mem, k, rng)
-                    xs = np.concatenate(
-                        [xs] + [s.activation.unpack()[None].astype(np.float64) for s in drawn]
-                    )
+                    replayed = bitpack.stack([s.activation for s in drawn])
+                    xs = np.concatenate([xs, replayed.unpack().astype(np.float64)])
                     ys = np.concatenate([ys, [s.label for s in drawn]])
             mode = "train" if cfg.train_graph_layers else "infer"
             feats, cache = forward(g, xs, bw, mode=mode, from_level=lvl)

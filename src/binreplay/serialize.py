@@ -70,6 +70,22 @@ def _read_exact(f, n: int) -> bytes:
     return b
 
 
+def _bytes_left(f) -> int:
+    pos = f.tell()
+    end = f.seek(0, os.SEEK_END)
+    f.seek(pos)
+    return end - pos
+
+
+def _read_sized(f, n: int, what: str) -> bytes:
+    """n bytes whose count the file itself claims: checked against the rest
+    of the file before anything that large is allocated."""
+    left = _bytes_left(f)
+    if n > left:
+        raise FormatError(f"{what} claims {n} bytes; {left} remain in the file")
+    return _read_exact(f, n)
+
+
 def write_tensor(f, t) -> None:
     if isinstance(t, BitTensor):
         f.write(TENSOR_MAGIC)
@@ -103,21 +119,22 @@ def read_tensor(f):
         raise FormatError(f"unsupported tensor format version {version}")
     shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank)) if rank else ()
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    what = f"tensor record of shape {shape}"
     if tag == DTYPE_F32:
-        data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4")
+        data = np.frombuffer(_read_sized(f, 4 * count, what), dtype="<f4")
         return data.reshape(shape).astype(np.float64)
     if tag == DTYPE_BITPACKED:
         (n,) = struct.unpack("<Q", _read_exact(f, 8))
         if n != count:
             raise FormatError("bitpacked logical length disagrees with shape")
         n_words = -(-n // 64)
-        words = np.frombuffer(_read_exact(f, 8 * n_words), dtype="<u8").astype(np.uint64)
+        words = np.frombuffer(_read_sized(f, 8 * n_words, what), dtype="<u8").astype(np.uint64)
         return BitTensor(shape=shape, words=words)
     if tag in (DTYPE_I8, DTYPE_I16, DTYPE_I32):
         scale, zp, bits = struct.unpack("<diB", _read_exact(f, 13))
         signed = _read_exact(f, 1) == b"\x01"
         dt = _storage_dtype(bits, signed)
-        data = np.frombuffer(_read_exact(f, dt.itemsize * count), dtype=dt)
+        data = np.frombuffer(_read_sized(f, dt.itemsize * count, what), dtype=dt)
         params = QuantParams(bits=bits, scale=scale, zero_point=zp, signed=signed)
         return QuantizedTensor(data=data.reshape(shape).astype(np.int64), params=params)
     raise FormatError(f"unknown dtype tag {tag}")
@@ -154,7 +171,7 @@ def read_dataset(path):
         # each sample is an f32 tensor record and a u16 label: check the
         # header against the file before allocating what it claims
         need = count * (7 + 4 * rank + 4 * math.prod(shape) + 2)
-        left = os.fstat(f.fileno()).st_size - f.tell()
+        left = _bytes_left(f)
         if need > left:
             raise FormatError(f"{path}: header claims {count} samples of shape {shape}, "
                               f"which need at least {need} bytes; {left} remain")
@@ -205,36 +222,82 @@ def read_replay_memory(path) -> ReplayMemory:
 # checkpoints
 
 
-# descriptor keys; read_checkpoint accepts exactly these
-_QPARAMS_KEYS = ("bits", "scale", "zero_point", "signed")
-_SPEC_KEYS = ("kernel_h", "kernel_w", "stride", "padding", "in_channels", "out_channels")
-_BITWIDTH_KEYS = ("q_f", "q_b_nonbin", "q_b_bin")
-_HEAD_KEYS = ("feature_dim", "max_classes", "past_counts", "seen")
-_NODE_KEYS = ("kind", "name", "inputs", "trainable", "attrs", "param_names", "param_scales",
-              "out_qparams", "has_weight_bits")
-_DESCRIPTOR_KEYS = ("input_shape", "replay_level", "input_qparams", "bitwidth", "nodes", "head")
+# descriptor value checks (JSON types; bool is not accepted as a number)
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _fields(d, keys, where: str) -> dict:
-    """d itself, if it is an object with exactly these keys."""
-    if not isinstance(d, dict) or set(d) != set(keys):
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _bool(v) -> bool:
+    return isinstance(v, bool)
+
+
+def _str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _dict(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _optional(check):
+    return lambda v: v is None or check(v)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+def _attrs(v) -> bool:
+    # the conv spec is checked as its own object; other attrs are numbers
+    return isinstance(v, dict) and all(_number(x) for k, x in v.items() if k != "spec")
+
+
+# descriptor objects: read_checkpoint accepts exactly these keys, with values
+# that pass these checks
+_QPARAMS = {"bits": _int, "scale": _number, "zero_point": _int, "signed": _bool}
+_SPEC = dict.fromkeys(("kernel_h", "kernel_w", "stride", "padding", "in_channels", "out_channels"), _int)
+_BITWIDTH = dict.fromkeys(("q_f", "q_b_nonbin", "q_b_bin"), _optional(_int))
+_HEAD = {"feature_dim": _int, "max_classes": _int, "past_counts": _list_of(_int), "seen": _list_of(_int)}
+_NODE = {
+    "kind": _str, "name": _str, "inputs": _list_of(_int), "trainable": _bool, "attrs": _attrs,
+    "param_names": _list_of(_str),
+    "param_scales": lambda v: isinstance(v, dict) and all(_number(x) for x in v.values()),
+    "out_qparams": _optional(_dict), "has_weight_bits": _bool,
+}
+_DESCRIPTOR = {
+    "input_shape": _list_of(_int), "replay_level": _optional(_int), "input_qparams": _optional(_dict),
+    "bitwidth": _dict, "nodes": _list_of(_dict), "head": _dict,
+}
+
+
+def _fields(d, schema: dict, where: str) -> dict:
+    """d itself, if it is an object with exactly the schema's keys, each
+    holding a value its check accepts."""
+    if not isinstance(d, dict) or set(d) != set(schema):
         got = sorted(d) if isinstance(d, dict) else type(d).__name__
-        raise FormatError(f"checkpoint {where}: expected keys {sorted(keys)}, got {got}")
+        raise FormatError(f"checkpoint {where}: expected keys {sorted(schema)}, got {got}")
+    for key, check in schema.items():
+        if not check(d[key]):
+            raise FormatError(f"checkpoint {where}: {key} has an invalid value {d[key]!r:.60}")
     return d
 
 
 def _qparams_to_json(p: QuantParams | None):
     if p is None:
         return None
-    return {k: getattr(p, k) for k in _QPARAMS_KEYS}
+    return {k: getattr(p, k) for k in _QPARAMS}
 
 
 def _qparams_from_json(d, where: str):
-    return None if d is None else QuantParams(**_fields(d, _QPARAMS_KEYS, where))
+    return None if d is None else QuantParams(**_fields(d, _QPARAMS, where))
 
 
 def _spec_to_json(s: BinConvSpec):
-    return {k: getattr(s, k) for k in _SPEC_KEYS}
+    return {k: getattr(s, k) for k in _SPEC}
 
 
 def graph_descriptor(graph: Graph, bitwidth: BitwidthConfig) -> dict:
@@ -291,15 +354,15 @@ def read_checkpoint(path):
         version, blen = struct.unpack("<BI", _read_exact(f, 5))
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        desc = _fields(json.loads(_read_exact(f, blen)), _DESCRIPTOR_KEYS, "descriptor")
+        desc = _fields(json.loads(_read_sized(f, blen, "descriptor")), _DESCRIPTOR, "descriptor")
         graph = Graph(tuple(desc["input_shape"]))
         graph.replay_level = desc["replay_level"]
         graph.input_qparams = _qparams_from_json(desc["input_qparams"], "input_qparams")
         for i, nd in enumerate(desc["nodes"]):
-            nd = _fields(nd, _NODE_KEYS, f"node {i}")
+            nd = _fields(nd, _NODE, f"node {i}")
             attrs = dict(nd["attrs"])
             if "spec" in attrs:
-                attrs["spec"] = BinConvSpec(**_fields(attrs["spec"], _SPEC_KEYS, f"node {i} spec"))
+                attrs["spec"] = BinConvSpec(**_fields(attrs["spec"], _SPEC, f"node {i} spec"))
             node = LayerNode(kind=nd["kind"], name=nd["name"], inputs=list(nd["inputs"]),
                              trainable=nd["trainable"], attrs=attrs)
             node.param_scales = dict(nd["param_scales"])
@@ -310,10 +373,10 @@ def read_checkpoint(path):
                 node.params[pname] = read_tensor(f)
             if nd["has_weight_bits"]:
                 node.weight_bits = read_tensor(f)
-        hd = _fields(desc["head"], _HEAD_KEYS, "head")
+        hd = _fields(desc["head"], _HEAD, "head")
         head = cwr_mod.init(hd["feature_dim"], hd["max_classes"])
         head.past_counts = np.asarray(hd["past_counts"], dtype=np.int64)
         head.seen = set(hd["seen"])
         head.cw = read_tensor(f)
-    bw = BitwidthConfig(**_fields(desc["bitwidth"], _BITWIDTH_KEYS, "bitwidth"))
+    bw = BitwidthConfig(**_fields(desc["bitwidth"], _BITWIDTH, "bitwidth"))
     return graph, head, bw

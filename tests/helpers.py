@@ -168,12 +168,15 @@ def check_layer_gradients(kind, rng):
     return worst
 
 
-def random_binary_conv_case(rng):
+def random_binary_conv_case(rng, cin=None, padding=None):
+    """A one-node binary-conv graph; cin and padding are drawn unless given."""
     n = int(rng.integers(1, 3))
     h = int(rng.integers(4, 8))
-    cin, cout = (int(v) for v in rng.integers(1, 5, size=2))
+    cin_drawn, cout = (int(v) for v in rng.integers(1, 5, size=2))
+    cin = cin_drawn if cin is None else cin
     stride = int(rng.integers(1, 3))
-    padding = int(rng.integers(0, 2))
+    padding_drawn = int(rng.integers(0, 2))
+    padding = padding_drawn if padding is None else padding
     spec = BinConvSpec(3, 3, stride, padding, cin, cout)
     x = rng.choice([-1.0, 1.0], size=(n, h, h, cin))
     latent = rng.uniform(-1, 1, size=(3, 3, cin, cout))

@@ -16,6 +16,7 @@ from binreplay.bitpack import (
     pack,
     patches,
     popcount,
+    stack,
     unpack,
     xnor_dot,
 )
@@ -64,6 +65,16 @@ class TestPackUnpack:
     def test_popcount(self):
         assert popcount(np.array([0xFF, 0x0, 0b1011], dtype=np.uint64)).tolist() == [8, 0, 3]
 
+    @pytest.mark.parametrize("shape", [(2, 4, 8), (3, 5, 7)])  # whole words / pad bits
+    def test_stack_matches_per_tensor_unpack(self, shape, rng):
+        parts = [pack(rng.choice([-1, 1], size=shape)) for _ in range(5)]
+        stacked = stack(parts)
+        assert stacked.shape == (5,) + shape
+        assert np.array_equal(stacked.unpack(), np.stack([t.unpack() for t in parts]))
+        assert stacked == pack(stacked.unpack())  # canonical: pad bits zero
+        with pytest.raises(BitShapeError):
+            stack([parts[0], parts[1].reshape(shape[::-1])])
+
 
 class TestBinarize:
     def test_sign_with_ties_positive(self):
@@ -103,8 +114,12 @@ class TestXnorDot:
 
 class TestBinMatmul:
     def test_matches_float_oracle(self, rng):
-        for _ in range(50):
-            m, k, n = (int(v) for v in rng.integers(1, 33, size=3))
+        # random small shapes, then inner lengths at and across word
+        # boundaries: several packed words, and a partial last word
+        shapes = [tuple(int(v) for v in rng.integers(1, 33, size=3)) for _ in range(50)]
+        shapes += [(int(rng.integers(1, 33)), k, int(rng.integers(1, 33)))
+                   for k in (63, 64, 65, 128, 129, 288)]
+        for m, k, n in shapes:
             a = rng.choice([-1, 1], size=(m, k))
             w = rng.choice([-1, 1], size=(k, n))
             got = bin_matmul(pack(a), pack(w))
@@ -129,6 +144,11 @@ class TestBinConv2d:
             spec = BinConvSpec(kh, kw, stride, padding, cin, cout)
             got = bin_conv2d(pack(x), pack(w), spec)
             assert np.array_equal(got, naive_conv2d_pm1(x, w, stride, padding))
+        # the reference block shape: 3x3, 32 -> 32 channels, K = 288 over 5 words
+        x = rng.choice([-1, 1], size=(2, 6, 7, 32))
+        w = rng.choice([-1, 1], size=(3, 3, 32, 32))
+        got = bin_conv2d(pack(x), pack(w), BinConvSpec(3, 3, stride, padding, 32, 32))
+        assert np.array_equal(got, naive_conv2d_pm1(x, w, stride, padding))
 
     def test_1x1_kernel_is_per_pixel_dot(self, rng):
         x = rng.choice([-1, 1], size=(2, 5, 5, 8))

@@ -154,9 +154,20 @@ class TestEval:
         lambda d: d["head"].pop("seen"),
         lambda d: d.pop("head"),
         lambda d: d["nodes"][0].pop("inputs"),
+        lambda d: d["input_qparams"].update(scale="x"),
+        lambda d: d["nodes"][0]["attrs"]["spec"].update(stride="1"),
+        lambda d: d["bitwidth"].update(q_f=8.0),
+        lambda d: d["head"].update(max_classes="4"),
+        lambda d: d["head"].update(seen=["0"]),
+        lambda d: d.update(nodes=5),
+        lambda d: d["nodes"][0].update(inputs="x"),
+        lambda d: d["nodes"][0].update(param_names=5),
+        lambda d: d["nodes"][3]["attrs"].update(eps="x"),
     ], ids=["qparams-extra", "qparams-missing", "spec-extra", "spec-missing",
             "bitwidth-extra", "bitwidth-missing", "head-extra", "head-missing-key",
-            "head-missing", "node-missing-key"])
+            "head-missing", "node-missing-key", "qparams-type", "spec-type",
+            "bitwidth-type", "head-type", "head-list-type", "nodes-type", "node-inputs-type",
+            "node-param-names-type", "node-attr-type"])
     def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path):
         data = (trained_dir / "checkpoint.brck").read_bytes()
         (blen,) = struct.unpack("<I", data[5:9])  # magic, version byte, blob length
@@ -168,6 +179,18 @@ class TestEval:
         with pytest.raises(serialize.FormatError):
             serialize.read_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+
+    def test_tensor_shape_beyond_file_length(self, trained_dir, dataset_dir, tmp_path, capsys):
+        data = bytearray((trained_dir / "checkpoint.brck").read_bytes())
+        (blen,) = struct.unpack("<I", data[5:9])
+        # the first tensor record (stem_conv's bias): magic, 3 bytes, then its shape
+        data[9 + blen + 7 : 9 + blen + 11] = struct.pack("<I", 2**32 - 1)
+        bad = tmp_path / "bad.brck"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(serialize.FormatError, match="claims"):
+            serialize.read_checkpoint(bad)
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+        assert "claims" in capsys.readouterr().err
 
     def test_class_count_mismatch(self, trained_dir, tmp_path):
         other = tmp_path / "other"

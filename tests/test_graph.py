@@ -101,8 +101,10 @@ class TestBinaryLayerGradients:
             np.testing.assert_allclose(gin, direction @ w_pm.T, atol=1e-12)
 
     def test_binary_conv_matches_loop_oracle(self, rng):
-        for _ in range(10):
-            g, x, spec, latent = random_binary_conv_case(rng)
+        # ten drawn cases, then K = 9 * cin above one 64-bit word, padded:
+        # the weight gradient unpacks the forward's packed patch rows
+        for cin, padding in [(None, None)] * 10 + [(8, 1), (9, 1), (15, 1)]:
+            g, x, spec, latent = random_binary_conv_case(rng, cin, padding)
             nid = 0
             out, cache = forward(g, x, FLOAT_CFG, mode="train")
             direction = rng.normal(size=out.shape)

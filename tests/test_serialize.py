@@ -147,6 +147,16 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="not a float tensor"):
             read_dataset(p)
 
+    def test_tensor_shape_beyond_file_length_rejected_before_allocation(self, tmp_path):
+        # the header (one sample of shape (2,)) fits the file, but the sample's
+        # own record claims shape (2**32 - 1,): 16 GiB of f32
+        p = tmp_path / "d.brds"
+        p.write_bytes(b"BRDS" + struct.pack("<BIBIH", 1, 1, 1, 2, 2)
+                      + b"QTNS" + struct.pack("<BBBI", 1, serialize.DTYPE_F32, 1, 2**32 - 1)
+                      + b"\x00" * 10)
+        with pytest.raises(FormatError, match="claims"):
+            read_dataset(p)
+
 
 class TestReplayMemoryFormat:
     def test_round_trip(self, tmp_path, rng):
@@ -170,6 +180,15 @@ class TestReplayMemoryFormat:
         p = tmp_path / "m.brrm"
         p.write_bytes(b"WHAT" + b"\x00" * 16)
         with pytest.raises(FormatError):
+            read_replay_memory(p)
+
+    def test_tensor_shape_beyond_file_length_rejected_before_allocation(self, tmp_path):
+        # one class holding one latent whose record claims 2**32 - 1 bits
+        p = tmp_path / "m.brrm"
+        p.write_bytes(b"BRRM" + struct.pack("<BIIIIQI", 1, 4, 5, 1, 0, 1, 1)
+                      + b"QTNS" + struct.pack("<BBBIQ", 1, serialize.DTYPE_BITPACKED, 1,
+                                              2**32 - 1, 2**32 - 1))
+        with pytest.raises(FormatError, match="claims"):
             read_replay_memory(p)
 
 
