@@ -146,7 +146,8 @@ def _xnor_gemm(a_rows: np.ndarray, b_rows: np.ndarray, k: int) -> np.ndarray:
 def bin_matmul(a: BitTensor, w: BitTensor) -> np.ndarray:
     """Binary matrix product over +-1 semantics; exact int32 result.
 
-    a has shape (m, k), w has shape (k, n).
+    a has shape (m, k), w has shape (k, n): the 1x1 convolution of m 1x1
+    images with k channels.
     """
     if len(a.shape) != 2 or len(w.shape) != 2:
         raise BitShapeError("bin_matmul expects 2-D operands")
@@ -154,9 +155,8 @@ def bin_matmul(a: BitTensor, w: BitTensor) -> np.ndarray:
     k2, n = w.shape
     if k != k2:
         raise BitShapeError(f"inner dimensions disagree: {a.shape} x {w.shape}")
-    a_rows = _pack01(a.unpack01())
-    w_cols = _pack01(w.unpack01().T)
-    return _xnor_gemm(a_rows, w_cols, k)
+    spec = BinConvSpec(1, 1, 1, 0, k, n)
+    return bin_conv2d(a.reshape((m, 1, 1, k)), w.reshape((1, 1, k, n)), spec).reshape(m, n)
 
 
 @dataclass(frozen=True)

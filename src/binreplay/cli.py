@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import struct
 import sys
@@ -46,6 +47,55 @@ DEFAULT_CONFIG = {
 }
 
 
+# run-config values: (check, what the value must be) for every leaf of
+# DEFAULT_CONFIG; JSON's true and false are not integers here
+def _int_at_least(lo: int):
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
+            f"an integer >= {lo}")
+
+
+def _one_of(allowed):
+    return (lambda v: v in allowed), f"one of {allowed}"
+
+
+def _positive(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+
+
+def _path(v) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+VALUE_CHECKS = {
+    "model.preset": _one_of(("reference",)),
+    "model.channels": _int_at_least(1),
+    "bitwidth.q_f": _one_of(BITS_STRINGS),
+    "bitwidth.q_b_nonbin": _one_of(BITS_STRINGS),
+    "bitwidth.q_b_bin": _one_of(BIN_BITS_STRINGS),
+    "replay.quota": _int_at_least(1),
+    "replay.b_n": _int_at_least(1),
+    "replay.b_r": _int_at_least(0),
+    "protocol.num_experiences": _int_at_least(1),
+    "protocol.epochs": _int_at_least(1),
+    "protocol.lr": (_positive, "a finite number > 0"),
+    "protocol.seed": _int_at_least(0),
+    "protocol.pretrain_epochs": _int_at_least(1),
+    "protocol.pretrain_lr": (_positive, "a finite number > 0"),
+    "protocol.head_only": (lambda v: isinstance(v, bool), "true or false"),
+    "dataset": (_path, "a directory holding train.brds and test.brds"),
+    "output_dir": (_path, "a directory path"),
+}
+
+
+def _check_values(cfg: dict, where: str = "config"):
+    for dotted, (ok, what) in VALUE_CHECKS.items():
+        v = cfg
+        for part in dotted.split("."):
+            v = v[part]
+        if not ok(v):
+            raise ConfigError(f"{where}.{dotted} must be {what}, got {v!r}")
+
+
 def _check_keys(d: dict, allowed, where: str):
     for k in d:
         if k not in allowed:
@@ -77,29 +127,29 @@ def load_run_config(path: str) -> dict:
         raise ConfigError(f"{path}: config must be a JSON object")
     sweep = raw.pop("sweep", None)
     cfg = _merged(DEFAULT_CONFIG, raw, "config")
-    if cfg["dataset"] is None:
-        raise ConfigError("config.dataset is required (directory with train.brds/test.brds)")
-    for key, allowed in (("q_f", BITS_STRINGS), ("q_b_nonbin", BITS_STRINGS), ("q_b_bin", BIN_BITS_STRINGS)):
-        v = cfg["bitwidth"][key]
-        if v not in allowed:
-            raise ConfigError(f"config.bitwidth.{key} must be one of {allowed}, got {v!r}")
+    _check_values(cfg)
     if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError("config.sweep must map a dotted key to a list of values")
+        if not (isinstance(sweep, dict) and len(sweep) == 1
+                and all(isinstance(v, list) for v in sweep.values())):
+            raise ConfigError("config.sweep must map one dotted key to a list of values")
+        (key, values), = sweep.items()
+        if key not in VALUE_CHECKS:
+            raise ConfigError(f"sweep key {key!r} does not name a config field")
+        for v in values:
+            _check_values(_variant(cfg, key, v), f"sweep {key}={v!r}: config")
         cfg["sweep"] = sweep
     return cfg
 
 
-def _set_dotted(cfg: dict, dotted: str, value):
-    parts = dotted.split(".")
-    cur = cfg
-    for p in parts[:-1]:
-        if p not in cur or not isinstance(cur[p], dict):
-            raise ConfigError(f"sweep key {dotted!r} does not name a config field")
+def _variant(cfg: dict, dotted: str, value) -> dict:
+    """A copy of cfg with the field that dotted names set to value."""
+    out = copy.deepcopy(cfg)
+    *parents, leaf = dotted.split(".")
+    cur = out
+    for p in parents:
         cur = cur[p]
-    if parts[-1] not in cur:
-        raise ConfigError(f"sweep key {dotted!r} does not name a config field")
-    cur[parts[-1]] = value
+    cur[leaf] = value
+    return out
 
 
 def continual_config(cfg: dict) -> ContinualConfig:
@@ -181,14 +231,9 @@ def cmd_train(args) -> int:
     if not sweep:
         run_training(cfg)
         return 0
-    if len(sweep) != 1:
-        raise ConfigError("sweep supports exactly one axis")
     (key, values), = sweep.items()
     for v in values:
-        variant = copy.deepcopy(cfg)
-        _set_dotted(variant, key, v)
-        tag = f"{key.split('.')[-1]}{v}"
-        run_training(variant, tag=tag)
+        run_training(_variant(cfg, key, v), tag=f"{key.split('.')[-1]}{v}")
     return 0
 
 
@@ -244,22 +289,36 @@ def cmd_report(args) -> int:
 
 def _read_idx(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        zero, dtype_code, rank = struct.unpack(">HBB", f.read(4))
-        if zero != 0:
+        head = f.read(4)
+        if len(head) != 4 or head[:2] != b"\0\0":
             raise ConfigError(f"{path}: not an IDX file")
-        dims = struct.unpack(f">{rank}I", f.read(4 * rank))
+        dtype_code, rank = head[2], head[3]
         dtypes = {0x08: np.uint8, 0x09: np.int8, 0x0B: np.int16, 0x0C: np.int32,
                   0x0D: np.float32, 0x0E: np.float64}
         if dtype_code not in dtypes:
             raise ConfigError(f"{path}: unsupported IDX dtype 0x{dtype_code:02x}")
-        data = np.frombuffer(f.read(), dtype=np.dtype(dtypes[dtype_code]).newbyteorder(">"))
-    return data.reshape(dims)
+        dim_bytes = f.read(4 * rank)
+        if len(dim_bytes) != 4 * rank:
+            raise ConfigError(f"{path}: IDX header claims {rank} dimensions; the file ends first")
+        dims = struct.unpack(f">{rank}I", dim_bytes)
+        dt = np.dtype(dtypes[dtype_code]).newbyteorder(">")
+        payload = f.read()
+    if len(payload) != math.prod(dims) * dt.itemsize:
+        raise ConfigError(f"{path}: IDX dimensions {dims} need {math.prod(dims) * dt.itemsize} "
+                          f"bytes of data; the file holds {len(payload)}")
+    return np.frombuffer(payload, dtype=dt).reshape(dims)
 
 
 def cmd_import_idx(args) -> int:
     """Convert IDX image/label pairs into the repo dataset format."""
     images = _read_idx(args.images).astype(np.float64)
     labels = _read_idx(args.labels).astype(np.int64)
+    if images.ndim not in (3, 4) or labels.ndim != 1:
+        raise ConfigError(f"expected N x H x W (x C) images and N labels, "
+                          f"got shapes {images.shape} and {labels.shape}")
+    if len(images) != len(labels) or not len(labels):
+        raise ConfigError(f"{len(images)} images and {len(labels)} labels: "
+                          "the counts must match and be > 0")
     if images.ndim == 3:
         images = images[..., None]
     images = images / max(1.0, float(images.max())) * 2.0 - 1.0

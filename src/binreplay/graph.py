@@ -269,50 +269,50 @@ def softmax_ce(logits: np.ndarray, one_hot: np.ndarray) -> tuple[float, np.ndarr
 # forward
 
 
+def _gemm_shapes(idx, node, kind, in_shape):
+    """A GEMM layer's conv spec, its input shape as NHWC, and its output shape.
+
+    A dense layer is a 1x1 convolution over a 1x1 image: its (k, n) weights
+    already have the layout that reshape(-1, n) gives conv weights, and only
+    its input and output are 2-D.
+    """
+    if kind in ("conv2d", "binary_conv2d"):
+        spec = node.attrs["spec"]
+        if len(in_shape) != 4 or in_shape[3] != spec.in_channels:
+            raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs spec {spec}")
+        n, h, wd, _ = in_shape
+        return spec, in_shape, (n, *spec.out_hw(h, wd), spec.out_channels)
+    k, out = _dense_dims(node)
+    if len(in_shape) != 2 or in_shape[1] != k:
+        raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs weight {(k, out)}")
+    return BinConvSpec(1, 1, 1, 0, k, out), (in_shape[0], 1, 1, k), (in_shape[0], out)
+
+
 def _forward_node(graph, idx, node, ins, config, want_cache):
     bits = config.q_f
     kind = KIND_ALIASES.get(node.kind, node.kind)
     x = ins[0] if ins else None
     cache = None
 
-    if kind == "dense":
+    if kind in ("dense", "conv2d"):
+        spec, shape4, out_shape = _gemm_shapes(idx, node, kind, x.shape)
         w, b = node.params["w"], node.params["b"]
-        if x.ndim != 2 or x.shape[1] != w.shape[0]:
-            raise GraphError(f"node {idx} ({node.name}): input shape {x.shape} vs weight {w.shape}")
-        if bits is None:
-            y = x @ w + b
-        else:
-            in_p = _node_in_qparams(graph, node, x, bits)
-            y = _quantized_gemm(x, in_p, w, bits) + b
-        cache = x
-    elif kind == "conv2d":
-        spec: BinConvSpec = node.attrs["spec"]
-        w, b = node.params["w"], node.params["b"]
-        if x.ndim != 4 or x.shape[3] != spec.in_channels:
-            raise GraphError(f"node {idx} ({node.name}): input shape {x.shape} vs spec {spec}")
-        n, h, wd, _ = x.shape
-        oh, ow = spec.out_hw(h, wd)
-        patches = bitpack.patches(x, spec, 0.0)
+        patches = bitpack.patches(x.reshape(shape4), spec, 0.0)
         wmat = w.reshape(-1, spec.out_channels)
         if bits is None:
             y = patches @ wmat
         else:
             in_p = _node_in_qparams(graph, node, x, bits)
             y = _quantized_gemm(patches, in_p, wmat, bits)
-        y = y.reshape(n, oh, ow, spec.out_channels) + b
+        y = y.reshape(out_shape) + b
         cache = x
-    elif kind == "binary_dense":
-        xb = bitpack.binarize(x) if not isinstance(x, BitTensor) else x
-        y = bitpack.bin_matmul(xb, node.weight_bits).astype(np.float64)
-        cache = xb
-    elif kind == "binary_conv2d":
-        spec = node.attrs["spec"]
-        xb = bitpack.binarize(x) if not isinstance(x, BitTensor) else x
-        if len(xb.shape) != 4 or xb.shape[3] != spec.in_channels:
-            raise GraphError(f"node {idx} ({node.name}): input shape {xb.shape} vs spec {spec}")
+    elif kind in BINARY_KINDS:
+        spec, shape4, out_shape = _gemm_shapes(idx, node, kind, x.shape)
+        xb = bitpack.binarize(x.reshape(shape4))
         rows = bitpack.conv_rows(xb, spec)
-        y = bitpack.bin_conv2d(xb, node.weight_bits, spec, rows).astype(np.float64)
-        cache = (xb.shape, rows)
+        wb = node.weight_bits.reshape((spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels))
+        y = bitpack.bin_conv2d(xb, wb, spec, rows).reshape(out_shape).astype(np.float64)
+        cache = (x.shape, rows)
     elif kind == "binarize":
         y = np.where(x >= 0, 1.0, -1.0)
         cache = x
@@ -406,48 +406,31 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
     pgrads = {}
     gins = [None] * len(node.inputs)
 
-    if kind == "dense":
+    if kind in ("dense", "conv2d"):
         x = cache_entry
-        w = node.params["w"]
-        if node.trainable:
-            pgrads["w"] = x.T @ g
-            pgrads["b"] = g.sum(axis=0)
-        if need_input_grad[0]:
-            gins[0] = g @ w.T
-    elif kind == "conv2d":
-        spec = node.attrs["spec"]
-        x = cache_entry
-        n, h, wd, _ = x.shape
+        spec, shape4, _ = _gemm_shapes(idx, node, kind, x.shape)
+        n, h, wd, _ = shape4
         gmat = g.reshape(-1, spec.out_channels)
         if node.trainable:
-            patches = bitpack.patches(x, spec, 0.0)
+            patches = bitpack.patches(x.reshape(shape4), spec, 0.0)
             pgrads["w"] = (patches.T @ gmat).reshape(node.params["w"].shape)
             pgrads["b"] = gmat.sum(axis=0)
         if need_input_grad[0]:
             wmat = node.params["w"].reshape(-1, spec.out_channels)
-            gins[0] = _col2im(gmat @ wmat.T, spec, n, h, wd)
-    elif kind == "binary_dense":
-        xb: BitTensor = cache_entry
-        wpm = node.weight_bits.unpack().astype(np.float64)
-        if node.trainable and config.q_b_bin != 1:
-            pgrads["latent"] = xb.unpack().astype(np.float64).T @ g
-        if need_input_grad[0]:
-            gins[0] = g @ wpm.T
-    elif kind == "binary_conv2d":
-        spec = node.attrs["spec"]
-        (n, h, wd, _), rows = cache_entry
+            gins[0] = _col2im(gmat @ wmat.T, spec, n, h, wd).reshape(x.shape)
+    elif kind in BINARY_KINDS:
+        in_shape, rows = cache_entry
+        spec, (n, h, wd, _), _ = _gemm_shapes(idx, node, kind, in_shape)
         gmat = g.reshape(-1, spec.out_channels)
         if node.trainable and config.q_b_bin != 1:
             # the forward's packed patch rows as +-1; padded positions are
             # 0 bits there, so they contribute -1 here as in the kernel
             k = spec.kernel_h * spec.kernel_w * spec.in_channels
             patches = (bitpack._unpack01(rows, k).astype(np.int8) * 2 - 1).astype(np.float64)
-            pgrads["latent"] = (patches.T @ gmat).reshape(
-                spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels
-            )
+            pgrads["latent"] = (patches.T @ gmat).reshape(node.weight_bits.shape)
         if need_input_grad[0]:
             wmat = node.weight_bits.unpack().astype(np.float64).reshape(-1, spec.out_channels)
-            gins[0] = _col2im(gmat @ wmat.T, spec, n, h, wd)
+            gins[0] = _col2im(gmat @ wmat.T, spec, n, h, wd).reshape(in_shape)
     elif kind == "binarize":
         if need_input_grad[0]:
             gins[0] = ste_backward(g, cache_entry, node.attrs.get("clip", 1.0))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cwr as cwr_mod
 from .bitpack import BitTensor
-from .graph import BitwidthConfig, Graph, LayerNode
+from .graph import BINARY_KINDS, LAYER_KINDS, BitwidthConfig, Graph, LayerNode
 from .bitpack import BinConvSpec
 from .quant import QuantParams, QuantizedTensor, STORAGE_DTYPE
 from .replay import LatentSample, ReplayMemory
@@ -146,6 +146,10 @@ def read_tensor(f):
 
 def write_dataset(path, inputs: np.ndarray, labels: np.ndarray, class_count: int) -> None:
     labels = np.asarray(labels, dtype=np.int64)
+    if len(inputs) != len(labels):
+        raise FormatError(f"{len(inputs)} inputs but {len(labels)} labels")
+    if not 0 <= class_count < 2**16:
+        raise FormatError(f"class count {class_count} does not fit the u16 header field")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= class_count:
         raise FormatError("labels outside [0, class_count)")
     shape = inputs.shape[1:]
@@ -262,8 +266,15 @@ _QPARAMS = {"bits": _int, "scale": _number, "zero_point": _int, "signed": _bool}
 _SPEC = dict.fromkeys(("kernel_h", "kernel_w", "stride", "padding", "in_channels", "out_channels"), _int)
 _BITWIDTH = dict.fromkeys(("q_f", "q_b_nonbin", "q_b_bin"), _optional(_int))
 _HEAD = {"feature_dim": _int, "max_classes": _int, "past_counts": _list_of(_int), "seen": _list_of(_int)}
+# the parameters each layer kind reads, sorted as the writer lists them;
+# binary layers read their weight bits and keep a latent copy unless frozen
+_KIND_PARAMS = {
+    "dense": ["b", "w"], "softmax_ce_head": ["b", "w"], "conv2d": ["b", "w"],
+    "batchnorm": ["beta", "gamma", "running_mean", "running_var"], "prelu": ["alpha"],
+}
 _NODE = {
-    "kind": _str, "name": _str, "inputs": _list_of(_int), "trainable": _bool, "attrs": _attrs,
+    "kind": lambda v: v in LAYER_KINDS, "name": _str, "inputs": _list_of(_int), "trainable": _bool,
+    "attrs": _attrs,
     "param_names": _list_of(_str),
     "param_scales": lambda v: isinstance(v, dict) and all(_number(x) for x in v.values()),
     "out_qparams": _optional(_dict), "has_weight_bits": _bool,
@@ -298,6 +309,14 @@ def _qparams_from_json(d, where: str):
 
 def _spec_to_json(s: BinConvSpec):
     return {k: getattr(s, k) for k in _SPEC}
+
+
+def _spec_from_json(d, where: str) -> BinConvSpec:
+    fields = _fields(d, _SPEC, where)
+    try:
+        return BinConvSpec(**fields)
+    except ValueError as e:  # kernel, stride, padding or channels out of range
+        raise FormatError(f"checkpoint {where}: {e}") from None
 
 
 def graph_descriptor(graph: Graph, bitwidth: BitwidthConfig) -> dict:
@@ -356,13 +375,29 @@ def read_checkpoint(path):
             raise FormatError(f"unsupported checkpoint version {version}")
         desc = _fields(json.loads(_read_sized(f, blen, "descriptor")), _DESCRIPTOR, "descriptor")
         graph = Graph(tuple(desc["input_shape"]))
+        n_nodes = len(desc["nodes"])
+        if desc["replay_level"] is not None and not 0 <= desc["replay_level"] < n_nodes:
+            raise FormatError(f"checkpoint replay_level {desc['replay_level']} is not one of "
+                              f"its {n_nodes} nodes")
         graph.replay_level = desc["replay_level"]
         graph.input_qparams = _qparams_from_json(desc["input_qparams"], "input_qparams")
         for i, nd in enumerate(desc["nodes"]):
             nd = _fields(nd, _NODE, f"node {i}")
+            if not all(-1 <= j < i for j in nd["inputs"]):
+                raise FormatError(f"checkpoint node {i}: inputs {nd['inputs']} are not earlier nodes")
             attrs = dict(nd["attrs"])
-            if "spec" in attrs:
-                attrs["spec"] = BinConvSpec(**_fields(attrs["spec"], _SPEC, f"node {i} spec"))
+            is_conv = nd["kind"] in ("conv2d", "binary_conv2d")
+            if is_conv != ("spec" in attrs):
+                raise FormatError(f"checkpoint node {i}: a {nd['kind']} node "
+                                  f"{'needs' if is_conv else 'takes no'} spec")
+            if is_conv:
+                attrs["spec"] = _spec_from_json(attrs["spec"], f"node {i} spec")
+            binary = nd["kind"] in BINARY_KINDS
+            allowed = ([], ["latent"]) if binary else (_KIND_PARAMS.get(nd["kind"], []),)
+            if nd["has_weight_bits"] != binary or nd["param_names"] not in allowed:
+                raise FormatError(f"checkpoint node {i}: a {nd['kind']} node cannot hold "
+                                  f"params {nd['param_names']} with has_weight_bits "
+                                  f"{nd['has_weight_bits']}")
             node = LayerNode(kind=nd["kind"], name=nd["name"], inputs=list(nd["inputs"]),
                              trainable=nd["trainable"], attrs=attrs)
             node.param_scales = dict(nd["param_scales"])
@@ -374,6 +409,12 @@ def read_checkpoint(path):
             if nd["has_weight_bits"]:
                 node.weight_bits = read_tensor(f)
         hd = _fields(desc["head"], _HEAD, "head")
+        if len(hd["past_counts"]) != hd["max_classes"] or min(hd["past_counts"], default=0) < 0:
+            raise FormatError(f"checkpoint head: past_counts must hold max_classes "
+                              f"({hd['max_classes']}) counts >= 0")
+        if not all(0 <= c < hd["max_classes"] for c in hd["seen"]):
+            raise FormatError(f"checkpoint head: seen classes {hd['seen']} outside "
+                              f"[0, {hd['max_classes']})")
         head = cwr_mod.init(hd["feature_dim"], hd["max_classes"])
         head.past_counts = np.asarray(hd["past_counts"], dtype=np.int64)
         head.seen = set(hd["seen"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from binreplay import serialize
-from binreplay.cli import main
+from binreplay.cli import DEFAULT_CONFIG, VALUE_CHECKS, main
 
 
 def write_config(path, dataset_dir, out_dir, **overrides):
@@ -116,6 +116,64 @@ class TestTrain:
                            bitwidth={"q_f": "7"})
         assert main(["train", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("dotted,value", [
+        ("model.preset", "resnet50"),
+        ("model.channels", "32"),
+        ("model.channels", 0),
+        ("model.channels", True),
+        ("replay.quota", 0),
+        ("replay.b_n", 0),
+        ("replay.b_r", -1),
+        ("replay.b_r", 1.5),
+        ("protocol.num_experiences", 0),
+        ("protocol.epochs", "1"),
+        ("protocol.epochs", 0),
+        ("protocol.pretrain_epochs", 0),
+        ("protocol.lr", "x"),
+        ("protocol.lr", 0),
+        ("protocol.lr", float("inf")),
+        ("protocol.pretrain_lr", -0.2),
+        ("protocol.seed", -1),
+        ("protocol.head_only", "no"),
+        ("protocol.head_only", 0),
+        ("dataset", 5),
+        ("output_dir", ""),
+    ])
+    def test_bad_value(self, dotted, value, dataset_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out")
+        raw = json.loads(cfg.read_text())
+        *parents, leaf = dotted.split(".")
+        cur = raw
+        for p in parents:
+            cur = cur.setdefault(p, {})
+        cur[leaf] = value
+        cfg.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"config.{dotted} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep", [
+        {"model.channels": [4, "8"]},
+        {"protocol.epochs": [1, 0]},
+        {"protocol.epochs": 1},
+        {"protocol": [{"epochs": 1}]},
+        {"protocol.epochs": [1], "model.channels": [4]},
+        {"model.depth": [1]},
+    ], ids=["value-type", "value-range", "not-a-list", "object-key", "two-axes", "unknown-key"])
+    def test_bad_sweep_rejected_before_any_run(self, sweep, dataset_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out", sweep=sweep)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_every_config_leaf_is_checked(self):
+        def leaves(d, prefix=""):
+            for k, v in d.items():
+                if isinstance(v, dict):
+                    yield from leaves(v, f"{prefix}{k}.")
+                else:
+                    yield prefix + k
+        assert sorted(leaves(DEFAULT_CONFIG)) == sorted(VALUE_CHECKS)
+
 
 class TestEval:
     def test_reproduces_metrics_accuracy(self, trained_dir, dataset_dir, capsys):
@@ -163,11 +221,39 @@ class TestEval:
         lambda d: d["nodes"][0].update(inputs="x"),
         lambda d: d["nodes"][0].update(param_names=5),
         lambda d: d["nodes"][3]["attrs"].update(eps="x"),
+        lambda d: d["nodes"][0].update(inputs=[5]),
+        lambda d: d["nodes"][3].update(inputs=[3]),
+        lambda d: d["nodes"][1].update(inputs=[-2]),
+        lambda d: d.update(replay_level=99),
+        lambda d: d.update(replay_level=-1),
+        lambda d: d["head"].update(past_counts=[0]),
+        lambda d: d["head"].update(past_counts=[-1] * len(d["head"]["past_counts"])),
+        lambda d: d["head"].update(seen=[42]),
+        lambda d: d["head"].update(seen=[-1]),
+        lambda d: d["nodes"][0]["attrs"].pop("spec"),
+        lambda d: d["nodes"][2]["attrs"].pop("spec"),
+        lambda d: d["nodes"][0].update(kind="dense"),
+        lambda d: d["nodes"][2].update(kind="binary_dense"),
+        lambda d: d["nodes"][3]["attrs"].update(spec=d["nodes"][0]["attrs"]["spec"]),
+        lambda d: d["nodes"][0]["attrs"]["spec"].update(kernel_h=0),
+        lambda d: d["nodes"][1].update(kind="maxpool"),
+        lambda d: d["nodes"][3].update(param_names=["beta", "gamma", "running_mean"]),
+        lambda d: d["nodes"][3].update(kind="prelu"),
+        lambda d: d["nodes"][1].update(param_names=["alpha"]),
+        lambda d: d["nodes"][2].update(has_weight_bits=False),
+        lambda d: d["nodes"][2].update(param_names=["latent", "latent"]),
+        lambda d: d["nodes"][0].update(has_weight_bits=True),
     ], ids=["qparams-extra", "qparams-missing", "spec-extra", "spec-missing",
             "bitwidth-extra", "bitwidth-missing", "head-extra", "head-missing-key",
             "head-missing", "node-missing-key", "qparams-type", "spec-type",
             "bitwidth-type", "head-type", "head-list-type", "nodes-type", "node-inputs-type",
-            "node-param-names-type", "node-attr-type"])
+            "node-param-names-type", "node-attr-type", "node-input-later", "node-input-self",
+            "node-input-below-graph-input", "replay-level-above", "replay-level-below",
+            "past-counts-length", "past-counts-negative", "seen-above", "seen-below",
+            "conv-without-spec", "binary-conv-without-spec", "dense-with-spec",
+            "binary-dense-with-spec", "batchnorm-with-spec", "spec-range", "unknown-kind",
+            "batchnorm-missing-param", "batchnorm-as-prelu", "binarize-with-param",
+            "binary-conv-without-weight-bits", "binary-conv-param-twice", "conv-with-weight-bits"])
     def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path):
         data = (trained_dir / "checkpoint.brck").read_bytes()
         (blen,) = struct.unpack("<I", data[5:9])  # magic, version byte, blob length
@@ -252,6 +338,39 @@ class TestImportIdx:
         # scaling is linear in the raw pixel value, normalized by the max
         expect = imgs[..., None] / float(imgs.max()) * 2.0 - 1.0
         np.testing.assert_allclose(xs, expect.astype(np.float32), atol=1e-6)
+
+    def _import(self, tmp_path):
+        return main(["import-idx", "--images", str(tmp_path / "imgs.idx"),
+                     "--labels", str(tmp_path / "labels.idx"),
+                     "--out", str(tmp_path / "o.brds")])
+
+    @pytest.mark.parametrize("images,labels", [
+        (b"", None),
+        (struct.pack(">HBBI", 0, 0x08, 3, 10), None),
+        (struct.pack(">HBB3I", 0, 0x08, 3, 10, 6, 6) + b"\x00" * 359, None),
+        (None, struct.pack(">HBBI", 0, 0x08, 1, 10) + b"\x00" * 11),
+    ], ids=["empty", "rank-3-one-dim", "short-data", "long-data"])
+    def test_malformed_idx(self, images, labels, tmp_path, rng, capsys):
+        self._write_idx(tmp_path / "imgs.idx", np.zeros((10, 6, 6), dtype=np.uint8), 0x08)
+        self._write_idx(tmp_path / "labels.idx", np.zeros(10, dtype=np.uint8), 0x08)
+        if images is not None:
+            (tmp_path / "imgs.idx").write_bytes(images)
+        if labels is not None:
+            (tmp_path / "labels.idx").write_bytes(labels)
+        assert self._import(tmp_path) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o.brds").exists()
+
+    @pytest.mark.parametrize("n_images,label_shape,max_label", [
+        (10, (8,), 2), (10, (12,), 2), (0, (0,), 0), (10, (10, 1), 2), (10, (10,), 70000),
+    ], ids=["fewer-labels", "more-labels", "empty", "label-rank", "label-beyond-u16"])
+    def test_mismatched_images_and_labels(self, n_images, label_shape, max_label, tmp_path):
+        self._write_idx(tmp_path / "imgs.idx", np.zeros((n_images, 6, 6), dtype=np.uint8), 0x08)
+        labels = np.zeros(label_shape, dtype=np.int32)
+        labels.flat[:1] = max_label
+        self._write_idx(tmp_path / "labels.idx", labels, 0x0C)
+        assert self._import(tmp_path) == 1
+        assert not (tmp_path / "o.brds").exists()
 
     def test_not_idx(self, tmp_path):
         (tmp_path / "junk").write_bytes(b"\xff\xff\x08\x01" + b"\x00" * 8)

@@ -23,10 +23,9 @@ from binreplay.graph import (
     ste_backward,
 )
 from binreplay.learner import build_reference_model, calibrate_activations, initialize_bn_stats
-from binreplay.quant import QuantError, dequantize, quant_params, quantize
+from binreplay.quant import QuantError, calibrate_range, dequantize, qmatmul, quant_params, quantize
 from helpers import (
     FLOAT_CFG,
-    analytic_grads,
     check_layer_gradients,
     naive_binary_conv_grads,
     random_binary_conv_case,
@@ -87,18 +86,26 @@ class TestSTE:
 
 class TestBinaryLayerGradients:
     def test_binary_dense_matches_oracle(self, rng):
-        for _ in range(20):
+        # with q_b_bin = 1 the binary weights are frozen: no latent gradient,
+        # and the input gradient still flows through the +-1 weights
+        for q_b_bin in [None] * 20 + [1] * 20:
+            cfg = BitwidthConfig(q_f=None, q_b_nonbin=None, q_b_bin=q_b_bin)
             batch, k, n = (int(v) for v in rng.integers(1, 8, size=3))
             x = rng.choice([-1.0, 1.0], size=(batch, k))
             latent = rng.uniform(-1, 1, size=(k, n))
             g = Graph((k,))
             nid = g.add("binary_dense", trainable=True, params={"latent": latent})
             g.nodes[nid].weight_bits = bitpack.binarize(latent)
-            direction = rng.normal(size=(batch, n))
-            gin, pgrads = analytic_grads(g, x, direction)
             w_pm = g.nodes[nid].weight_bits.unpack().astype(np.float64)
-            np.testing.assert_allclose(pgrads[nid]["latent"], x.T @ direction, atol=1e-12)
-            np.testing.assert_allclose(gin, direction @ w_pm.T, atol=1e-12)
+            out, cache = forward(g, x, cfg, mode="train")
+            np.testing.assert_array_equal(out, x @ w_pm)
+            direction = rng.normal(size=(batch, n))
+            pgrads, agrads = backward(g, cache, direction, cfg, return_act_grads=True)
+            if q_b_bin == 1:
+                assert nid not in pgrads
+            else:
+                np.testing.assert_allclose(pgrads[nid]["latent"], x.T @ direction, atol=1e-12)
+            np.testing.assert_allclose(agrads[-1], direction @ w_pm.T, atol=1e-12)
 
     def test_binary_conv_matches_loop_oracle(self, rng):
         # ten drawn cases, then K = 9 * cin above one 64-bit word, padded:
@@ -327,6 +334,35 @@ class TestForwardModes:
         g = self._chain(rng)
         with pytest.raises(GraphError, match="dense_0"):
             forward(g, np.zeros((2, 7)), FLOAT_CFG)
+
+    def test_binary_dense_shape_error_names_node(self):
+        g = Graph((4,))
+        nid = g.add("binary_dense", params={"latent": np.ones((4, 3))})
+        g.nodes[nid].weight_bits = bitpack.binarize(np.ones((4, 3)))
+        with pytest.raises(GraphError, match="binary_dense_0"):
+            forward(g, np.zeros((2, 7)), FLOAT_CFG)
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("kind", ["dense", "softmax_ce_head"])
+    def test_quantized_dense_matches_oracle(self, kind, bits, rng):
+        # 8 bits goes through qmatmul's 32-bit accumulator, 16 bits through
+        # the int64 product; input and output grids are calibrated on the fly
+        for _ in range(5):
+            fin, fout, batch = (int(v) for v in rng.integers(1, 40, size=3))
+            w, b = rng.normal(size=(fin, fout)), rng.normal(size=fout)
+            g = Graph((fin,))
+            g.add(kind, params={"w": w, "b": b})
+            x = rng.normal(size=(batch, fin))
+            out, _ = forward(g, x, BitwidthConfig(q_f=bits), mode="infer")
+            xq = quantize(x, quant_params(*calibrate_range([x]), bits, signed=False))
+            wq = quantize(w, quant_params(*calibrate_range([w]), bits, signed=True))
+            if bits == 8:
+                y = dequantize(qmatmul(xq, wq)) + b
+            else:
+                y = ((xq.data - xq.params.zero_point) @ wq.data) * (xq.params.scale * wq.params.scale) + b
+            want = dequantize(quantize(y, quant_params(*calibrate_range([y]), bits, signed=False)))
+            assert out.shape == (batch, fout)
+            assert out.tobytes() == want.tobytes()
 
     def test_deterministic_repeat(self, rng):
         g = self._chain(rng)

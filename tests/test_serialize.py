@@ -115,6 +115,16 @@ class TestDatasetFormat:
         with pytest.raises(FormatError):
             write_dataset(tmp_path / "d.brds", xs, [0, 5], 3)
 
+    @pytest.mark.parametrize("n_inputs,labels,class_count", [
+        (4, [0, 1], 3), (2, [0, 1, 2], 3), (2, [0, 1], 2**16),
+    ], ids=["fewer-labels", "more-labels", "class-count-beyond-u16"])
+    def test_writer_rejects_what_the_reader_would(self, n_inputs, labels, class_count,
+                                                  tmp_path, rng):
+        p = tmp_path / "d.brds"
+        with pytest.raises(FormatError):
+            write_dataset(p, rng.normal(size=(n_inputs, 2, 2, 1)), labels, class_count)
+        assert not p.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "d.brds"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
