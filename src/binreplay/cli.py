@@ -186,6 +186,9 @@ def cmd_synth(args) -> int:
     shape = tuple(int(s) for s in args.shape.split(","))
     if len(shape) != 3:
         raise ConfigError(f"--shape must be H,W,C, got {args.shape!r}")
+    if args.samples_per_class < 3:
+        raise ConfigError(f"--samples-per-class must be >= 3 so that every class has a train "
+                          f"and a test row, got {args.samples_per_class}")
     xs, ys = datasets.make_synthetic(args.classes, args.samples_per_class,
                                      shape=shape, seed=args.seed)
     (tr_x, tr_y), (te_x, te_y) = datasets.stratified_split(xs, ys, seed=args.seed)
@@ -196,9 +199,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _reading(read, path: str, what: str):
+    """read(path); a path that cannot be opened is a ConfigError."""
+    try:
+        return read(path)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e.strerror}") from None
+
+
+def _read_dataset(path: str):
+    xs, ys, n_classes = _reading(serialize.read_dataset, path, "dataset")
+    if not len(xs):
+        raise ConfigError(f"dataset {path} holds no rows")
+    return xs, ys, n_classes
+
+
 def _load_dataset_dir(path: str):
-    train = serialize.read_dataset(os.path.join(path, "train.brds"))
-    test = serialize.read_dataset(os.path.join(path, "test.brds"))
+    train = _read_dataset(os.path.join(path, "train.brds"))
+    test = _read_dataset(os.path.join(path, "test.brds"))
     if train[2] != test[2]:
         raise ConfigError(f"train/test class counts disagree in {path}")
     return train, test
@@ -238,9 +256,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    g, head, bw = serialize.read_checkpoint(args.checkpoint)
+    g, head, bw = _reading(serialize.read_checkpoint, args.checkpoint, "checkpoint")
     path = os.path.join(args.dataset, "test.brds") if os.path.isdir(args.dataset) else args.dataset
-    xs, ys, n_classes = serialize.read_dataset(path)
+    xs, ys, n_classes = _read_dataset(path)
     if xs.shape[1:] != g.input_shape:
         raise ConfigError(f"dataset shape {xs.shape[1:]} != model input {g.input_shape}")
     if n_classes != head.max_classes:
@@ -264,7 +282,7 @@ def _parse_metrics_csv(path: str):
 def cmd_report(args) -> int:
     paths = sorted(
         os.path.join(args.metrics_dir, p)
-        for p in os.listdir(args.metrics_dir)
+        for p in _reading(os.listdir, args.metrics_dir, "metrics dir")
         if p.startswith("metrics") and p.endswith(".csv")
     )
     if not paths:
@@ -311,8 +329,8 @@ def _read_idx(path: str) -> np.ndarray:
 
 def cmd_import_idx(args) -> int:
     """Convert IDX image/label pairs into the repo dataset format."""
-    images = _read_idx(args.images).astype(np.float64)
-    labels = _read_idx(args.labels).astype(np.int64)
+    images = _reading(_read_idx, args.images, "IDX file").astype(np.float64)
+    labels = _reading(_read_idx, args.labels, "IDX file").astype(np.int64)
     if images.ndim not in (3, 4) or labels.ndim != 1:
         raise ConfigError(f"expected N x H x W (x C) images and N labels, "
                           f"got shapes {images.shape} and {labels.shape}")

@@ -57,8 +57,8 @@ def stratified_split(xs, ys, train_frac: float = 0.8, seed: int = 0):
         cut = int(round(train_frac * len(idx)))
         train_idx.extend(idx[:cut])
         test_idx.extend(idx[cut:])
-    train_idx = np.asarray(sorted(train_idx))
-    test_idx = np.asarray(sorted(test_idx))
+    train_idx = np.asarray(sorted(train_idx), dtype=np.int64)
+    test_idx = np.asarray(sorted(test_idx), dtype=np.int64)
     return (xs[train_idx], ys[train_idx]), (xs[test_idx], ys[test_idx])
 
 

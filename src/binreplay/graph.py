@@ -10,6 +10,7 @@ after they are computed, with a dynamic per-tensor symmetric scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ LAYER_KINDS = (
     "softmax_ce_head",
 )
 BINARY_KINDS = ("binary_dense", "binary_conv2d")
+# layers that run as one patches-by-weights product: a dense layer is a 1x1 conv
+GEMM_KINDS = ("dense", "conv2d", *BINARY_KINDS)
 # kinds that run another kind's code: the head is a dense layer by another name
 KIND_ALIASES = {"softmax_ce_head": "dense"}
 # layers whose outputs get snapped to a calibrated q_f grid in quantized mode
@@ -118,6 +121,8 @@ class Graph:
         params = attrs.pop("params", {})
         node = LayerNode(kind=kind, name=name or f"{kind}_{idx}", inputs=inputs,
                          trainable=trainable, params=params, attrs=attrs)
+        if "latent" in params:  # a binary layer computes with the signs of its latent
+            node.weight_bits = bitpack.binarize(params["latent"])
         self.nodes.append(node)
         return idx
 
@@ -197,8 +202,10 @@ def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bi
     wq = quantize(w2d, wp)
     if bits == 8:  # qmatmul holds 8-bit operands to its 32-bit accumulator contract
         return dequantize(qmatmul(xq, wq))
-    # wider operands could overflow 32 bits: accumulate in 64
-    acc = (xq.data - xq.params.zero_point) @ (wq.data - wq.params.zero_point)
+    # wider operands could overflow any integer accumulator: multiply as
+    # float64, exact while the sum stays below 2**53 (16-bit operands do)
+    acc = ((xq.data - xq.params.zero_point).astype(np.float64)
+           @ (wq.data - wq.params.zero_point).astype(np.float64))
     return acc * (xq.params.scale * wq.params.scale)
 
 
@@ -282,7 +289,7 @@ def _gemm_shapes(idx, node, kind, in_shape):
             raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs spec {spec}")
         n, h, wd, _ = in_shape
         return spec, in_shape, (n, *spec.out_hw(h, wd), spec.out_channels)
-    k, out = _dense_dims(node)
+    k, out = (node.weight_bits if kind in BINARY_KINDS else node.params["w"]).shape
     if len(in_shape) != 2 or in_shape[1] != k:
         raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs weight {(k, out)}")
     return BinConvSpec(1, 1, 1, 0, k, out), (in_shape[0], 1, 1, k), (in_shape[0], out)
@@ -513,36 +520,42 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
 # parameter update
 
 
-def sgd_step(graph: Graph, param_grads: dict, learning_rate: float, config: BitwidthConfig) -> None:
-    """Plain SGD on trainable layers.
+def store_param(node: LayerNode, name: str, value: np.ndarray, config: BitwidthConfig) -> None:
+    """Write a parameter in its on-device form.
 
-    Non-binary parameters live on a fixed per-tensor fixed-point grid when
-    q_b_nonbin is quantized.  Binary layers update their latent weights on
-    the q_b_bin grid over [-1, 1] and re-binarize; with q_b_bin = 1 the
-    binary weights are frozen and the update is a no-op.
+    A binary layer's latent is clipped to [-1, 1], snapped to the q_b_bin
+    grid and re-binarized into weight_bits.  Any other parameter snaps to a
+    fixed q_b_nonbin grid, pinned by the first store from the value the node
+    held before it.  Both persist at f32 precision.
+    """
+    if node.kind in BINARY_KINDS:
+        value = np.clip(value, -1.0, 1.0)
+        if config.q_b_bin is not None:
+            value = snap_to_fixed_grid(value, latent_grid_scale(config.q_b_bin), config.q_b_bin,
+                                       symmetric=True)
+    elif config.q_b_nonbin is not None:
+        if name not in node.param_scales:
+            node.param_scales[name] = param_grid_scale(node.params.get(name, value), config.q_b_nonbin)
+        value = snap_to_fixed_grid(value, node.param_scales[name], config.q_b_nonbin)
+    node.params[name] = f32_precision(value)
+    if node.kind in BINARY_KINDS:
+        node.weight_bits = bitpack.binarize(node.params[name])
+
+
+def sgd_step(graph: Graph, param_grads: dict, learning_rate: float, config: BitwidthConfig) -> None:
+    """Plain SGD on trainable layers, each result stored by store_param.
+
+    With q_b_bin = 1 the binary weights are frozen and their update is a
+    no-op: the 1-bit latent grid collapses to 0.
     """
     for idx, grads in param_grads.items():
         node = graph.nodes[idx]
         if not node.trainable:
             continue
-        if node.kind in BINARY_KINDS:
-            if config.q_b_bin == 1 or "latent" not in node.params:
-                continue
-            latent = np.clip(node.params["latent"] - learning_rate * grads["latent"], -1.0, 1.0)
-            if config.q_b_bin is not None:
-                latent = snap_to_fixed_grid(
-                    latent, latent_grid_scale(config.q_b_bin), config.q_b_bin, symmetric=True
-                )
-            node.params["latent"] = f32_precision(latent)
-            node.weight_bits = bitpack.binarize(node.params["latent"])
+        if node.kind in BINARY_KINDS and (config.q_b_bin == 1 or "latent" not in node.params):
             continue
         for pname, g in grads.items():
-            p = node.params[pname] - learning_rate * g
-            if config.q_b_nonbin is not None:
-                if pname not in node.param_scales:
-                    node.param_scales[pname] = param_grid_scale(node.params[pname], config.q_b_nonbin)
-                p = snap_to_fixed_grid(p, node.param_scales[pname], config.q_b_nonbin)
-            node.params[pname] = f32_precision(p)
+            store_param(node, pname, node.params[pname] - learning_rate * g, config)
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +568,8 @@ def infer_shapes(graph: Graph) -> dict[int, tuple[int, ...]]:
     for idx, node in enumerate(graph.nodes):
         ins = [shapes[i] for i in node.inputs]
         kind = KIND_ALIASES.get(node.kind, node.kind)
-        if kind in ("dense", "binary_dense"):
-            w_in, w_out = _dense_dims(node)
-            if ins[0] != (w_in,):
-                raise GraphError(f"node {idx} ({node.name}): input shape {ins[0]} vs ({w_in},)")
-            shapes[idx] = (w_out,)
-        elif kind in ("conv2d", "binary_conv2d"):
-            spec = node.attrs["spec"]
-            h, w, c = ins[0]
-            if c != spec.in_channels:
-                raise GraphError(f"node {idx} ({node.name}): channels {c} vs spec {spec.in_channels}")
-            oh, ow = spec.out_hw(h, w)
-            shapes[idx] = (oh, ow, spec.out_channels)
+        if kind in GEMM_KINDS:
+            shapes[idx] = _gemm_shapes(idx, node, kind, (1, *ins[0]))[2][1:]
         elif kind == "global_avg_pool":
             shapes[idx] = (ins[0][-1],)
         elif kind == "concat":
@@ -580,24 +583,13 @@ def infer_shapes(graph: Graph) -> dict[int, tuple[int, ...]]:
     return shapes
 
 
-def _dense_dims(node: LayerNode) -> tuple[int, int]:
-    if node.kind == "binary_dense":
-        if "latent" in node.params:
-            return node.params["latent"].shape
-        return node.weight_bits.shape
-    return node.params["w"].shape
-
-
-def _node_macs(node: LayerNode, in_shape: tuple[int, ...]) -> int:
+def _node_macs(idx: int, node: LayerNode, in_shape: tuple[int, ...]) -> int:
+    """Per-sample MACs: every output value of a GEMM layer is one patch-by-weight dot."""
     kind = KIND_ALIASES.get(node.kind, node.kind)
-    if kind in ("dense", "binary_dense"):
-        w_in, w_out = _dense_dims(node)
-        return w_in * w_out
-    if kind in ("conv2d", "binary_conv2d"):
-        spec = node.attrs["spec"]
-        oh, ow = spec.out_hw(in_shape[0], in_shape[1])
-        return oh * ow * spec.kernel_h * spec.kernel_w * spec.in_channels * spec.out_channels
-    return 0
+    if kind not in GEMM_KINDS:
+        return 0
+    spec, _, out_shape = _gemm_shapes(idx, node, kind, (1, *in_shape))
+    return math.prod(out_shape) * spec.kernel_h * spec.kernel_w * spec.in_channels
 
 
 def mac_count(graph: Graph, mode: str = "forward", above_level: int | None = None) -> int:
@@ -615,7 +607,7 @@ def mac_count(graph: Graph, mode: str = "forward", above_level: int | None = Non
     total = 0
     for idx in range(floor + 1, len(graph.nodes)):
         node = graph.nodes[idx]
-        macs = _node_macs(node, shapes[node.inputs[0]])
+        macs = _node_macs(idx, node, shapes[node.inputs[0]])
         if mode == "forward":
             total += macs
         elif node.trainable:

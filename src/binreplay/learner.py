@@ -121,19 +121,16 @@ def build_reference_model(input_shape=(12, 12, 1), channels: int = 32, seed: int
     g.add("conv2d", name="stem_conv", spec=spec_in,
           params={"w": he((3, 3, cin, c), 9 * cin), "b": np.zeros(c)})
     g.add("binarize", name="stem_sign")
-    n2 = g.add("binary_conv2d", name="block1_conv", spec=spec_bin,
-               params={"latent": latent_init((3, 3, c, c))})
-    g.nodes[n2].weight_bits = bitpack.binarize(g.nodes[n2].params["latent"])
+    g.add("binary_conv2d", name="block1_conv", spec=spec_bin,
+          params={"latent": latent_init((3, 3, c, c))})
     g.add("batchnorm", name="block1_bn", params=bn_params(c))
     g.add("binarize", name="block1_sign")
-    n5 = g.add("binary_conv2d", name="block2_conv", spec=spec_bin,
-               params={"latent": latent_init((3, 3, c, c))})
-    g.nodes[n5].weight_bits = bitpack.binarize(g.nodes[n5].params["latent"])
+    g.add("binary_conv2d", name="block2_conv", spec=spec_bin,
+          params={"latent": latent_init((3, 3, c, c))})
     g.add("batchnorm", name="block2_bn", params=bn_params(c))
     lvl = g.add("binarize", name="block2_sign")
-    n8 = g.add("binary_conv2d", name="block3_conv", spec=spec_bin,
-               params={"latent": latent_init((3, 3, c, c))})
-    g.nodes[n8].weight_bits = bitpack.binarize(g.nodes[n8].params["latent"])
+    g.add("binary_conv2d", name="block3_conv", spec=spec_bin,
+          params={"latent": latent_init((3, 3, c, c))})
     n9 = g.add("batchnorm", name="block3_bn", params=bn_params(c))
     g.add("add", inputs=(n9, lvl), name="residual_add")
     g.add("prelu", name="head_act", params={"alpha": np.full(c, 0.25)})
@@ -172,8 +169,8 @@ def calibrate_activations(g: Graph, xs: np.ndarray, q_f: int | None) -> None:
 
 
 def freeze_backbone(g: Graph, cfg: ContinualConfig) -> None:
-    """Freeze layers at or below the replay level; pin on-device grids above it."""
-    bw = cfg.bitwidth
+    """Freeze layers at or below the replay level; store the parameters above
+    it in their on-device form."""
     for idx, node in enumerate(g.nodes):
         has_params = bool(node.params) or node.weight_bits is not None
         node.trainable = (
@@ -182,25 +179,12 @@ def freeze_backbone(g: Graph, cfg: ContinualConfig) -> None:
         )
         if not node.trainable:
             continue
-        if node.kind in G.BINARY_KINDS:
-            if bw.q_b_bin == 1:
-                # frozen binary weights: the latent copy is dropped entirely
-                node.params.pop("latent", None)
-            elif bw.q_b_bin is not None and "latent" in node.params:
-                latent = G.snap_to_fixed_grid(
-                    node.params["latent"], G.latent_grid_scale(bw.q_b_bin), bw.q_b_bin,
-                    symmetric=True,
-                )
-                node.params["latent"] = G.f32_precision(latent)
-                node.weight_bits = bitpack.binarize(node.params["latent"])
-        elif bw.q_b_nonbin is not None:
-            for pname in ("gamma", "beta", "w", "b", "alpha"):
-                if pname in node.params:
-                    scale = G.param_grid_scale(node.params[pname], bw.q_b_nonbin)
-                    node.param_scales[pname] = scale
-                    node.params[pname] = G.f32_precision(
-                        G.snap_to_fixed_grid(node.params[pname], scale, bw.q_b_nonbin)
-                    )
+        if node.kind in G.BINARY_KINDS and cfg.bitwidth.q_b_bin == 1:
+            # frozen binary weights: the latent copy is dropped entirely
+            node.params.pop("latent", None)
+        for pname, value in list(node.params.items()):
+            if pname not in ("running_mean", "running_var"):  # statistics: nothing trains them
+                G.store_param(node, pname, value, cfg.bitwidth)
 
 
 def frozen_region_hash(g: Graph) -> str:

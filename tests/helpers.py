@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from binreplay import bitpack
 from binreplay.bitpack import BinConvSpec, pack
 from binreplay.graph import BitwidthConfig, Graph, backward, forward
 
@@ -181,6 +180,5 @@ def random_binary_conv_case(rng, cin=None, padding=None):
     x = rng.choice([-1.0, 1.0], size=(n, h, h, cin))
     latent = rng.uniform(-1, 1, size=(3, 3, cin, cout))
     g = Graph((h, h, cin))
-    nid = g.add("binary_conv2d", trainable=True, spec=spec, params={"latent": latent})
-    g.nodes[nid].weight_bits = bitpack.binarize(latent)
+    g.add("binary_conv2d", trainable=True, spec=spec, params={"latent": latent})
     return g, x, spec, latent

@@ -60,6 +60,20 @@ class TestSynth:
     def test_bad_shape_rejected(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--shape", "6,6"]) == 1
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_too_few_samples_per_class(self, n, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--classes", "3",
+                     "--samples-per-class", str(n), "--shape", "6,6,1"]) == 1
+        assert ">= 3" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_three_samples_per_class_fill_both_splits(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--classes", "3",
+                     "--samples-per-class", "3", "--shape", "6,6,1"]) == 0
+        for name, rows in (("train.brds", 2), ("test.brds", 1)):
+            _, ys, _ = serialize.read_dataset(tmp_path / name)
+            assert np.bincount(ys).tolist() == [rows] * 3
+
 
 class TestTrain:
     def test_outputs_exist(self, trained_dir):
@@ -301,6 +315,49 @@ class TestReport:
 
     def test_empty_dir(self, tmp_path):
         assert main(["report", "--metrics-dir", str(tmp_path)]) == 1
+
+
+def _empty_dataset(path):
+    serialize.write_dataset(path, np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=np.int64), 4)
+    return path
+
+
+class TestMissingInput:
+    """A missing or empty input file is a validation error, exit 1."""
+
+    @pytest.mark.parametrize("case", [
+        "train-no-train-split", "train-empty-test-split", "eval-missing-checkpoint",
+        "eval-missing-dataset", "eval-empty-dataset", "report-missing-dir",
+        "import-missing-images", "import-missing-labels",
+    ])
+    def test_exits_1(self, case, trained_dir, dataset_dir, tmp_path, capsys):
+        ckpt = str(trained_dir / "checkpoint.brck")
+        missing = str(tmp_path / "missing")
+        if case.startswith("train"):
+            data = tmp_path / "data"
+            data.mkdir()
+            if case == "train-empty-test-split":
+                (data / "train.brds").write_bytes((dataset_dir / "train.brds").read_bytes())
+                _empty_dataset(data / "test.brds")
+            cfg = write_config(tmp_path / "cfg.json", data, tmp_path / "out")
+            argv = ["train", "--config", str(cfg)]
+        elif case == "eval-missing-checkpoint":
+            argv = ["eval", "--checkpoint", missing, "--dataset", str(dataset_dir)]
+        elif case == "eval-missing-dataset":
+            argv = ["eval", "--checkpoint", ckpt, "--dataset", missing]
+        elif case == "eval-empty-dataset":
+            argv = ["eval", "--checkpoint", ckpt, "--dataset", str(_empty_dataset(tmp_path / "e.brds"))]
+        elif case == "report-missing-dir":
+            argv = ["report", "--metrics-dir", missing]
+        else:
+            idx = tmp_path / "labels.idx"
+            idx.write_bytes(struct.pack(">HBBI", 0, 0x08, 1, 1) + b"\x00")
+            images, labels = (missing, str(idx)) if case == "import-missing-images" else (str(idx), missing)
+            argv = ["import-idx", "--images", images, "--labels", labels,
+                    "--out", str(tmp_path / "o.brds")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("cannot read" in err or "no rows" in err)
 
 
 class TestThreadsEnv:

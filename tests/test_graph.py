@@ -14,13 +14,14 @@ from binreplay.graph import (
     backward,
     fake_quant,
     forward,
+    infer_shapes,
     latent_grid_scale,
     mac_count,
-    param_grid_scale,
     sgd_step,
     snap_to_fixed_grid,
     softmax_ce,
     ste_backward,
+    store_param,
 )
 from binreplay.learner import build_reference_model, calibrate_activations, initialize_bn_stats
 from binreplay.quant import QuantError, calibrate_range, dequantize, qmatmul, quant_params, quantize
@@ -95,7 +96,6 @@ class TestBinaryLayerGradients:
             latent = rng.uniform(-1, 1, size=(k, n))
             g = Graph((k,))
             nid = g.add("binary_dense", trainable=True, params={"latent": latent})
-            g.nodes[nid].weight_bits = bitpack.binarize(latent)
             w_pm = g.nodes[nid].weight_bits.unpack().astype(np.float64)
             out, cache = forward(g, x, cfg, mode="train")
             np.testing.assert_array_equal(out, x @ w_pm)
@@ -214,14 +214,10 @@ class TestSgdStep:
         g.add("dense", trainable=True,
               params={"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)})
         cfg = BitwidthConfig(q_f=None, q_b_nonbin=16, q_b_bin=None)
-        # snap once onto the fixed grid, as the training setup does
-        from binreplay.graph import f32_precision
+        # store once onto the fixed grid, as the training setup does
         node = g.nodes[0]
         for pname in ("w", "b"):
-            node.param_scales[pname] = param_grid_scale(node.params[pname], 16)
-            node.params[pname] = f32_precision(
-                snap_to_fixed_grid(node.params[pname], node.param_scales[pname], 16)
-            )
+            store_param(node, pname, node.params[pname], cfg)
         before = {k: v.copy() for k, v in node.params.items()}
         sgd_step(g, {0: {"w": np.zeros((3, 2)), "b": np.zeros(2)}}, 0.5, cfg)
         for k in before:
@@ -247,7 +243,6 @@ class TestSgdStep:
         latent = np.array([[0.9, -0.9]])
         g = Graph((1,))
         nid = g.add("binary_dense", trainable=True, params={"latent": latent.copy()})
-        g.nodes[nid].weight_bits = bitpack.binarize(latent)
         cfg = BitwidthConfig(q_f=None, q_b_nonbin=None, q_b_bin=8)
         sgd_step(g, {nid: {"latent": np.array([[-5.0, 5.0]])}}, 1.0, cfg)
         node = g.nodes[nid]
@@ -259,6 +254,54 @@ class TestSgdStep:
         assert node.weight_bits.unpack().ravel().tolist() == [1, -1]
         snapped = snap_to_fixed_grid(node.params["latent"], scale, 8, symmetric=True)
         np.testing.assert_allclose(node.params["latent"], snapped, atol=1e-7)
+
+
+class TestStoreParam:
+    def test_add_derives_weight_bits_from_latent(self):
+        latent = np.array([[0.5, -0.25, 0.0], [-1.0, 0.75, -0.1]])
+        g = Graph((2,))
+        nid = g.add("binary_dense", params={"latent": latent})
+        assert g.nodes[nid].weight_bits == bitpack.binarize(latent)
+        assert g.nodes[g.add("binary_dense", params={})].weight_bits is None
+
+    def test_latent_is_clipped_snapped_and_rebinarized(self):
+        g = Graph((1,))
+        node = g.nodes[g.add("binary_dense", params={"latent": np.array([[0.5, 0.5, 0.5]])})]
+        store_param(node, "latent", np.array([[-3.0, 0.1, 0.4]]), BitwidthConfig(q_b_bin=4))
+        step = latent_grid_scale(4)
+        np.testing.assert_allclose(node.params["latent"], [[-7 * step, step, 3 * step]], rtol=1e-7)
+        assert node.params["latent"].dtype == np.float64
+        assert node.params["latent"].astype(np.float32).astype(np.float64).tobytes() == \
+            node.params["latent"].tobytes()
+        assert node.weight_bits.unpack().ravel().tolist() == [-1, 1, 1]
+        assert node.param_scales == {}
+
+    def test_float_latent_is_only_clipped(self):
+        g = Graph((1,))
+        node = g.nodes[g.add("binary_dense", params={"latent": np.array([[0.5, 0.5]])})]
+        store_param(node, "latent", np.array([[2.0, -0.3]]), BitwidthConfig.floating())
+        assert node.params["latent"].tolist() == [[1.0, np.float32(-0.3)]]
+        assert node.weight_bits.unpack().ravel().tolist() == [1, -1]
+
+    def test_grid_is_pinned_by_the_first_store(self):
+        g = Graph((2,))
+        node = g.nodes[g.add("prelu", params={"alpha": np.array([0.25, -0.5])})]
+        cfg = BitwidthConfig(q_b_nonbin=8)
+        store_param(node, "alpha", np.array([3.0, 0.1]), cfg)
+        scale = node.param_scales["alpha"]
+        # the grid comes from the value the node held: 2x headroom over 0.5
+        assert scale == 2.0 * 1.0 / 255
+        assert node.params["alpha"].tolist() == pytest.approx([127 * scale, 0.1], abs=scale / 2)
+        store_param(node, "alpha", np.array([100.0, 0.0]), cfg)
+        assert node.param_scales["alpha"] == scale
+        assert node.params["alpha"][0] == pytest.approx(127 * scale)
+
+    def test_float_param_is_kept_at_f32(self):
+        g = Graph((1,))
+        node = g.nodes[g.add("prelu", params={"alpha": np.array([0.25])})]
+        store_param(node, "alpha", np.array([0.1]), BitwidthConfig.floating())
+        assert node.params["alpha"].tolist() == [float(np.float32(0.1))]
+        assert node.param_scales == {}
 
 
 class TestMacCount:
@@ -294,6 +337,36 @@ class TestMacCount:
     def test_invalid_mode(self):
         with pytest.raises(GraphError):
             mac_count(self._reference(), "sideways")
+
+    def test_dense_chain_shapes_and_macs(self):
+        g = Graph((6,))
+        g.add("dense", trainable=True, params={"w": np.ones((6, 5)), "b": np.zeros(5)})
+        g.add("binarize")
+        g.add("binary_dense", params={"latent": np.ones((5, 4))})
+        g.add("softmax_ce_head", trainable=True, params={"w": np.ones((4, 3)), "b": np.zeros(3)})
+        assert infer_shapes(g) == {-1: (6,), 0: (5,), 1: (5,), 2: (4,), 3: (3,)}
+        assert mac_count(g, "forward") == 6 * 5 + 5 * 4 + 4 * 3
+        assert mac_count(g, "forward", above_level=1) == 5 * 4 + 4 * 3
+        assert mac_count(g, "backward") == 2 * (6 * 5 + 4 * 3)  # the binary layer is frozen
+
+    def test_strided_conv_macs(self):
+        g = Graph((7, 7, 2))
+        g.add("conv2d", params={"w": np.ones((3, 3, 2, 4)), "b": np.zeros(4)},
+              spec=BinConvSpec(3, 3, 2, 0, 2, 4))
+        assert infer_shapes(g)[0] == (3, 3, 4)
+        assert mac_count(g, "forward") == 3 * 3 * 4 * (3 * 3 * 2)
+
+    @pytest.mark.parametrize("input_shape", [(12, 12), (12, 12, 1, 1), (12, 12, 3)])
+    def test_conv_input_shape_error_names_node(self, input_shape):
+        g = Graph(input_shape)
+        g.add("conv2d", name="stem", params={"w": np.ones((3, 3, 1, 2)), "b": np.zeros(2)},
+              spec=BinConvSpec(3, 3, 1, 1, 1, 2))
+        with pytest.raises(GraphError, match="stem"):
+            infer_shapes(g)
+        with pytest.raises(GraphError, match="stem"):
+            mac_count(g)
+        with pytest.raises(GraphError, match="stem"):
+            forward(g, np.zeros((2, *input_shape)), FLOAT_CFG)
 
 
 class TestForwardModes:
@@ -337,8 +410,7 @@ class TestForwardModes:
 
     def test_binary_dense_shape_error_names_node(self):
         g = Graph((4,))
-        nid = g.add("binary_dense", params={"latent": np.ones((4, 3))})
-        g.nodes[nid].weight_bits = bitpack.binarize(np.ones((4, 3)))
+        g.add("binary_dense", params={"latent": np.ones((4, 3))})
         with pytest.raises(GraphError, match="binary_dense_0"):
             forward(g, np.zeros((2, 7)), FLOAT_CFG)
 
@@ -363,6 +435,23 @@ class TestForwardModes:
             want = dequantize(quantize(y, quant_params(*calibrate_range([y]), bits, signed=False)))
             assert out.shape == (batch, fout)
             assert out.tobytes() == want.tobytes()
+
+    def test_32_bit_conv_does_not_wrap(self):
+        # 32-bit codes near 2**32 and 2**30: their int64 sum over 9 taps wrapped
+        g = Graph((3, 3, 1))
+        g.add("conv2d", params={"w": np.ones((3, 3, 1, 1)), "b": np.zeros(1)},
+              spec=BinConvSpec(3, 3, 1, 0, 1, 1))
+        g.nodes[0].out_qparams = quant_params(-16.0, 16.0, 32, signed=False)
+        out, _ = forward(g, np.ones((1, 3, 3, 1)), BitwidthConfig(q_f=32), mode="infer")
+        np.testing.assert_allclose(out, [[[[9.0]]]], rtol=1e-9)
+
+    def test_32_bit_dense_matches_float(self, rng):
+        x = rng.uniform(-1.0, 1.0, size=(16, 64))
+        w = rng.normal(size=(64, 8))
+        g = Graph((64,))
+        g.add("dense", params={"w": w, "b": np.zeros(8)})
+        out, _ = forward(g, x, BitwidthConfig(q_f=32), mode="infer")
+        np.testing.assert_allclose(out, x @ w, rtol=0, atol=1e-6)
 
     def test_deterministic_repeat(self, rng):
         g = self._chain(rng)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from binreplay import cwr, datasets, learner, replay
-from binreplay.graph import BitwidthConfig, forward, infer_shapes
+from binreplay import bitpack, cwr, datasets, learner, replay
+from binreplay.graph import BitwidthConfig, forward, infer_shapes, latent_grid_scale
 from binreplay.learner import (
     ContinualConfig,
     Experience,
@@ -116,6 +116,24 @@ class TestReferenceModel:
         lat, _ = forward(g, trx[:4], BitwidthConfig.floating(), mode="infer",
                          stop_level=g.replay_level)
         assert set(np.unique(lat)) <= {-1.0, 1.0}
+
+
+    def test_freeze_stores_params_above_the_replay_level(self):
+        g = build_reference_model(input_shape=(6, 6, 1), channels=4, seed=0)
+        nodes = {n.name: n for n in g.nodes}
+        bn, conv = nodes["block3_bn"], nodes["block3_conv"]
+        bn.params["running_mean"] = np.full(4, 0.1234567)  # on no f32 or 8-bit grid
+        stats = {k: bn.params[k].copy() for k in ("running_mean", "running_var")}
+        cfg = small_config(bitwidth=BitwidthConfig(q_f=8, q_b_nonbin=8, q_b_bin=4))
+        learner.freeze_backbone(g, cfg)
+        for k, v in stats.items():  # statistics: nothing trains them
+            assert bn.params[k].tobytes() == v.tobytes()
+        assert sorted(bn.param_scales) == ["beta", "gamma"]
+        assert list(nodes["head_act"].param_scales) == ["alpha"]
+        codes = conv.params["latent"] / latent_grid_scale(4)
+        np.testing.assert_allclose(codes, np.rint(codes), atol=1e-5)
+        assert conv.weight_bits == bitpack.binarize(conv.params["latent"])
+        assert not any(n.param_scales or n.trainable for n in g.nodes[: g.replay_level + 1])
 
 
 class TestProtocol:
