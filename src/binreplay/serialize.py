@@ -1,7 +1,9 @@
 """Binary file formats: tensors, datasets, checkpoints, replay memory.
 
-All multi-byte values are little-endian.  Writes go through a temp file in
-the target directory followed by an atomic rename.
+Every file and every tensor record in it is framed the same way: a 4-byte
+magic, the format-version byte, then little-endian header fields.  A file
+holds nothing after its last record.  Writes go through a temp file in the
+target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -63,81 +65,126 @@ def atomic_write(path):
         raise
 
 
-def _read_exact(f, n: int) -> bytes:
-    b = f.read(n)
-    if len(b) != n:
-        raise FormatError("truncated file")
-    return b
+def _header(magic: bytes, fmt: str, *fields) -> bytes:
+    """A record's magic and format-version byte, then its header fields."""
+    return magic + struct.pack("<B" + fmt, FORMAT_VERSION, *fields)
 
 
-def _bytes_left(f) -> int:
-    pos = f.tell()
-    end = f.seek(0, os.SEEK_END)
-    f.seek(pos)
-    return end - pos
+_RECORD_NAMES = {TENSOR_MAGIC: "tensor", DATASET_MAGIC: "dataset",
+                 CHECKPOINT_MAGIC: "checkpoint", REPLAY_MAGIC: "replay-memory"}
 
 
-def _read_sized(f, n: int, what: str) -> bytes:
-    """n bytes whose count the file itself claims: checked against the rest
-    of the file before anything that large is allocated."""
-    left = _bytes_left(f)
-    if n > left:
-        raise FormatError(f"{what} claims {n} bytes; {left} remain in the file")
-    return _read_exact(f, n)
+class _Reader:
+    """Fields and records of an open file, each read checked against the
+    bytes the file has left (measured once, when the reader is made)."""
+
+    def __init__(self, f):
+        self.f = f
+        pos = f.tell()
+        self.left = f.seek(0, os.SEEK_END) - pos
+        f.seek(pos)
+
+    def take(self, n: int, what: str) -> bytes:
+        """n bytes whose count the file itself claims: checked against the
+        rest of the file before anything that large is allocated."""
+        if n > self.left:
+            raise FormatError(f"{what} claims {n} bytes; {self.left} remain in the file")
+        self.left -= n
+        return self.f.read(n)
+
+    def unpack(self, fmt: str) -> tuple:
+        s = struct.Struct("<" + fmt)
+        if s.size > self.left:
+            raise FormatError("truncated file")
+        return s.unpack(self.take(s.size, fmt))
+
+    def header(self, magic: bytes, fmt: str) -> list:
+        """The header fields after magic and the format version, both checked."""
+        name = _RECORD_NAMES[magic]
+        got = self.unpack("4s")[0]
+        if got != magic:
+            raise FormatError(f"bad {name} magic {got!r}")
+        version, *fields = self.unpack("B" + fmt)
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported {name} format version {version}")
+        return fields
+
+
+@contextmanager
+def _reading(f, path=None):
+    """A _Reader over f.  A value read from f that fails any check, here or
+    in the type it builds (QuantParams, BitwidthConfig, ReplayMemory, json,
+    numpy ...), is a FormatError, naming the file at path if one is given;
+    that file must end where the last record read from it does.  json
+    raises RecursionError on a descriptor nested too deep."""
+    r = _Reader(f)
+    try:
+        yield r
+        if path is not None and r.left:
+            raise FormatError(f"{r.left} bytes after the last record")
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"{path}: {e}" if path is not None else str(e)) from e
 
 
 def write_tensor(f, t) -> None:
     if isinstance(t, BitTensor):
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<BBB", FORMAT_VERSION, DTYPE_BITPACKED, len(t.shape)))
-        f.write(struct.pack(f"<{len(t.shape)}I", *t.shape))
-        f.write(struct.pack("<Q", t.size))
-        f.write(np.ascontiguousarray(t.words, dtype="<u8").tobytes())
+        tag, shape, data = DTYPE_BITPACKED, t.shape, np.asarray(t.words, dtype="<u8")
+        extra = struct.pack("<Q", t.size)
     elif isinstance(t, QuantizedTensor):
-        tag = _INT_TAGS[t.params.bits]
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<BBB", FORMAT_VERSION, tag, t.data.ndim))
-        f.write(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
-        f.write(struct.pack("<diB", t.params.scale, t.params.zero_point, t.params.bits))
-        f.write(b"\x01" if t.params.signed else b"\x00")
-        dt = _storage_dtype(t.params.bits, t.params.signed)
-        f.write(np.ascontiguousarray(t.data.astype(dt)).tobytes())
+        p = t.params
+        tag, shape = _INT_TAGS[p.bits], t.data.shape
+        data = t.data.astype(_storage_dtype(p.bits, p.signed))
+        extra = struct.pack("<diBB", p.scale, p.zero_point, p.bits, p.signed)
     else:
-        a = np.asarray(t, dtype="<f4")
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<BBB", FORMAT_VERSION, DTYPE_F32, a.ndim))
-        f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-        f.write(np.ascontiguousarray(a).tobytes())
+        data = np.asarray(t, dtype="<f4")
+        tag, shape, extra = DTYPE_F32, data.shape, b""
+    f.write(_header(TENSOR_MAGIC, f"BB{len(shape)}I", tag, len(shape), *shape) + extra)
+    f.write(np.ascontiguousarray(data).tobytes())
+
+
+def _read_record(r: _Reader):
+    tag, rank = r.header(TENSOR_MAGIC, "BB")
+    shape = r.unpack(f"{rank}I")
+    count = math.prod(shape)
+    what = f"tensor record of shape {shape}"
+    if tag == DTYPE_F32:
+        data = np.frombuffer(r.take(4 * count, what), dtype="<f4")
+        return data.reshape(shape).astype(np.float64)
+    if tag == DTYPE_BITPACKED:
+        (n,) = r.unpack("Q")
+        if n != count:
+            raise FormatError("bitpacked logical length disagrees with shape")
+        words = np.frombuffer(r.take(8 * -(-n // 64), what), dtype="<u8").astype(np.uint64)
+        if n % 64 and words[-1] >> np.uint64(n % 64):
+            raise FormatError(f"{what} sets pad bits past its last bit")
+        return BitTensor(shape=shape, words=words)
+    if tag in (DTYPE_I8, DTYPE_I16, DTYPE_I32):
+        scale, zp, bits, signed = r.unpack("diBB")
+        params = QuantParams(bits=bits, scale=scale, zero_point=zp, signed=signed == 1)
+        if _INT_TAGS[bits] != tag or signed > 1:
+            raise FormatError(f"dtype tag {tag} disagrees with {bits}-bit params (signed byte {signed})")
+        dt = _storage_dtype(bits, params.signed)
+        data = np.frombuffer(r.take(dt.itemsize * count, what), dtype=dt)
+        return QuantizedTensor(data=data.reshape(shape).astype(np.int64), params=params)
+    raise FormatError(f"unknown dtype tag {tag}")
+
+
+_KIND_NAMES = {np.ndarray: "float", BitTensor: "bitpacked"}
+
+
+def _read_as(r: _Reader, kind: type, what: str, shape: tuple | None = None):
+    """A tensor record that must decode to kind (np.ndarray for a float
+    record, BitTensor for a bitpacked one), and have shape if one is given."""
+    t = _read_record(r)
+    if not isinstance(t, kind) or shape is not None and t.shape != shape:
+        raise FormatError(f"{what} is not a {_KIND_NAMES[kind]} tensor"
+                          + ("" if shape is None else f" of shape {shape}"))
+    return t
 
 
 def read_tensor(f):
-    magic = _read_exact(f, 4)
-    if magic != TENSOR_MAGIC:
-        raise FormatError(f"bad tensor magic {magic!r}")
-    version, tag, rank = struct.unpack("<BBB", _read_exact(f, 3))
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported tensor format version {version}")
-    shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank)) if rank else ()
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    what = f"tensor record of shape {shape}"
-    if tag == DTYPE_F32:
-        data = np.frombuffer(_read_sized(f, 4 * count, what), dtype="<f4")
-        return data.reshape(shape).astype(np.float64)
-    if tag == DTYPE_BITPACKED:
-        (n,) = struct.unpack("<Q", _read_exact(f, 8))
-        if n != count:
-            raise FormatError("bitpacked logical length disagrees with shape")
-        n_words = -(-n // 64)
-        words = np.frombuffer(_read_sized(f, 8 * n_words, what), dtype="<u8").astype(np.uint64)
-        return BitTensor(shape=shape, words=words)
-    if tag in (DTYPE_I8, DTYPE_I16, DTYPE_I32):
-        scale, zp, bits = struct.unpack("<diB", _read_exact(f, 13))
-        signed = _read_exact(f, 1) == b"\x01"
-        dt = _storage_dtype(bits, signed)
-        data = np.frombuffer(_read_sized(f, dt.itemsize * count, what), dtype=dt)
-        params = QuantParams(bits=bits, scale=scale, zero_point=zp, signed=signed)
-        return QuantizedTensor(data=data.reshape(shape).astype(np.int64), params=params)
-    raise FormatError(f"unknown dtype tag {tag}")
+    with _reading(f) as r:
+        return _read_record(r)
 
 
 # ---------------------------------------------------------------------------
@@ -154,39 +201,30 @@ def write_dataset(path, inputs: np.ndarray, labels: np.ndarray, class_count: int
         raise FormatError("labels outside [0, class_count)")
     shape = inputs.shape[1:]
     with atomic_write(path) as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<BIB", FORMAT_VERSION, len(inputs), len(shape)))
-        f.write(struct.pack(f"<{len(shape)}I", *shape))
-        f.write(struct.pack("<H", class_count))
+        f.write(_header(DATASET_MAGIC, f"IB{len(shape)}IH", len(inputs), len(shape), *shape, class_count))
         for x, y in zip(inputs, labels):
             write_tensor(f, x)
             f.write(struct.pack("<H", int(y)))
 
 
 def read_dataset(path):
-    with open(path, "rb") as f:
-        if _read_exact(f, 4) != DATASET_MAGIC:
-            raise FormatError(f"{path}: bad dataset magic")
-        version, count, rank = struct.unpack("<BIB", _read_exact(f, 6))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported dataset version {version}")
-        shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-        (class_count,) = struct.unpack("<H", _read_exact(f, 2))
+    with open(path, "rb") as f, _reading(f, path) as r:
+        count, rank = r.header(DATASET_MAGIC, "IB")
+        shape = r.unpack(f"{rank}I")
+        (class_count,) = r.unpack("H")
         # each sample is an f32 tensor record and a u16 label: check the
         # header against the file before allocating what it claims
         need = count * (7 + 4 * rank + 4 * math.prod(shape) + 2)
-        left = _bytes_left(f)
-        if need > left:
-            raise FormatError(f"{path}: header claims {count} samples of shape {shape}, "
-                              f"which need at least {need} bytes; {left} remain")
+        if need > r.left:
+            raise FormatError(f"header claims {count} samples of shape {shape}, "
+                              f"which need at least {need} bytes; {r.left} remain")
         xs = np.empty((count,) + shape)
         ys = np.empty(count, dtype=np.int64)
         for i in range(count):
-            x = read_tensor(f)
-            if not isinstance(x, np.ndarray) or x.shape != shape:
-                raise FormatError(f"{path}: sample {i} is not a float tensor of shape {shape}")
-            xs[i] = x
-            (ys[i],) = struct.unpack("<H", _read_exact(f, 2))
+            xs[i] = _read_as(r, np.ndarray, f"sample {i}", shape)
+            (ys[i],) = r.unpack("H")
+        if ys.max(initial=0) >= class_count:
+            raise FormatError(f"labels outside [0, {class_count})")
     return xs, ys, class_count
 
 
@@ -196,8 +234,7 @@ def read_dataset(path):
 
 def write_replay_memory(path, mem: ReplayMemory) -> None:
     with atomic_write(path) as f:
-        f.write(REPLAY_MAGIC)
-        f.write(struct.pack("<BIII", FORMAT_VERSION, mem.quota, mem.max_classes, len(mem.per_class)))
+        f.write(_header(REPLAY_MAGIC, "III", mem.quota, mem.max_classes, len(mem.per_class)))
         for c in mem.classes:
             bucket = mem.per_class[c]
             f.write(struct.pack("<IQI", c, mem.seen_counts.get(c, 0), len(bucket)))
@@ -206,19 +243,23 @@ def write_replay_memory(path, mem: ReplayMemory) -> None:
 
 
 def read_replay_memory(path) -> ReplayMemory:
-    with open(path, "rb") as f:
-        if _read_exact(f, 4) != REPLAY_MAGIC:
-            raise FormatError(f"{path}: bad replay-memory magic")
-        version, quota, max_classes, n_classes = struct.unpack("<BIII", _read_exact(f, 13))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported replay-memory version {version}")
+    with open(path, "rb") as f, _reading(f, path) as r:
+        quota, max_classes, n_classes = r.header(REPLAY_MAGIC, "III")
         mem = ReplayMemory(quota=quota, max_classes=max_classes)
+        shape = None  # every latent has the first one's shape
         for _ in range(n_classes):
-            c, seen, n = struct.unpack("<IQI", _read_exact(f, 16))
+            c, seen, n = r.unpack("IQI")
+            if c >= max_classes or c in mem.per_class:
+                raise FormatError(f"class {c} is listed twice or lies outside [0, {max_classes})")
+            if n > min(quota, seen):
+                raise FormatError(f"class {c} holds {n} latents: more than the quota {quota} "
+                                  f"or its seen count {seen}")
             mem.seen_counts[c] = seen
-            mem.per_class[c] = [
-                LatentSample(activation=read_tensor(f), label=c) for _ in range(n)
-            ]
+            mem.per_class[c] = []
+            for _ in range(n):
+                latent = _read_as(r, BitTensor, f"class {c} latent", shape)
+                shape = latent.shape
+                mem.per_class[c].append(LatentSample(activation=latent, label=c))
     return mem
 
 
@@ -297,32 +338,19 @@ def _fields(d, schema: dict, where: str) -> dict:
     return d
 
 
-def _qparams_to_json(p: QuantParams | None):
-    if p is None:
-        return None
-    return {k: getattr(p, k) for k in _QPARAMS}
+def _to_json(obj, schema: dict):
+    """A descriptor object: obj's value for each of the schema's keys."""
+    return None if obj is None else {k: getattr(obj, k) for k in schema}
 
 
 def _qparams_from_json(d, where: str):
     return None if d is None else QuantParams(**_fields(d, _QPARAMS, where))
 
 
-def _spec_to_json(s: BinConvSpec):
-    return {k: getattr(s, k) for k in _SPEC}
-
-
-def _spec_from_json(d, where: str) -> BinConvSpec:
-    fields = _fields(d, _SPEC, where)
-    try:
-        return BinConvSpec(**fields)
-    except ValueError as e:  # kernel, stride, padding or channels out of range
-        raise FormatError(f"checkpoint {where}: {e}") from None
-
-
 def graph_descriptor(graph: Graph, bitwidth: BitwidthConfig) -> dict:
     nodes = []
     for node in graph.nodes:
-        attrs = {k: (_spec_to_json(v) if k == "spec" else v) for k, v in node.attrs.items()}
+        attrs = {k: (_to_json(v, _SPEC) if k == "spec" else v) for k, v in node.attrs.items()}
         nodes.append({
             "kind": node.kind,
             "name": node.name,
@@ -331,16 +359,14 @@ def graph_descriptor(graph: Graph, bitwidth: BitwidthConfig) -> dict:
             "attrs": attrs,
             "param_names": sorted(node.params),
             "param_scales": dict(node.param_scales),
-            "out_qparams": _qparams_to_json(node.out_qparams),
+            "out_qparams": _to_json(node.out_qparams, _QPARAMS),
             "has_weight_bits": node.weight_bits is not None,
         })
     return {
         "input_shape": list(graph.input_shape),
         "replay_level": graph.replay_level,
-        "input_qparams": _qparams_to_json(graph.input_qparams),
-        "bitwidth": {
-            "q_f": bitwidth.q_f, "q_b_nonbin": bitwidth.q_b_nonbin, "q_b_bin": bitwidth.q_b_bin,
-        },
+        "input_qparams": _to_json(graph.input_qparams, _QPARAMS),
+        "bitwidth": _to_json(bitwidth, _BITWIDTH),
         "nodes": nodes,
     }
 
@@ -355,9 +381,7 @@ def write_checkpoint(path, graph: Graph, bitwidth: BitwidthConfig, head) -> None
     }
     blob = json.dumps(desc, sort_keys=True).encode()
     with atomic_write(path) as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<BI", FORMAT_VERSION, len(blob)))
-        f.write(blob)
+        f.write(_header(CHECKPOINT_MAGIC, "I", len(blob)) + blob)
         for node in graph.nodes:
             for pname in sorted(node.params):
                 write_tensor(f, node.params[pname])
@@ -367,13 +391,9 @@ def write_checkpoint(path, graph: Graph, bitwidth: BitwidthConfig, head) -> None
 
 
 def read_checkpoint(path):
-    with open(path, "rb") as f:
-        if _read_exact(f, 4) != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: bad checkpoint magic")
-        version, blen = struct.unpack("<BI", _read_exact(f, 5))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        desc = _fields(json.loads(_read_sized(f, blen, "descriptor")), _DESCRIPTOR, "descriptor")
+    with open(path, "rb") as f, _reading(f, path) as r:
+        (blen,) = r.header(CHECKPOINT_MAGIC, "I")
+        desc = _fields(json.loads(r.take(blen, "descriptor")), _DESCRIPTOR, "descriptor")
         graph = Graph(tuple(desc["input_shape"]))
         n_nodes = len(desc["nodes"])
         if desc["replay_level"] is not None and not 0 <= desc["replay_level"] < n_nodes:
@@ -391,7 +411,7 @@ def read_checkpoint(path):
                 raise FormatError(f"checkpoint node {i}: a {nd['kind']} node "
                                   f"{'needs' if is_conv else 'takes no'} spec")
             if is_conv:
-                attrs["spec"] = _spec_from_json(attrs["spec"], f"node {i} spec")
+                attrs["spec"] = BinConvSpec(**_fields(attrs["spec"], _SPEC, f"node {i} spec"))
             binary = nd["kind"] in BINARY_KINDS
             allowed = ([], ["latent"]) if binary else (_KIND_PARAMS.get(nd["kind"], []),)
             if nd["has_weight_bits"] != binary or nd["param_names"] not in allowed:
@@ -403,11 +423,11 @@ def read_checkpoint(path):
             node.param_scales = dict(nd["param_scales"])
             node.out_qparams = _qparams_from_json(nd["out_qparams"], f"node {i} out_qparams")
             graph.nodes.append(node)
-        for nd, node in zip(desc["nodes"], graph.nodes):
+        for i, (nd, node) in enumerate(zip(desc["nodes"], graph.nodes)):
             for pname in nd["param_names"]:
-                node.params[pname] = read_tensor(f)
+                node.params[pname] = _read_as(r, np.ndarray, f"node {i} param {pname}")
             if nd["has_weight_bits"]:
-                node.weight_bits = read_tensor(f)
+                node.weight_bits = _read_as(r, BitTensor, f"node {i} weight bits")
         hd = _fields(desc["head"], _HEAD, "head")
         if len(hd["past_counts"]) != hd["max_classes"] or min(hd["past_counts"], default=0) < 0:
             raise FormatError(f"checkpoint head: past_counts must hold max_classes "
@@ -415,9 +435,11 @@ def read_checkpoint(path):
         if not all(0 <= c < hd["max_classes"] for c in hd["seen"]):
             raise FormatError(f"checkpoint head: seen classes {hd['seen']} outside "
                               f"[0, {hd['max_classes']})")
+        # the record bounds feature_dim before init allocates by it
+        cw = _read_as(r, np.ndarray, "head cw", (hd["max_classes"], hd["feature_dim"] + 1))
         head = cwr_mod.init(hd["feature_dim"], hd["max_classes"])
         head.past_counts = np.asarray(hd["past_counts"], dtype=np.int64)
         head.seen = set(hd["seen"])
-        head.cw = read_tensor(f)
-    bw = BitwidthConfig(**_fields(desc["bitwidth"], _BITWIDTH, "bitwidth"))
+        head.cw = cw
+        bw = BitwidthConfig(**_fields(desc["bitwidth"], _BITWIDTH, "bitwidth"))
     return graph, head, bw

@@ -1,5 +1,6 @@
 """Command-line interface: end-to-end runs against real files in tmp dirs."""
 
+import io
 import json
 import os
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from binreplay import serialize
+from binreplay.bitpack import pack
 from binreplay.cli import DEFAULT_CONFIG, VALUE_CHECKS, main
 
 
@@ -257,6 +259,9 @@ class TestEval:
         lambda d: d["nodes"][2].update(has_weight_bits=False),
         lambda d: d["nodes"][2].update(param_names=["latent", "latent"]),
         lambda d: d["nodes"][0].update(has_weight_bits=True),
+        lambda d: d["bitwidth"].update(q_b_bin=5),
+        lambda d: d["nodes"][0]["out_qparams"].update(bits=9),
+        lambda d: d["head"].update(feature_dim=0),
     ], ids=["qparams-extra", "qparams-missing", "spec-extra", "spec-missing",
             "bitwidth-extra", "bitwidth-missing", "head-extra", "head-missing-key",
             "head-missing", "node-missing-key", "qparams-type", "spec-type",
@@ -267,7 +272,8 @@ class TestEval:
             "conv-without-spec", "binary-conv-without-spec", "dense-with-spec",
             "binary-dense-with-spec", "batchnorm-with-spec", "spec-range", "unknown-kind",
             "batchnorm-missing-param", "batchnorm-as-prelu", "binarize-with-param",
-            "binary-conv-without-weight-bits", "binary-conv-param-twice", "conv-with-weight-bits"])
+            "binary-conv-without-weight-bits", "binary-conv-param-twice", "conv-with-weight-bits",
+            "bitwidth-range", "qparams-range", "head-feature-dim-range"])
     def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path):
         data = (trained_dir / "checkpoint.brck").read_bytes()
         (blen,) = struct.unpack("<I", data[5:9])  # magic, version byte, blob length
@@ -291,6 +297,38 @@ class TestEval:
             serialize.read_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
         assert "claims" in capsys.readouterr().err
+
+    def test_trailing_bytes(self, trained_dir, dataset_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.brck"
+        bad.write_bytes((trained_dir / "checkpoint.brck").read_bytes() + b"garbage")
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+        assert "7 bytes after the last record" in capsys.readouterr().err
+
+    def test_param_record_of_the_wrong_kind(self, trained_dir, dataset_dir, tmp_path, capsys):
+        data = (trained_dir / "checkpoint.brck").read_bytes()
+        (blen,) = struct.unpack("<I", data[5:9])
+        first = io.BytesIO(data)
+        first.seek(9 + blen)
+        bias = serialize.read_tensor(first)  # stem_conv's bias
+        bits = io.BytesIO()
+        serialize.write_tensor(bits, pack(np.ones(bias.shape, dtype=np.int8)))
+        bad = tmp_path / "bad.brck"
+        bad.write_bytes(data[:9 + blen] + bits.getvalue() + data[first.tell():])
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+        assert "node 0 param b is not a float tensor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pos,value", [
+        (29, b"\x01"), (24 + 7 + 12 + 4 * 64, struct.pack("<H", 999)),
+    ], ids=["sample-dtype-tag", "label-999"])
+    def test_malformed_dataset(self, pos, value, trained_dir, dataset_dir, tmp_path):
+        # after the 24-byte header: sample 0's record (magic, version, tag at
+        # byte 29, rank, 8x8x1 shape, 64 floats), then its u16 label
+        data = bytearray((dataset_dir / "test.brds").read_bytes())
+        data[pos:pos + len(value)] = value
+        bad = tmp_path / "bad.brds"
+        bad.write_bytes(bytes(data))
+        assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.brck"),
+                     "--dataset", str(bad)]) == 1
 
     def test_class_count_mismatch(self, trained_dir, tmp_path):
         other = tmp_path / "other"

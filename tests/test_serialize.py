@@ -1,17 +1,23 @@
 """File formats: round trips, atomicity, corruption detection."""
 
+import hashlib
 import io
+import itertools
+import math
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binreplay import cwr, datasets, learner, serialize
-from binreplay.bitpack import pack
-from binreplay.graph import BitwidthConfig
+from binreplay.bitpack import BinConvSpec, pack
+from binreplay.cli import main
+from binreplay.graph import BitwidthConfig, Graph
 from binreplay.learner import ContinualConfig
-from binreplay.quant import quant_params, quantize
+from binreplay.quant import QuantizedTensor, QuantParams, quant_params, quantize
 from binreplay.replay import LatentSample, ReplayMemory, update_after_experience
 from binreplay.serialize import (
     FormatError,
@@ -25,6 +31,108 @@ from binreplay.serialize import (
     write_replay_memory,
     write_tensor,
 )
+
+
+# ---------------------------------------------------------------------------
+# small files of every format, from fixed inputs: no RNG draw and no matmul,
+# so their bytes do not depend on the platform or the BLAS
+
+
+def ramp(*shape):
+    """Values in [-1, 1) that float32 holds exactly."""
+    return (np.arange(math.prod(shape)) % 16 - 8).reshape(shape) / 8
+
+
+def signs(*shape, shift=0):
+    return pack(np.where((np.arange(math.prod(shape)) + shift) % 3 == 0, 1, -1).reshape(shape))
+
+
+def write_small_dataset(path):
+    write_dataset(path, ramp(6, 4, 4, 1), np.arange(6) % 3, 3)
+
+
+def write_small_replay_memory(path):
+    mem = ReplayMemory(quota=2, max_classes=3)
+    for c, seen in ((0, 5), (2, 1)):
+        mem.seen_counts[c] = seen
+        mem.per_class[c] = [LatentSample(signs(2, 3, 4, shift=c + k), c) for k in range(min(2, seen))]
+    write_replay_memory(path, mem)
+
+
+def write_small_checkpoint(path):
+    """A model with a node of every layer kind, for the small dataset."""
+    g = Graph((4, 4, 1))
+    q = QuantParams(bits=8, scale=0.03125, zero_point=128, signed=False)
+    g.add("conv2d", name="conv", trainable=True, spec=BinConvSpec(3, 3, 1, 1, 1, 2),
+          params={"w": ramp(3, 3, 1, 2), "b": ramp(2)})
+    g.add("batchnorm", params={"gamma": 1 + ramp(2), "beta": ramp(2),
+                               "running_mean": ramp(2), "running_var": np.full(2, 2.0)}, eps=1e-5)
+    g.add("prelu", params={"alpha": np.full(2, 0.25)})
+    g.add("binarize")
+    g.add("binary_conv2d", trainable=True, spec=BinConvSpec(3, 3, 1, 1, 2, 2),
+          params={"latent": ramp(3, 3, 2, 2)})
+    g.add("add", inputs=(4, 2))
+    g.add("concat", inputs=(5, 0))
+    g.add("global_avg_pool")
+    g.add("dense", trainable=True, params={"w": ramp(4, 3), "b": ramp(3)})
+    g.add("binary_dense")  # frozen: its weight bits and no latent
+    g.add("softmax_ce_head", params={"w": ramp(4, 5), "b": ramp(5)})
+    g.nodes[9].weight_bits = signs(3, 4)
+    g.replay_level = 3
+    g.input_qparams = g.nodes[0].out_qparams = q
+    g.nodes[8].out_qparams = QuantParams(bits=16, scale=0.5, zero_point=7, signed=False)
+    g.nodes[0].param_scales = {"b": 0.0625, "w": 0.125}
+    g.nodes[4].param_scales = {"latent": 0.25}
+    head = cwr.init(5, 3)
+    head.cw[:] = ramp(3, 6)
+    head.past_counts[:] = [2, 0, 1]
+    head.seen = {0, 2}
+    write_checkpoint(path, g, BitwidthConfig(), head)
+
+
+def small_tensor_records() -> bytes:
+    buf = io.BytesIO()
+    write_tensor(buf, ramp(2, 3))
+    write_tensor(buf, signs(5, 13))
+    write_tensor(buf, QuantizedTensor(np.arange(-4, 4).reshape(2, 4), QuantParams(8, 0.5, 0, True)))
+    write_tensor(buf, QuantizedTensor(np.arange(6), QuantParams(16, 0.25, 3, False)))
+    write_tensor(buf, QuantizedTensor(np.arange(3), QuantParams(32, 2.0, 0, True)))
+    return buf.getvalue()
+
+
+WRITERS = {"d.brds": write_small_dataset, "m.brrm": write_small_replay_memory,
+           "c.brck": write_small_checkpoint}
+READERS = {"d.brds": read_dataset, "m.brrm": read_replay_memory, "c.brck": read_checkpoint}
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("small")
+    for name, write in WRITERS.items():
+        write(d / name)
+    return d
+
+
+def descriptor_end(data: bytes) -> int:
+    """Where a checkpoint's records start: after magic, version, length and descriptor."""
+    return 9 + struct.unpack("<I", data[5:9])[0]
+
+
+def record_offsets(data: bytes, start: int) -> list[int]:
+    """Offsets of the back-to-back tensor records from start on, and the end of the last."""
+    buf = io.BytesIO(data)
+    buf.seek(start)
+    offsets = [start]
+    while buf.tell() < len(data):
+        read_tensor(buf)
+        offsets.append(buf.tell())
+    return offsets
+
+
+def tensor_bytes(t) -> bytes:
+    buf = io.BytesIO()
+    write_tensor(buf, t)
+    return buf.getvalue()
 
 
 class TestTensorFormat:
@@ -73,6 +181,22 @@ class TestTensorFormat:
         data = buf.getvalue()[:-7]
         with pytest.raises(FormatError):
             read_tensor(io.BytesIO(data))
+
+    @pytest.mark.parametrize("record", [
+        # rank 129: more axes than numpy allows (was ValueError)
+        b"QTNS" + struct.pack("<BBB129I", 1, serialize.DTYPE_F32, 129, *[1] * 129) + b"\x00" * 4,
+        # 152-bit params (was KeyError)
+        b"QTNS" + struct.pack("<BBBIdiBB", 1, serialize.DTYPE_I8, 1, 1, 1.0, 0, 152, 1) + b"\x00",
+        # an 8-bit tag over 16-bit params (was read as 16-bit)
+        b"QTNS" + struct.pack("<BBBIdiBB", 1, serialize.DTYPE_I8, 1, 1, 1.0, 0, 16, 1) + b"\x00" * 2,
+        # a signed byte that is neither 0 nor 1 (was read as unsigned)
+        b"QTNS" + struct.pack("<BBBIdiBB", 1, serialize.DTYPE_I8, 1, 1, 1.0, 0, 8, 2) + b"\x00",
+        # 5 bits, with pad bits set in their word (was read)
+        b"QTNS" + struct.pack("<BBBIQQ", 1, serialize.DTYPE_BITPACKED, 1, 5, 5, 0xFF),
+    ], ids=["rank-129", "bits-152", "tag-disagrees-with-bits", "signed-byte-2", "pad-bits-set"])
+    def test_malformed_record(self, record):
+        with pytest.raises(FormatError):
+            read_tensor(io.BytesIO(record))
 
 
 class TestAtomicWrite:
@@ -167,6 +291,27 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="claims"):
             read_dataset(p)
 
+    @pytest.mark.parametrize("pos,value", [(29, b"\x01"), (107, struct.pack("<H", 999))],
+                             ids=["sample-dtype-tag", "label-999"])
+    def test_malformed_sample_rejected(self, pos, value, small_files, tmp_path):
+        # after the 24-byte header: sample 0's 83-byte record (magic, version,
+        # tag at byte 29, ...), then its u16 label. An i8 tag reads garbage
+        # params (was KeyError); label 999 is beyond the class count (was read)
+        data = bytearray((small_files / "d.brds").read_bytes())
+        data[pos:pos + len(value)] = value
+        p = tmp_path / "d.brds"
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_dataset(p)
+
+
+def replay_image(quota, max_classes, classes) -> bytes:
+    """A .brrm file: classes lists (class id, seen count, latents)."""
+    out = b"BRRM" + struct.pack("<BIII", 1, quota, max_classes, len(classes))
+    for c, seen, latents in classes:
+        out += struct.pack("<IQI", c, seen, len(latents)) + b"".join(map(tensor_bytes, latents))
+    return out
+
 
 class TestReplayMemoryFormat:
     def test_round_trip(self, tmp_path, rng):
@@ -200,6 +345,56 @@ class TestReplayMemoryFormat:
                                               2**32 - 1, 2**32 - 1))
         with pytest.raises(FormatError, match="claims"):
             read_replay_memory(p)
+
+    @pytest.mark.parametrize("quota,classes", [
+        (2, [(3, 1, [signs(2, 3, 4)])]),
+        (2, [(0, 1, [signs(2, 3, 4)]), (0, 1, [signs(2, 3, 4)])]),
+        (1, [(0, 5, [signs(2, 3, 4)] * 2)]),
+        (3, [(0, 1, [signs(2, 3, 4)] * 2)]),
+        (2, [(0, 1, [signs(2, 3, 4)]), (1, 1, [signs(2, 3)])]),
+        (2, [(0, 1, [ramp(2, 3, 4)])]),
+        (0, []),
+    ], ids=["class-above-max-classes", "class-twice", "bucket-above-quota", "bucket-above-seen",
+            "mixed-latent-shapes", "float-latent", "quota-0"])
+    def test_malformed_memory_rejected(self, quota, classes, tmp_path):
+        p = tmp_path / "m.brrm"
+        p.write_bytes(replay_image(quota, 3, classes))
+        with pytest.raises(FormatError):
+            read_replay_memory(p)
+
+    def test_memory_image_round_trips(self, tmp_path):
+        # the builder above writes what write_replay_memory does
+        p = tmp_path / "m.brrm"
+        p.write_bytes(replay_image(2, 3, [(0, 5, [signs(2, 3, 4)] * 2), (2, 1, [signs(2, 3, 4, shift=1)])]))
+        mem = read_replay_memory(p)
+        write_replay_memory(tmp_path / "again.brrm", mem)
+        assert (tmp_path / "again.brrm").read_bytes() == p.read_bytes()
+
+
+class TestEveryFormat:
+    @pytest.mark.parametrize("name", READERS)
+    def test_trailing_bytes_rejected(self, name, small_files, tmp_path):
+        p = tmp_path / name
+        p.write_bytes((small_files / name).read_bytes() + b"garbage")
+        with pytest.raises(FormatError, match="7 bytes after the last record"):
+            READERS[name](p)
+
+    @pytest.mark.parametrize("name,sha256", [
+        ("d.brds", "6b9ae9ef127fcc31bc889754718b610015e29e7cb8cc26eeac43ade06bf88166"),
+        ("m.brrm", "7f6f46a08a94e82ebea4fa5afe85be7a0b575fd777911de40d0f82abd885fe46"),
+        ("c.brck", "9ee9ec31e4e7a551f2e41138305c7e5f91ee4f238aa546b6f99f21fd5cb95cf2"),
+    ])
+    def test_golden_bytes(self, name, sha256, small_files):
+        data = (small_files / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
+        READERS[name](small_files / name)
+
+    def test_golden_tensor_records(self):
+        # float, bitpacked with pad bits, and signed and unsigned integer records
+        data = small_tensor_records()
+        assert hashlib.sha256(data).hexdigest() == (
+            "1649a6cf66b2e969f5a852d0a7fe1d95547dc31583045bffa0ef4bf40d39f754")
+        assert len(record_offsets(data, 0)) == 6
 
 
 class TestCheckpointFormat:
@@ -254,3 +449,77 @@ class TestCheckpointFormat:
         p.write_bytes(b"JUNK" + b"\x00" * 64)
         with pytest.raises(FormatError):
             read_checkpoint(p)
+
+    @pytest.mark.parametrize("index,tensor", [
+        (0, pack([1, -1])), (8, ramp(3, 3, 2, 2)), (-1, ramp(3, 5)), (-1, signs(3, 6)),
+    ], ids=["param-as-bits", "weight-bits-as-float", "head-cw-shape", "head-cw-as-bits"])
+    def test_record_of_the_wrong_kind_rejected(self, index, tensor, small_files, tmp_path):
+        data = (small_files / "c.brck").read_bytes()
+        offsets = record_offsets(data, descriptor_end(data))
+        i = index % (len(offsets) - 1)  # record 8 is the binary conv's weight bits
+        p = tmp_path / "c.brck"
+        p.write_bytes(data[:offsets[i]] + tensor_bytes(tensor) + data[offsets[i + 1]:])
+        with pytest.raises(FormatError, match="is not a"):
+            read_checkpoint(p)
+
+    @pytest.mark.parametrize("blob", [b'{"\xff": 1}', b"{", b"[]", b"[" * 200_000],
+                             ids=["not-utf8", "not-json", "not-an-object", "nested-too-deep"])
+    def test_malformed_descriptor_bytes(self, blob, small_files, tmp_path):
+        data = (small_files / "c.brck").read_bytes()
+        p = tmp_path / "c.brck"
+        p.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[descriptor_end(data):])
+        with pytest.raises(FormatError):
+            read_checkpoint(p)
+
+
+FLIPS = (0x01, 0x80, 0xFF)
+
+
+def flipped(data: bytes, pos: int, mask: int) -> bytes:
+    return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
+
+
+def loads(read, path) -> bool:
+    """Whether read(path) loads; False if it raises FormatError, and any other
+    exception fails the test."""
+    try:
+        read(path)
+    except FormatError:
+        return False
+    return True
+
+
+class TestFuzz:
+    """Every truncation of a small file of each format raises FormatError, and
+    every single-byte flip either loads or raises FormatError."""
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_every_truncation(self, name, small_files, tmp_path):
+        data = (small_files / name).read_bytes()
+        p = tmp_path / name
+        for n in range(len(data)):
+            p.write_bytes(data[:n])
+            assert not loads(READERS[name], p), f"a {n}-byte prefix loads"
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_every_flip_outside_the_descriptor(self, name, small_files, tmp_path):
+        # headers, record headers and payloads byte by byte; positions in the
+        # checkpoint's JSON descriptor are drawn by the test below
+        data = (small_files / name).read_bytes()
+        descriptor = range(9, descriptor_end(data)) if name == "c.brck" else range(0)
+        p = tmp_path / name
+        for pos, mask in itertools.product(range(len(data)), FLIPS):
+            if pos not in descriptor:
+                p.write_bytes(flipped(data, pos, mask))
+                loads(READERS[name], p)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_checkpoint_flip_loads_or_is_exit_1(self, small_files, data):
+        ckpt = (small_files / "c.brck").read_bytes()
+        pos = data.draw(st.integers(0, len(ckpt) - 1), label="pos")
+        p = small_files / "flipped.brck"
+        p.write_bytes(flipped(ckpt, pos, data.draw(st.sampled_from(FLIPS), label="mask")))
+        if loads(read_checkpoint, p):
+            assert main(["eval", "--checkpoint", str(p),
+                         "--dataset", str(small_files / "d.brds")]) in (0, 1)
