@@ -186,17 +186,17 @@ class BinConvSpec:
         return oh, ow
 
 
-def patches(x: np.ndarray, spec: BinConvSpec, pad_value: float) -> np.ndarray:
+def patches(x: np.ndarray, spec: BinConvSpec) -> np.ndarray:
     """im2col on an NHWC array, in x's dtype: one row per output position.
 
-    Padded positions hold pad_value: 0 for the packed 0/1 kernel (bit 0 is
-    -1), 0.0 for float convs.
+    Padded positions hold 0: bit 0, i.e. -1, for the packed 0/1 kernel, and
+    0.0 for float convs.
     """
     n, h, w, c = x.shape
     oh, ow = spec.out_hw(h, w)
     p, s = spec.padding, spec.stride
     if p:
-        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=pad_value)
+        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
     cols = np.empty((n, oh, ow, spec.kernel_h, spec.kernel_w, c), dtype=x.dtype)
     for i in range(spec.kernel_h):
         for j in range(spec.kernel_w):
@@ -211,7 +211,7 @@ def conv_rows(x: BitTensor, spec: BinConvSpec) -> np.ndarray:
     patch bits, packed as _pack01 packs them; padded positions are 0 bits,
     i.e. -1.
     """
-    return _pack01(patches(x.unpack01(), spec, 0))
+    return _pack01(patches(x.unpack01(), spec))
 
 
 def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray | None = None) -> np.ndarray:

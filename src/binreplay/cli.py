@@ -7,7 +7,6 @@ Configs are JSON (unknown keys rejected), metrics are CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import os
@@ -17,38 +16,17 @@ import sys
 import numpy as np
 
 from . import datasets, learner, replay, serialize
-from .graph import BitwidthConfig, GraphError
+from .graph import BACKWARD_BIN_BITS, BACKWARD_NONBIN_BITS, FORWARD_BITS, BitwidthConfig, GraphError
 from .learner import ContinualConfig
 from .quant import QuantError
-
-BITS_STRINGS = ("float", "32", "16", "8")
-BIN_BITS_STRINGS = ("float", "32", "16", "8", "4", "1")
 
 
 class ConfigError(ValueError):
     pass
 
 
-DEFAULT_CONFIG = {
-    "model": {"preset": "reference", "channels": 32},
-    "bitwidth": {"q_f": "8", "q_b_nonbin": "16", "q_b_bin": "4"},
-    "replay": {"quota": 80, "b_n": 16, "b_r": 64},
-    "protocol": {
-        "num_experiences": 5,
-        "epochs": 5,
-        "lr": 0.3,
-        "seed": 0,
-        "pretrain_epochs": 8,
-        "pretrain_lr": 0.2,
-        "head_only": False,
-    },
-    "dataset": None,  # directory holding train.brds / test.brds
-    "output_dir": "out",
-}
-
-
-# run-config values: (check, what the value must be) for every leaf of
-# DEFAULT_CONFIG; JSON's true and false are not integers here
+# checks of run-config values: (check, what the value must be); JSON's true
+# and false are not integers here
 def _int_at_least(lo: int):
     return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
             f"an integer >= {lo}")
@@ -56,6 +34,10 @@ def _int_at_least(lo: int):
 
 def _one_of(allowed):
     return (lambda v: v in allowed), f"one of {allowed}"
+
+
+def _bits(allowed):
+    return _one_of(("float", *map(str, reversed(allowed))))
 
 
 def _positive(v) -> bool:
@@ -66,56 +48,69 @@ def _path(v) -> bool:
     return isinstance(v, str) and v != ""
 
 
-VALUE_CHECKS = {
-    "model.preset": _one_of(("reference",)),
-    "model.channels": _int_at_least(1),
-    "bitwidth.q_f": _one_of(BITS_STRINGS),
-    "bitwidth.q_b_nonbin": _one_of(BITS_STRINGS),
-    "bitwidth.q_b_bin": _one_of(BIN_BITS_STRINGS),
-    "replay.quota": _int_at_least(1),
-    "replay.b_n": _int_at_least(1),
-    "replay.b_r": _int_at_least(0),
-    "protocol.num_experiences": _int_at_least(1),
-    "protocol.epochs": _int_at_least(1),
-    "protocol.lr": (_positive, "a finite number > 0"),
-    "protocol.seed": _int_at_least(0),
-    "protocol.pretrain_epochs": _int_at_least(1),
-    "protocol.pretrain_lr": (_positive, "a finite number > 0"),
-    "protocol.head_only": (lambda v: isinstance(v, bool), "true or false"),
-    "dataset": (_path, "a directory holding train.brds and test.brds"),
-    "output_dir": (_path, "a directory path"),
+_ENGINE = ContinualConfig()
+_BW = _ENGINE.bitwidth
+
+# every run-config key, dotted as in a sweep: (default, check, what the value
+# must be); defaults the engine holds come from ContinualConfig
+SETTINGS = {
+    "model.preset": ("reference", *_one_of(("reference",))),
+    "model.channels": (_ENGINE.channels, *_int_at_least(1)),
+    "bitwidth.q_f": (str(_BW.q_f), *_bits(FORWARD_BITS)),
+    "bitwidth.q_b_nonbin": (str(_BW.q_b_nonbin), *_bits(BACKWARD_NONBIN_BITS)),
+    "bitwidth.q_b_bin": (str(_BW.q_b_bin), *_bits(BACKWARD_BIN_BITS)),
+    "replay.quota": (_ENGINE.quota, *_int_at_least(1)),
+    "replay.b_n": (_ENGINE.b_n, *_int_at_least(1)),
+    "replay.b_r": (_ENGINE.b_r, *_int_at_least(0)),
+    "protocol.num_experiences": (_ENGINE.num_experiences, *_int_at_least(1)),
+    "protocol.epochs": (_ENGINE.epochs, *_int_at_least(1)),
+    "protocol.lr": (_ENGINE.learning_rate, _positive, "a finite number > 0"),
+    "protocol.seed": (_ENGINE.seed, *_int_at_least(0)),
+    "protocol.pretrain_epochs": (_ENGINE.pretrain_epochs, *_int_at_least(1)),
+    "protocol.pretrain_lr": (_ENGINE.pretrain_learning_rate, _positive, "a finite number > 0"),
+    "protocol.head_only": (not _ENGINE.train_graph_layers, lambda v: isinstance(v, bool),
+                           "true or false"),
+    "dataset": (None, _path, "a directory holding train.brds and test.brds"),
+    "output_dir": ("out", _path, "a directory path"),
 }
 
 
 def _check_values(cfg: dict, where: str = "config"):
-    for dotted, (ok, what) in VALUE_CHECKS.items():
-        v = cfg
-        for part in dotted.split("."):
-            v = v[part]
-        if not ok(v):
-            raise ConfigError(f"{where}.{dotted} must be {what}, got {v!r}")
+    for key, (_, ok, what) in SETTINGS.items():
+        if not ok(cfg[key]):
+            raise ConfigError(f"{where}.{key} must be {what}, got {cfg[key]!r}")
 
 
-def _check_keys(d: dict, allowed, where: str):
-    for k in d:
+def _read_into(cfg: dict, raw: dict, where: str = "config", prefix: str = ""):
+    """Set cfg[dotted key] from the JSON object raw, which holds the keys under prefix."""
+    allowed = {key[len(prefix):].split(".")[0] for key in SETTINGS if key.startswith(prefix)}
+    for k in raw:
         if k not in allowed:
             raise ConfigError(f"unknown key {k!r} in {where} (allowed: {sorted(allowed)})")
-
-
-def _merged(defaults: dict, user: dict, where: str) -> dict:
-    _check_keys(user, set(defaults), where)
-    out = copy.deepcopy(defaults)
-    for k, v in user.items():
-        if isinstance(defaults[k], dict) and defaults[k]:
-            if not isinstance(v, dict):
-                raise ConfigError(f"{where}.{k} must be an object")
-            out[k] = _merged(defaults[k], v, f"{where}.{k}")
+    for k, v in raw.items():
+        if prefix + k in SETTINGS:
+            cfg[prefix + k] = v
+        elif not isinstance(v, dict):
+            raise ConfigError(f"{where}.{k} must be an object")
         else:
-            out[k] = v
+            _read_into(cfg, v, f"{where}.{k}", f"{prefix}{k}.")
+
+
+def _nested(cfg: dict) -> dict:
+    """The JSON object layout of a flat {dotted key: value} config."""
+    out: dict = {}
+    for key, v in cfg.items():
+        *parents, leaf = key.split(".")
+        cur = out
+        for p in parents:
+            cur = cur.setdefault(p, {})
+        cur[leaf] = v
     return out
 
 
 def load_run_config(path: str) -> dict:
+    """The run config at path as {dotted key: value}, defaults filled in and
+    every value checked; a sweep, checked the same way, stays under "sweep"."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -126,50 +121,38 @@ def load_run_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     sweep = raw.pop("sweep", None)
-    cfg = _merged(DEFAULT_CONFIG, raw, "config")
+    cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
+    _read_into(cfg, raw)
     _check_values(cfg)
     if sweep is not None:
         if not (isinstance(sweep, dict) and len(sweep) == 1
                 and all(isinstance(v, list) for v in sweep.values())):
             raise ConfigError("config.sweep must map one dotted key to a list of values")
         (key, values), = sweep.items()
-        if key not in VALUE_CHECKS:
+        if key not in SETTINGS:
             raise ConfigError(f"sweep key {key!r} does not name a config field")
         for v in values:
-            _check_values(_variant(cfg, key, v), f"sweep {key}={v!r}: config")
+            _check_values({**cfg, key: v}, f"sweep {key}={v!r}: config")
         cfg["sweep"] = sweep
     return cfg
 
 
-def _variant(cfg: dict, dotted: str, value) -> dict:
-    """A copy of cfg with the field that dotted names set to value."""
-    out = copy.deepcopy(cfg)
-    *parents, leaf = dotted.split(".")
-    cur = out
-    for p in parents:
-        cur = cur[p]
-    cur[leaf] = value
-    return out
-
-
 def continual_config(cfg: dict) -> ContinualConfig:
-    bw = BitwidthConfig.from_strings(
-        cfg["bitwidth"]["q_f"], cfg["bitwidth"]["q_b_nonbin"], cfg["bitwidth"]["q_b_bin"]
-    )
-    proto, rep = cfg["protocol"], cfg["replay"]
+    head_only = cfg["protocol.head_only"]
     return ContinualConfig(
-        num_experiences=proto["num_experiences"],
-        epochs=proto["epochs"],
-        b_n=rep["b_n"],
-        b_r=0 if proto["head_only"] else rep["b_r"],
-        learning_rate=proto["lr"],
-        pretrain_learning_rate=proto["pretrain_lr"],
-        pretrain_epochs=proto["pretrain_epochs"],
-        quota=rep["quota"],
-        seed=proto["seed"],
-        bitwidth=bw,
-        train_graph_layers=not proto["head_only"],
-        channels=cfg["model"]["channels"],
+        num_experiences=cfg["protocol.num_experiences"],
+        epochs=cfg["protocol.epochs"],
+        b_n=cfg["replay.b_n"],
+        b_r=0 if head_only else cfg["replay.b_r"],
+        learning_rate=cfg["protocol.lr"],
+        pretrain_learning_rate=cfg["protocol.pretrain_lr"],
+        pretrain_epochs=cfg["protocol.pretrain_epochs"],
+        quota=cfg["replay.quota"],
+        seed=cfg["protocol.seed"],
+        bitwidth=BitwidthConfig.from_strings(
+            cfg["bitwidth.q_f"], cfg["bitwidth.q_b_nonbin"], cfg["bitwidth.q_b_bin"]),
+        train_graph_layers=not head_only,
+        channels=cfg["model.channels"],
     )
 
 
@@ -242,16 +225,17 @@ def run_training(cfg: dict, tag: str = "") -> str:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg["protocol"]["seed"] = args.seed
+        cfg["protocol.seed"] = args.seed
     if args.out is not None:
         cfg["output_dir"] = args.out
+    _check_values(cfg)  # the overrides, before anything runs
     sweep = cfg.pop("sweep", None)
     if not sweep:
         run_training(cfg)
         return 0
     (key, values), = sweep.items()
     for v in values:
-        run_training(_variant(cfg, key, v), tag=f"{key.split('.')[-1]}{v}")
+        run_training({**cfg, key: v}, tag=f"{key.split('.')[-1]}{v}")
     return 0
 
 
@@ -352,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binreplay",
         description="Binary-network continual learning with 1-bit latent replay.",
-        epilog="Config defaults: " + json.dumps(DEFAULT_CONFIG),
+        epilog="Config defaults: "
+        + json.dumps(_nested({key: default for key, (default, _, _) in SETTINGS.items()})),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -304,7 +304,7 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
     if kind in ("dense", "conv2d"):
         spec, shape4, out_shape = _gemm_shapes(idx, node, kind, x.shape)
         w, b = node.params["w"], node.params["b"]
-        patches = bitpack.patches(x.reshape(shape4), spec, 0.0)
+        patches = bitpack.patches(x.reshape(shape4), spec)
         wmat = w.reshape(-1, spec.out_channels)
         if bits is None:
             y = patches @ wmat
@@ -419,7 +419,7 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
         n, h, wd, _ = shape4
         gmat = g.reshape(-1, spec.out_channels)
         if node.trainable:
-            patches = bitpack.patches(x.reshape(shape4), spec, 0.0)
+            patches = bitpack.patches(x.reshape(shape4), spec)
             pgrads["w"] = (patches.T @ gmat).reshape(node.params["w"].shape)
             pgrads["b"] = gmat.sum(axis=0)
         if need_input_grad[0]:

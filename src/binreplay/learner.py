@@ -21,6 +21,11 @@ from .quant import calibrate_range, quant_params
 from .replay import LatentSample, ReplayMemory
 
 
+PRETRAIN_BATCH = 32  # experience-0 rows per float training step
+LATENT_BATCH = 128  # rows per forward pass of the frozen region
+EVAL_BATCH = 256  # rows per forward pass when classifying
+
+
 class ProtocolError(ValueError):
     pass
 
@@ -42,7 +47,6 @@ class ContinualConfig:
     learning_rate: float = 0.3
     pretrain_learning_rate: float = 0.2
     pretrain_epochs: int = 8
-    pretrain_batch: int = 32
     quota: int = 80
     seed: int = 0
     bitwidth: BitwidthConfig = field(default_factory=BitwidthConfig)
@@ -55,7 +59,6 @@ class MetricsLog:
     rows: list = field(default_factory=list)
     frozen_hash_before: str | None = None
     frozen_hash_after: str | None = None
-    test_set_hash: str | None = None
 
     CSV_COLUMNS = ("experience", "test_accuracy", "mean_train_loss",
                    "fwd_macs", "bwd_macs", "replay_bits")
@@ -142,12 +145,12 @@ def build_reference_model(input_shape=(12, 12, 1), channels: int = 32, seed: int
 def initialize_bn_stats(g: Graph, xs: np.ndarray) -> None:
     """Set each batchnorm's frozen running statistics from a float pass."""
     fcfg = BitwidthConfig.floating()
-    for idx, node in enumerate(g.nodes):
+    for node in g.nodes:
         if node.kind != "batchnorm":
             continue
-        acts: dict = {}
-        forward(g, xs, fcfg, mode="infer", stop_level=node.inputs[0], collect=acts)
-        x = acts[node.inputs[0]]
+        x = np.asarray(xs, dtype=np.float64)  # the graph input, as forward reads it
+        if node.inputs[0] != -1:
+            x, _ = forward(g, xs, fcfg, mode="infer", stop_level=node.inputs[0])
         axes = tuple(range(x.ndim - 1))
         node.params["running_mean"] = G.f32_precision(x.mean(axis=axes))
         node.params["running_var"] = G.f32_precision(np.maximum(x.var(axis=axes), 1e-3))
@@ -207,11 +210,11 @@ def frozen_region_hash(g: Graph) -> str:
 # training phases
 
 
-def _latents_for(g: Graph, xs: np.ndarray, bw: BitwidthConfig, batch: int = 128) -> np.ndarray:
+def _latents_for(g: Graph, xs: np.ndarray, bw: BitwidthConfig) -> np.ndarray:
     """Run the frozen region; replay-level outputs are +-1 by construction."""
     outs = []
-    for i in range(0, len(xs), batch):
-        lat, _ = forward(g, xs[i : i + batch], bw, mode="infer", stop_level=g.replay_level)
+    for i in range(0, len(xs), LATENT_BATCH):
+        lat, _ = forward(g, xs[i : i + LATENT_BATCH], bw, mode="infer", stop_level=g.replay_level)
         outs.append(lat)
     return np.concatenate(outs, axis=0)
 
@@ -240,8 +243,8 @@ def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
     losses = []
     for _ in range(cfg.pretrain_epochs):
         order = rng.permutation(len(exp0.inputs))
-        for i in range(0, len(order), cfg.pretrain_batch):
-            idx = order[i : i + cfg.pretrain_batch]
+        for i in range(0, len(order), PRETRAIN_BATCH):
+            idx = order[i : i + PRETRAIN_BATCH]
             feats, cache = forward(g, exp0.inputs[idx], fcfg, mode="train")
             logits = cwr.train_logits(head, feats)
             loss, g_logits = softmax_ce(logits, onehot_all[exp0.labels[idx]])
@@ -312,20 +315,19 @@ def run_experience(g: Graph, head: cwr.CWRHead, mem: ReplayMemory, exp: Experien
     return float(np.mean(losses))
 
 
-def _predict(g: Graph, head: cwr.CWRHead, xs: np.ndarray, bw: BitwidthConfig,
-             batch: int = 256) -> np.ndarray:
+def _predict(g: Graph, head: cwr.CWRHead, xs: np.ndarray, bw: BitwidthConfig) -> np.ndarray:
     """Top-1 class per row with consolidated weights; argmax breaks ties low."""
     pred = np.empty(len(xs), dtype=np.int64)
-    for i in range(0, len(xs), batch):
-        feats, _ = forward(g, xs[i : i + batch], bw, mode="infer")
-        pred[i : i + batch] = np.argmax(cwr.predict(head, feats), axis=1)
+    for i in range(0, len(xs), EVAL_BATCH):
+        feats, _ = forward(g, xs[i : i + EVAL_BATCH], bw, mode="infer")
+        pred[i : i + EVAL_BATCH] = np.argmax(cwr.predict(head, feats), axis=1)
     return pred
 
 
 def evaluate(g: Graph, head: cwr.CWRHead, xs: np.ndarray, ys: np.ndarray,
-             bw: BitwidthConfig, batch: int = 256) -> float:
+             bw: BitwidthConfig) -> float:
     """Top-1 accuracy with consolidated weights."""
-    return int(np.sum(_predict(g, head, xs, bw, batch) == ys)) / len(xs)
+    return int(np.sum(_predict(g, head, xs, bw) == ys)) / len(xs)
 
 
 def per_class_accuracy(g: Graph, head: cwr.CWRHead, xs, ys,
@@ -370,10 +372,6 @@ def run_protocol(cfg: ContinualConfig, train_x, train_y, test_x, test_y,
     exps = build_nc_experiences(train_x, train_y, cfg.num_experiences, cfg.seed)
 
     log = MetricsLog()
-    log.test_set_hash = hashlib.sha256(
-        np.ascontiguousarray(test_x).tobytes() + np.ascontiguousarray(test_y).tobytes()
-    ).hexdigest()
-
     t0 = time.perf_counter()
     mem, loss0 = pretrain_first_experience(g, head, exps[0], cfg, rng)
     acc = evaluate(g, head, test_x, test_y, cfg.bitwidth)

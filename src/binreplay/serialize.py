@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cwr as cwr_mod
 from .bitpack import BitTensor
-from .graph import BINARY_KINDS, LAYER_KINDS, BitwidthConfig, Graph, LayerNode
+from .graph import BINARY_KINDS, LAYER_KINDS, BitwidthConfig, Graph, LayerNode, infer_shapes
 from .bitpack import BinConvSpec
 from .quant import QuantParams, QuantizedTensor, STORAGE_DTYPE
 from .replay import LatentSample, ReplayMemory
@@ -321,7 +321,8 @@ _NODE = {
     "out_qparams": _optional(_dict), "has_weight_bits": _bool,
 }
 _DESCRIPTOR = {
-    "input_shape": _list_of(_int), "replay_level": _optional(_int), "input_qparams": _optional(_dict),
+    "input_shape": lambda v: _list_of(_int)(v) and v != [] and min(v) >= 1,
+    "replay_level": _optional(_int), "input_qparams": _optional(_dict),
     "bitwidth": _dict, "nodes": _list_of(_dict), "head": _dict,
 }
 
@@ -405,6 +406,10 @@ def read_checkpoint(path):
             nd = _fields(nd, _NODE, f"node {i}")
             if not all(-1 <= j < i for j in nd["inputs"]):
                 raise FormatError(f"checkpoint node {i}: inputs {nd['inputs']} are not earlier nodes")
+            n_in = len(nd["inputs"])
+            if n_in != {"add": 2, "concat": max(n_in, 1)}.get(nd["kind"], 1):
+                raise FormatError(f"checkpoint node {i}: a {nd['kind']} node cannot take "
+                                  f"{n_in} inputs")
             attrs = dict(nd["attrs"])
             is_conv = nd["kind"] in ("conv2d", "binary_conv2d")
             if is_conv != ("spec" in attrs):
@@ -442,4 +447,23 @@ def read_checkpoint(path):
         head.seen = set(hd["seen"])
         head.cw = cw
         bw = BitwidthConfig(**_fields(desc["bitwidth"], _BITWIDTH, "bitwidth"))
+        _check_shapes(graph, hd["feature_dim"])
     return graph, head, bw
+
+
+def _check_shapes(graph: Graph, feature_dim: int) -> None:
+    """Each node fits its inputs (infer_shapes), its parameters and weight
+    bits have the shapes its spec and channels give, and the graph ends in
+    the head's feature vector."""
+    shapes = infer_shapes(graph)
+    for i, node in enumerate(graph.nodes):
+        c_in, c_out = shapes[node.inputs[0]][-1], shapes[i][-1]
+        spec = node.attrs.get("spec")
+        w = (c_in, c_out) if spec is None else (spec.kernel_h, spec.kernel_w, c_in, c_out)
+        for what, t in [*node.params.items(), ("weight bits", node.weight_bits)]:
+            want = w if what in ("w", "latent", "weight bits") else (c_out,)
+            if t is not None and t.shape != want:
+                raise FormatError(f"checkpoint node {i} {what} has shape {t.shape}, not {want}")
+    if shapes[graph.output_id] != (feature_dim,):
+        raise FormatError(f"checkpoint graph output {shapes[graph.output_id]} is not the "
+                          f"head's {feature_dim} features")

@@ -182,3 +182,17 @@ def random_binary_conv_case(rng, cin=None, padding=None):
     g = Graph((h, h, cin))
     g.add("binary_conv2d", trainable=True, spec=spec, params={"latent": latent})
     return g, x, spec, latent
+
+
+def linear_probe_accuracy(train_x, train_y, test_x, test_y, ridge: float = 1e-2) -> float:
+    """One-vs-all ridge regression accuracy; the synthetic data's learnability gate."""
+    classes = int(max(train_y.max(), test_y.max())) + 1
+    xtr = train_x.reshape(len(train_x), -1)
+    xte = test_x.reshape(len(test_x), -1)
+    xtr = np.hstack([xtr, np.ones((len(xtr), 1))])
+    xte = np.hstack([xte, np.ones((len(xte), 1))])
+    onehot = np.eye(classes)[train_y]
+    gram = xtr.T @ xtr + ridge * np.eye(xtr.shape[1])
+    w = np.linalg.solve(gram, xtr.T @ onehot)
+    pred = np.argmax(xte @ w, axis=1)
+    return float(np.mean(pred == test_y))

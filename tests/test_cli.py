@@ -8,9 +8,9 @@ import struct
 import numpy as np
 import pytest
 
-from binreplay import serialize
+from binreplay import cli, serialize
 from binreplay.bitpack import pack
-from binreplay.cli import DEFAULT_CONFIG, VALUE_CHECKS, main
+from binreplay.cli import SETTINGS, load_run_config, main
 
 
 def write_config(path, dataset_dir, out_dir, **overrides):
@@ -102,6 +102,16 @@ class TestTrain:
         assert ((tmp_path / "out" / "metrics.csv").read_bytes()
                 != (trained_dir / "metrics.csv").read_bytes())
 
+    @pytest.mark.parametrize("flag,value,dotted", [
+        ("--seed", "-1", "protocol.seed"), ("--out", "", "output_dir"),
+    ])
+    def test_bad_override_rejected_before_any_run(self, flag, value, dotted, dataset_dir,
+                                                  tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out")
+        assert main(["train", "--config", str(cfg), flag, value]) == 1
+        assert f"config.{dotted} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_writes_tagged_outputs(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out")
         raw = json.loads(cfg.read_text())
@@ -181,14 +191,36 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         assert not (tmp_path / "out").exists()
 
-    def test_every_config_leaf_is_checked(self):
-        def leaves(d, prefix=""):
-            for k, v in d.items():
-                if isinstance(v, dict):
-                    yield from leaves(v, f"{prefix}{k}.")
-                else:
-                    yield prefix + k
-        assert sorted(leaves(DEFAULT_CONFIG)) == sorted(VALUE_CHECKS)
+    def test_help_defaults_load_to_the_table(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        raw = json.loads(capsys.readouterr().out.split("Config defaults: ", 1)[1])
+        raw["dataset"] = "data"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        loaded = load_run_config(str(cfg))
+        want = {key: default for key, (default, _, _) in SETTINGS.items()}
+        want["dataset"] = "data"
+        assert [(k, type(v), v) for k, v in loaded.items()] == [
+            (k, type(v), v) for k, v in want.items()]
+
+    def test_sweep_variants_differ_only_at_the_swept_key(self, dataset_dir, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out",
+                           sweep={"bitwidth.q_b_bin": ["1", "8"]})
+        base = load_run_config(str(cfg))
+        del base["sweep"]
+        loaded, runs = [], []
+        def load(path):
+            loaded.append(load_run_config(path))
+            return loaded[-1]
+        monkeypatch.setattr(cli, "load_run_config", load)
+        monkeypatch.setattr(cli, "run_training", lambda c, tag="": runs.append((tag, c)))
+        assert main(["train", "--config", str(cfg)]) == 0
+        # compared after both runs: no variant sees another's value, and the
+        # loaded config has lost only its sweep
+        assert runs == [("q_b_bin1", {**base, "bitwidth.q_b_bin": "1"}),
+                        ("q_b_bin8", {**base, "bitwidth.q_b_bin": "8"})]
+        assert loaded == [base]
 
 
 class TestEval:
@@ -262,6 +294,17 @@ class TestEval:
         lambda d: d["bitwidth"].update(q_b_bin=5),
         lambda d: d["nodes"][0]["out_qparams"].update(bits=9),
         lambda d: d["head"].update(feature_dim=0),
+        lambda d: d.update(input_shape=[]),
+        lambda d: d.update(input_shape=[8, 0, 1]),
+        lambda d: d["nodes"][10].update(inputs=[9]),
+        lambda d: d["nodes"][1].update(inputs=[]),
+        lambda d: d["nodes"][1].update(inputs=[0, 0]),
+        lambda d: d["nodes"][12].update(kind="binarize"),
+        # block3_conv's spec: a 13-row output that residual_add cannot take, an
+        # input of 8 channels, and 3x3 weight records under a 1x1 spec
+        lambda d: d["nodes"][8]["attrs"]["spec"].update(kernel_h=2),
+        lambda d: d["nodes"][8]["attrs"]["spec"].update(in_channels=16),
+        lambda d: d["nodes"][8]["attrs"]["spec"].update(kernel_h=1, kernel_w=1, padding=0),
     ], ids=["qparams-extra", "qparams-missing", "spec-extra", "spec-missing",
             "bitwidth-extra", "bitwidth-missing", "head-extra", "head-missing-key",
             "head-missing", "node-missing-key", "qparams-type", "spec-type",
@@ -273,8 +316,10 @@ class TestEval:
             "binary-dense-with-spec", "batchnorm-with-spec", "spec-range", "unknown-kind",
             "batchnorm-missing-param", "batchnorm-as-prelu", "binarize-with-param",
             "binary-conv-without-weight-bits", "binary-conv-param-twice", "conv-with-weight-bits",
-            "bitwidth-range", "qparams-range", "head-feature-dim-range"])
-    def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path):
+            "bitwidth-range", "qparams-range", "head-feature-dim-range", "input-shape-empty",
+            "input-shape-zero", "add-one-input", "node-no-input", "binarize-two-inputs",
+            "output-not-features", "spec-kernel-h-2", "spec-in-channels-16", "spec-1x1-unpadded"])
+    def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path, capsys):
         data = (trained_dir / "checkpoint.brck").read_bytes()
         (blen,) = struct.unpack("<I", data[5:9])  # magic, version byte, blob length
         desc = json.loads(data[9 : 9 + blen])
@@ -285,6 +330,7 @@ class TestEval:
         with pytest.raises(serialize.FormatError):
             serialize.read_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_tensor_shape_beyond_file_length(self, trained_dir, dataset_dir, tmp_path, capsys):
         data = bytearray((trained_dir / "checkpoint.brck").read_bytes())

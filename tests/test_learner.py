@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from binreplay import bitpack, cwr, datasets, learner, replay
-from binreplay.graph import BitwidthConfig, forward, infer_shapes, latent_grid_scale
+from binreplay.graph import BitwidthConfig, Graph, f32_precision, forward, infer_shapes, latent_grid_scale
 from binreplay.learner import (
     ContinualConfig,
     Experience,
@@ -14,6 +14,8 @@ from binreplay.learner import (
     frozen_region_hash,
     _replay_draw_size,
 )
+
+from helpers import linear_probe_accuracy
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +56,7 @@ class TestSyntheticData:
         # the default generator settings must stay linearly separable enough
         xs, ys = datasets.make_synthetic(10, 100, seed=7)
         (trx, try_), (tex, tey) = datasets.stratified_split(xs, ys, seed=7)
-        assert datasets.linear_probe_accuracy(trx, try_, tex, tey) >= 0.90
+        assert linear_probe_accuracy(trx, try_, tex, tey) >= 0.90
 
 
 class TestNCStream:
@@ -117,6 +119,20 @@ class TestReferenceModel:
                          stop_level=g.replay_level)
         assert set(np.unique(lat)) <= {-1.0, 1.0}
 
+    def test_bn_stats_from_each_batchnorm_input(self, rng):
+        # the first batchnorm reads the graph input (node id -1)
+        xs = rng.normal(size=(20, 4))
+        g = Graph((4,))
+        for kind in ("batchnorm", "prelu", "batchnorm"):
+            g.add(kind, params={"alpha": np.full(4, 0.25)} if kind == "prelu" else {
+                "gamma": np.ones(4), "beta": np.zeros(4),
+                "running_mean": np.zeros(4), "running_var": np.ones(4)})
+        learner.initialize_bn_stats(g, xs)
+        mid, _ = forward(g, xs, BitwidthConfig.floating(), mode="infer", stop_level=1)
+        for node, x in ((g.nodes[0], xs), (g.nodes[2], mid)):
+            assert node.params["running_mean"].tobytes() == f32_precision(x.mean(axis=0)).tobytes()
+            want_var = f32_precision(np.maximum(x.var(axis=0), 1e-3))
+            assert node.params["running_var"].tobytes() == want_var.tobytes()
 
     def test_freeze_stores_params_above_the_replay_level(self):
         g = build_reference_model(input_shape=(6, 6, 1), channels=4, seed=0)
