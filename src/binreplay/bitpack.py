@@ -110,6 +110,12 @@ def stack(tensors) -> BitTensor:
     return BitTensor(shape=(len(tensors),) + shape, words=words)
 
 
+def unstack(t: BitTensor) -> list[BitTensor]:
+    """The inverse of stack: t's rows, as views of one words array."""
+    rows = _pack01(_unpack01(t.words, t.size).reshape(t.shape[0], -1))
+    return [BitTensor(shape=t.shape[1:], words=w) for w in rows]
+
+
 def binarize(x) -> BitTensor:
     """Sign binarization: bit set iff value >= 0 (ties at 0 go to +1)."""
     from .quant import QuantizedTensor  # local import to avoid a cycle

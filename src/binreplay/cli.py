@@ -255,12 +255,20 @@ def cmd_eval(args) -> int:
 
 
 def _parse_metrics_csv(path: str):
+    """Test accuracy, replay bits and forward and backward MACs from the last
+    row of a metrics CSV, whose header must be MetricsLog.CSV_COLUMNS."""
+    columns = learner.MetricsLog.CSV_COLUMNS
     with open(path) as f:
-        header = f.readline().strip().split(",")
-        rows = [dict(zip(header, line.strip().split(","))) for line in f if line.strip()]
-    if not rows:
-        raise ConfigError(f"{path}: no metrics rows")
-    return rows
+        header, *rows = [line.strip().split(",") for line in f if line.strip()] or [[]]
+    if tuple(header) != columns or not rows or any(len(r) != len(columns) for r in rows):
+        raise ConfigError(f"{path}: expected the header {','.join(columns)} "
+                          f"and rows of {len(columns)} cells")
+    last = dict(zip(columns, rows[-1]))
+    try:
+        return (float(last["test_accuracy"]), int(last["replay_bits"]),
+                int(last["fwd_macs"]), int(last["bwd_macs"]))
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def cmd_report(args) -> int:
@@ -271,14 +279,10 @@ def cmd_report(args) -> int:
     )
     if not paths:
         raise ConfigError(f"no metrics CSVs in {args.metrics_dir}")
+    finals = [_parse_metrics_csv(p) for p in paths]  # every file, before any output
     lines = ["config,final_accuracy,replay_bits,float32_replay_bits,replay_reduction,mac_ratio"]
     print(f"{'config':<24} {'final_acc':>9} {'replay_bits':>12} {'reduction':>9} {'mac_ratio':>9}")
-    for p in paths:
-        rows = _parse_metrics_csv(p)
-        last = rows[-1]
-        acc = float(last["test_accuracy"])
-        bits = int(last["replay_bits"])
-        fwd, bwd = int(last["fwd_macs"]), int(last["bwd_macs"])
+    for p, (acc, bits, fwd, bwd) in zip(paths, finals):
         ratio = bwd / fwd if fwd else 0.0
         name = os.path.splitext(os.path.basename(p))[0]
         lines.append(f"{name},{acc!r},{bits},{32 * bits},32,{ratio!r}")

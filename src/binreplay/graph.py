@@ -23,26 +23,36 @@ FORWARD_BITS = (8, 16, 32)
 BACKWARD_NONBIN_BITS = (8, 16, 32)
 BACKWARD_BIN_BITS = (1, 4, 8, 16, 32)
 
-LAYER_KINDS = (
-    "dense",
-    "conv2d",
-    "binary_dense",
-    "binary_conv2d",
-    "binarize",
-    "batchnorm",
-    "add",
-    "concat",
-    "prelu",
-    "global_avg_pool",
-    "softmax_ce_head",
-)
-BINARY_KINDS = ("binary_dense", "binary_conv2d")
+
+@dataclass(frozen=True)
+class Kind:
+    """One row of KINDS: what a node of a layer kind takes and holds."""
+
+    inputs: int | None = 1  # None: one or more
+    trained: tuple[str, ...] = ()  # parameters backward trains
+    stats: tuple[str, ...] = ()  # parameters nothing trains
+    spec: bool = False  # takes a conv spec
+    weight_bits: bool = False  # computes with weight bits; holds its latent unless frozen
+    binary: bool = False  # exact +-1 or popcount output: never snapped, gradients at q_b_bin
+    runs_as: str | None = None  # the kind whose code it runs, if another's
+
+
+KINDS = {
+    "dense": Kind(trained=("b", "w")),
+    "conv2d": Kind(trained=("b", "w"), spec=True),
+    "binary_dense": Kind(trained=("latent",), weight_bits=True, binary=True),
+    "binary_conv2d": Kind(trained=("latent",), spec=True, weight_bits=True, binary=True),
+    "binarize": Kind(binary=True),
+    "batchnorm": Kind(trained=("beta", "gamma"), stats=("running_mean", "running_var")),
+    "add": Kind(inputs=2),
+    "concat": Kind(inputs=None),
+    "prelu": Kind(trained=("alpha",)),
+    "global_avg_pool": Kind(),
+    "softmax_ce_head": Kind(trained=("b", "w"), runs_as="dense"),
+}
+BINARY_KINDS = tuple(k for k, row in KINDS.items() if row.weight_bits)
 # layers that run as one patches-by-weights product: a dense layer is a 1x1 conv
 GEMM_KINDS = ("dense", "conv2d", *BINARY_KINDS)
-# kinds that run another kind's code: the head is a dense layer by another name
-KIND_ALIASES = {"softmax_ce_head": "dense"}
-# layers whose outputs get snapped to a calibrated q_f grid in quantized mode
-SNAP_KINDS = ("dense", "conv2d", "softmax_ce_head", "batchnorm", "add", "concat", "prelu", "global_avg_pool")
 
 
 class GraphError(ValueError):
@@ -97,8 +107,25 @@ class LayerNode:
     param_scales: dict = field(default_factory=dict)  # fixed-point grid per parameter
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in KINDS:
             raise GraphError(f"unknown layer kind {self.kind!r}")
+
+
+def check_node(idx: int, node: LayerNode) -> None:
+    """node, as node idx of a graph, against its kind's row of KINDS."""
+    row = KINDS[node.kind]
+    where = f"node {idx} ({node.name}): a {node.kind} node"
+    if not all(-1 <= i < idx for i in node.inputs):
+        raise GraphError(f"{where} takes inputs {node.inputs} that are not earlier nodes")
+    if len(node.inputs) != (row.inputs or max(len(node.inputs), 1)):
+        raise GraphError(f"{where} cannot take {len(node.inputs)} inputs")
+    if row.spec != ("spec" in node.attrs):
+        raise GraphError(f"{where} {'needs' if row.spec else 'takes no'} spec")
+    # a binary layer holds its weight bits, and its latent unless frozen
+    holds = [set(), set(row.trained)] if row.weight_bits else [{*row.trained, *row.stats}]
+    if set(node.params) not in holds or row.weight_bits != (node.weight_bits is not None):
+        raise GraphError(f"{where} cannot hold params {sorted(node.params)} "
+                         f"{'with' if node.weight_bits is not None else 'without'} weight bits")
 
 
 class Graph:
@@ -110,19 +137,18 @@ class Graph:
         self.replay_level: int | None = None
         self.input_qparams: QuantParams | None = None
 
-    def add(self, kind: str, inputs=None, name: str | None = None, trainable: bool = False, **attrs) -> int:
+    def add(self, kind: str, inputs=None, name: str | None = None, trainable: bool = False,
+            params: dict | None = None, weight_bits: BitTensor | None = None, **attrs) -> int:
         idx = len(self.nodes)
         if inputs is None:  # chain onto the previous node by default
             inputs = [idx - 1]
         inputs = [inputs] if isinstance(inputs, int) else list(inputs)
-        for i in inputs:
-            if not -1 <= i < idx:
-                raise GraphError(f"node {idx}: input id {i} is not an earlier node")
-        params = attrs.pop("params", {})
+        params = {} if params is None else params
+        if weight_bits is None and "latent" in params:  # computes with the signs of its latent
+            weight_bits = bitpack.binarize(params["latent"])
         node = LayerNode(kind=kind, name=name or f"{kind}_{idx}", inputs=inputs,
-                         trainable=trainable, params=params, attrs=attrs)
-        if "latent" in params:  # a binary layer computes with the signs of its latent
-            node.weight_bits = bitpack.binarize(params["latent"])
+                         trainable=trainable, params=params, attrs=attrs, weight_bits=weight_bits)
+        check_node(idx, node)
         self.nodes.append(node)
         return idx
 
@@ -289,15 +315,16 @@ def _gemm_shapes(idx, node, kind, in_shape):
             raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs spec {spec}")
         n, h, wd, _ = in_shape
         return spec, in_shape, (n, *spec.out_hw(h, wd), spec.out_channels)
-    k, out = (node.weight_bits if kind in BINARY_KINDS else node.params["w"]).shape
-    if len(in_shape) != 2 or in_shape[1] != k:
-        raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs weight {(k, out)}")
+    w = (node.weight_bits if kind in BINARY_KINDS else node.params["w"]).shape
+    if len(in_shape) != 2 or len(w) != 2 or in_shape[1] != w[0]:
+        raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs weight {w}")
+    k, out = w
     return BinConvSpec(1, 1, 1, 0, k, out), (in_shape[0], 1, 1, k), (in_shape[0], out)
 
 
 def _forward_node(graph, idx, node, ins, config, want_cache):
     bits = config.q_f
-    kind = KIND_ALIASES.get(node.kind, node.kind)
+    kind = KINDS[node.kind].runs_as or node.kind
     x = ins[0] if ins else None
     cache = None
 
@@ -355,7 +382,7 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
 
     # binary outputs are exact integers / signs; everything else is snapped
     # to the layer's forward grid in quantized mode
-    if kind in SNAP_KINDS:
+    if not KINDS[node.kind].binary:
         y = _snap_activation(y, node.out_qparams, bits)
     return y, (cache if want_cache else None)
 
@@ -398,7 +425,7 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
 
 
 def _node_backward_bits(node: LayerNode, config: BitwidthConfig) -> int | None:
-    if node.kind in BINARY_KINDS or node.kind == "binarize":
+    if KINDS[node.kind].binary:
         if config.q_b_bin == 1:
             # binary weights frozen at 1 bit; any propagated gradient keeps
             # the non-binary backward precision
@@ -409,7 +436,7 @@ def _node_backward_bits(node: LayerNode, config: BitwidthConfig) -> int | None:
 
 def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
     """Returns (input grads aligned with node.inputs, param grads)."""
-    kind = KIND_ALIASES.get(node.kind, node.kind)
+    kind = KINDS[node.kind].runs_as or node.kind
     pgrads = {}
     gins = [None] * len(node.inputs)
 
@@ -563,11 +590,12 @@ def sgd_step(graph: Graph, param_grads: dict, learning_rate: float, config: Bitw
 
 
 def infer_shapes(graph: Graph) -> dict[int, tuple[int, ...]]:
-    """Per-sample output shape of every node (no batch axis)."""
+    """Per-sample output shape of every node (no batch axis); each node must
+    fit its inputs, and its parameters the shapes its spec and channels give."""
     shapes: dict[int, tuple[int, ...]] = {-1: graph.input_shape}
     for idx, node in enumerate(graph.nodes):
         ins = [shapes[i] for i in node.inputs]
-        kind = KIND_ALIASES.get(node.kind, node.kind)
+        kind = KINDS[node.kind].runs_as or node.kind
         if kind in GEMM_KINDS:
             shapes[idx] = _gemm_shapes(idx, node, kind, (1, *ins[0]))[2][1:]
         elif kind == "global_avg_pool":
@@ -580,12 +608,18 @@ def infer_shapes(graph: Graph) -> dict[int, tuple[int, ...]]:
             shapes[idx] = ins[0]
         else:  # binarize, batchnorm, prelu are shape-preserving
             shapes[idx] = ins[0]
+        c_in, c_out, spec = ins[0][-1], shapes[idx][-1], node.attrs.get("spec")
+        w = (c_in, c_out) if spec is None else (spec.kernel_h, spec.kernel_w, c_in, c_out)
+        for what, t in [*node.params.items(), ("weight bits", node.weight_bits)]:
+            want = w if what in ("w", "latent", "weight bits") else (c_out,)
+            if t is not None and t.shape != want:
+                raise GraphError(f"node {idx} ({node.name}): {what} has shape {t.shape}, not {want}")
     return shapes
 
 
 def _node_macs(idx: int, node: LayerNode, in_shape: tuple[int, ...]) -> int:
     """Per-sample MACs: every output value of a GEMM layer is one patch-by-weight dot."""
-    kind = KIND_ALIASES.get(node.kind, node.kind)
+    kind = KINDS[node.kind].runs_as or node.kind
     if kind not in GEMM_KINDS:
         return 0
     spec, _, out_shape = _gemm_shapes(idx, node, kind, (1, *in_shape))

@@ -166,7 +166,7 @@ def calibrate_activations(g: Graph, xs: np.ndarray, q_f: int | None) -> None:
     lo, hi = calibrate_range([xs])
     g.input_qparams = quant_params(lo, hi, q_f, signed=False)
     for idx, node in enumerate(g.nodes):
-        if node.kind in G.SNAP_KINDS:
+        if not G.KINDS[node.kind].binary:
             lo, hi = calibrate_range([acts[idx]])
             node.out_qparams = quant_params(lo, hi, q_f, signed=False)
 
@@ -175,19 +175,16 @@ def freeze_backbone(g: Graph, cfg: ContinualConfig) -> None:
     """Freeze layers at or below the replay level; store the parameters above
     it in their on-device form."""
     for idx, node in enumerate(g.nodes):
-        has_params = bool(node.params) or node.weight_bits is not None
-        node.trainable = (
-            cfg.train_graph_layers and has_params and idx > g.replay_level
-            and node.kind != "binarize"
-        )
+        trained = G.KINDS[node.kind].trained
+        node.trainable = cfg.train_graph_layers and bool(trained) and idx > g.replay_level
         if not node.trainable:
             continue
         if node.kind in G.BINARY_KINDS and cfg.bitwidth.q_b_bin == 1:
             # frozen binary weights: the latent copy is dropped entirely
             node.params.pop("latent", None)
-        for pname, value in list(node.params.items()):
-            if pname not in ("running_mean", "running_var"):  # statistics: nothing trains them
-                G.store_param(node, pname, value, cfg.bitwidth)
+        for pname in trained:
+            if pname in node.params:  # a frozen binary layer holds no latent
+                G.store_param(node, pname, node.params[pname], cfg.bitwidth)
 
 
 def frozen_region_hash(g: Graph) -> str:
@@ -210,19 +207,14 @@ def frozen_region_hash(g: Graph) -> str:
 # training phases
 
 
-def _latents_for(g: Graph, xs: np.ndarray, bw: BitwidthConfig) -> np.ndarray:
-    """Run the frozen region; replay-level outputs are +-1 by construction."""
-    outs = []
+def _latents_for(g: Graph, xs: np.ndarray, ys: np.ndarray, bw: BitwidthConfig) -> list[LatentSample]:
+    """Each row's replay-level output, +-1 by construction, as a 1-bit sample."""
+    out = []
     for i in range(0, len(xs), LATENT_BATCH):
         lat, _ = forward(g, xs[i : i + LATENT_BATCH], bw, mode="infer", stop_level=g.replay_level)
-        outs.append(lat)
-    return np.concatenate(outs, axis=0)
-
-
-def _remember(mem: ReplayMemory, lat: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> None:
-    """Offer each row's latent, stored as 1 bit per value, to the reservoir."""
-    samples = [LatentSample(activation=bitpack.binarize(a), label=int(y)) for a, y in zip(lat, labels)]
-    replay.update_after_experience(mem, samples, rng)
+        rows = bitpack.unstack(bitpack.binarize(lat))
+        out += [LatentSample(activation=a, label=int(y)) for a, y in zip(rows, ys[i : i + LATENT_BATCH])]
+    return out
 
 
 def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
@@ -235,7 +227,7 @@ def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
     stats_x = exp0.inputs[: min(len(exp0.inputs), 256)]
     initialize_bn_stats(g, stats_x)
     for node in g.nodes:
-        node.trainable = bool(node.params) or node.weight_bits is not None
+        node.trainable = bool(G.KINDS[node.kind].trained)
 
     cwr.begin_experience(head, exp0.classes_introduced)
     cwr.record_training(head, exp0.labels)
@@ -258,7 +250,7 @@ def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
     freeze_backbone(g, cfg)
 
     mem = ReplayMemory(quota=cfg.quota, max_classes=head.max_classes)
-    _remember(mem, _latents_for(g, exp0.inputs, cfg.bitwidth), exp0.labels, rng)
+    replay.update_after_experience(mem, _latents_for(g, exp0.inputs, exp0.labels, cfg.bitwidth), rng)
     return mem, float(np.mean(losses))
 
 
@@ -284,26 +276,23 @@ def run_experience(g: Graph, head: cwr.CWRHead, mem: ReplayMemory, exp: Experien
         # memory contents interleaved into every epoch
         cwr.record_training(head, [s.label for c in mem.classes for s in mem.per_class[c]])
 
-    lat_new = _latents_for(g, exp.inputs, bw)
+    new = _latents_for(g, exp.inputs, exp.labels, bw)
     onehot_all = np.eye(head.max_classes)
     losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(exp.inputs))
         for i in range(0, len(order), cfg.b_n):
             idx = order[i : i + cfg.b_n]
-            xs = lat_new[idx]
-            ys = exp.labels[idx]
+            batch = [new[j] for j in idx]
             if cfg.b_r > 0 and mem.total > 0:
                 k = _replay_draw_size(len(idx), cfg)
                 if k > 0:
-                    drawn = replay.sample_minibatch(mem, k, rng)
-                    replayed = bitpack.stack([s.activation for s in drawn])
-                    xs = np.concatenate([xs, replayed.unpack().astype(np.float64)])
-                    ys = np.concatenate([ys, [s.label for s in drawn]])
+                    batch += replay.sample_minibatch(mem, k, rng)
+            xs = bitpack.stack([s.activation for s in batch])
             mode = "train" if cfg.train_graph_layers else "infer"
             feats, cache = forward(g, xs, bw, mode=mode, from_level=lvl)
             logits = cwr.train_logits(head, feats)
-            loss, g_logits = softmax_ce(logits, onehot_all[ys])
+            loss, g_logits = softmax_ce(logits, onehot_all[[s.label for s in batch]])
             losses.append(loss)
             g_feat = cwr.apply_head_gradient(head, feats, g_logits, cfg.learning_rate)
             if cfg.train_graph_layers:
@@ -311,7 +300,7 @@ def run_experience(g: Graph, head: cwr.CWRHead, mem: ReplayMemory, exp: Experien
                 sgd_step(g, pgrads, cfg.learning_rate, bw)
     cwr.consolidate(head)
 
-    _remember(mem, lat_new, exp.labels, rng)
+    replay.update_after_experience(mem, new, rng)
     return float(np.mean(losses))
 
 

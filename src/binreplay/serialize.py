@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cwr as cwr_mod
 from .bitpack import BitTensor
-from .graph import BINARY_KINDS, LAYER_KINDS, BitwidthConfig, Graph, LayerNode, infer_shapes
+from .graph import BitwidthConfig, Graph, LayerNode, check_node, infer_shapes
 from .bitpack import BinConvSpec
 from .quant import QuantParams, QuantizedTensor, STORAGE_DTYPE
 from .replay import LatentSample, ReplayMemory
@@ -307,14 +307,8 @@ _QPARAMS = {"bits": _int, "scale": _number, "zero_point": _int, "signed": _bool}
 _SPEC = dict.fromkeys(("kernel_h", "kernel_w", "stride", "padding", "in_channels", "out_channels"), _int)
 _BITWIDTH = dict.fromkeys(("q_f", "q_b_nonbin", "q_b_bin"), _optional(_int))
 _HEAD = {"feature_dim": _int, "max_classes": _int, "past_counts": _list_of(_int), "seen": _list_of(_int)}
-# the parameters each layer kind reads, sorted as the writer lists them;
-# binary layers read their weight bits and keep a latent copy unless frozen
-_KIND_PARAMS = {
-    "dense": ["b", "w"], "softmax_ce_head": ["b", "w"], "conv2d": ["b", "w"],
-    "batchnorm": ["beta", "gamma", "running_mean", "running_var"], "prelu": ["alpha"],
-}
 _NODE = {
-    "kind": lambda v: v in LAYER_KINDS, "name": _str, "inputs": _list_of(_int), "trainable": _bool,
+    "kind": _str, "name": _str, "inputs": _list_of(_int), "trainable": _bool,
     "attrs": _attrs,
     "param_names": _list_of(_str),
     "param_scales": lambda v: isinstance(v, dict) and all(_number(x) for x in v.values()),
@@ -404,35 +398,21 @@ def read_checkpoint(path):
         graph.input_qparams = _qparams_from_json(desc["input_qparams"], "input_qparams")
         for i, nd in enumerate(desc["nodes"]):
             nd = _fields(nd, _NODE, f"node {i}")
-            if not all(-1 <= j < i for j in nd["inputs"]):
-                raise FormatError(f"checkpoint node {i}: inputs {nd['inputs']} are not earlier nodes")
-            n_in = len(nd["inputs"])
-            if n_in != {"add": 2, "concat": max(n_in, 1)}.get(nd["kind"], 1):
-                raise FormatError(f"checkpoint node {i}: a {nd['kind']} node cannot take "
-                                  f"{n_in} inputs")
             attrs = dict(nd["attrs"])
-            is_conv = nd["kind"] in ("conv2d", "binary_conv2d")
-            if is_conv != ("spec" in attrs):
-                raise FormatError(f"checkpoint node {i}: a {nd['kind']} node "
-                                  f"{'needs' if is_conv else 'takes no'} spec")
-            if is_conv:
+            if "spec" in attrs:
                 attrs["spec"] = BinConvSpec(**_fields(attrs["spec"], _SPEC, f"node {i} spec"))
-            binary = nd["kind"] in BINARY_KINDS
-            allowed = ([], ["latent"]) if binary else (_KIND_PARAMS.get(nd["kind"], []),)
-            if nd["has_weight_bits"] != binary or nd["param_names"] not in allowed:
-                raise FormatError(f"checkpoint node {i}: a {nd['kind']} node cannot hold "
-                                  f"params {nd['param_names']} with has_weight_bits "
-                                  f"{nd['has_weight_bits']}")
+            if nd["param_names"] != sorted(set(nd["param_names"])):  # as the writer lists them
+                raise FormatError(f"checkpoint node {i}: params {nd['param_names']} out of order")
             node = LayerNode(kind=nd["kind"], name=nd["name"], inputs=list(nd["inputs"]),
-                             trainable=nd["trainable"], attrs=attrs)
-            node.param_scales = dict(nd["param_scales"])
-            node.out_qparams = _qparams_from_json(nd["out_qparams"], f"node {i} out_qparams")
-            graph.nodes.append(node)
-        for i, (nd, node) in enumerate(zip(desc["nodes"], graph.nodes)):
+                             trainable=nd["trainable"], attrs=attrs,
+                             param_scales=dict(nd["param_scales"]),
+                             out_qparams=_qparams_from_json(nd["out_qparams"], f"node {i} out_qparams"))
             for pname in nd["param_names"]:
                 node.params[pname] = _read_as(r, np.ndarray, f"node {i} param {pname}")
             if nd["has_weight_bits"]:
                 node.weight_bits = _read_as(r, BitTensor, f"node {i} weight bits")
+            check_node(i, node)
+            graph.nodes.append(node)
         hd = _fields(desc["head"], _HEAD, "head")
         if len(hd["past_counts"]) != hd["max_classes"] or min(hd["past_counts"], default=0) < 0:
             raise FormatError(f"checkpoint head: past_counts must hold max_classes "
@@ -447,23 +427,8 @@ def read_checkpoint(path):
         head.seen = set(hd["seen"])
         head.cw = cw
         bw = BitwidthConfig(**_fields(desc["bitwidth"], _BITWIDTH, "bitwidth"))
-        _check_shapes(graph, hd["feature_dim"])
+        out = infer_shapes(graph)[graph.output_id]
+        if out != (hd["feature_dim"],):
+            raise FormatError(f"checkpoint graph output {out} is not the head's "
+                              f"{hd['feature_dim']} features")
     return graph, head, bw
-
-
-def _check_shapes(graph: Graph, feature_dim: int) -> None:
-    """Each node fits its inputs (infer_shapes), its parameters and weight
-    bits have the shapes its spec and channels give, and the graph ends in
-    the head's feature vector."""
-    shapes = infer_shapes(graph)
-    for i, node in enumerate(graph.nodes):
-        c_in, c_out = shapes[node.inputs[0]][-1], shapes[i][-1]
-        spec = node.attrs.get("spec")
-        w = (c_in, c_out) if spec is None else (spec.kernel_h, spec.kernel_w, c_in, c_out)
-        for what, t in [*node.params.items(), ("weight bits", node.weight_bits)]:
-            want = w if what in ("w", "latent", "weight bits") else (c_out,)
-            if t is not None and t.shape != want:
-                raise FormatError(f"checkpoint node {i} {what} has shape {t.shape}, not {want}")
-    if shapes[graph.output_id] != (feature_dim,):
-        raise FormatError(f"checkpoint graph output {shapes[graph.output_id]} is not the "
-                          f"head's {feature_dim} features")

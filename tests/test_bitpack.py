@@ -17,6 +17,7 @@ from binreplay.bitpack import (
     patches,
     popcount,
     stack,
+    unstack,
     unpack,
     xnor_dot,
 )
@@ -72,6 +73,7 @@ class TestPackUnpack:
         assert stacked.shape == (5,) + shape
         assert np.array_equal(stacked.unpack(), np.stack([t.unpack() for t in parts]))
         assert stacked == pack(stacked.unpack())  # canonical: pad bits zero
+        assert unstack(stacked) == parts
         with pytest.raises(BitShapeError):
             stack([parts[0], parts[1].reshape(shape[::-1])])
 

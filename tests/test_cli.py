@@ -305,6 +305,8 @@ class TestEval:
         lambda d: d["nodes"][8]["attrs"]["spec"].update(kernel_h=2),
         lambda d: d["nodes"][8]["attrs"]["spec"].update(in_channels=16),
         lambda d: d["nodes"][8]["attrs"]["spec"].update(kernel_h=1, kernel_w=1, padding=0),
+        # gamma and beta have one shape: read in this order, they would swap
+        lambda d: d["nodes"][3].update(param_names=["gamma", "beta", "running_mean", "running_var"]),
     ], ids=["qparams-extra", "qparams-missing", "spec-extra", "spec-missing",
             "bitwidth-extra", "bitwidth-missing", "head-extra", "head-missing-key",
             "head-missing", "node-missing-key", "qparams-type", "spec-type",
@@ -318,7 +320,8 @@ class TestEval:
             "binary-conv-without-weight-bits", "binary-conv-param-twice", "conv-with-weight-bits",
             "bitwidth-range", "qparams-range", "head-feature-dim-range", "input-shape-empty",
             "input-shape-zero", "add-one-input", "node-no-input", "binarize-two-inputs",
-            "output-not-features", "spec-kernel-h-2", "spec-in-channels-16", "spec-1x1-unpadded"])
+            "output-not-features", "spec-kernel-h-2", "spec-in-channels-16", "spec-1x1-unpadded",
+            "batchnorm-params-out-of-order"])
     def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path, capsys):
         data = (trained_dir / "checkpoint.brck").read_bytes()
         (blen,) = struct.unpack("<I", data[5:9])  # magic, version byte, blob length
@@ -399,6 +402,20 @@ class TestReport:
 
     def test_empty_dir(self, tmp_path):
         assert main(["report", "--metrics-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("text", [
+        "experience,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,0.5,10,20,30\n",
+        "experience,test_accuracy,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,0.5,0.25\n",
+        "experience,test_accuracy,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,abc,0.5,10,20,30\n",
+    ], ids=["header-without-test-accuracy", "row-too-short", "accuracy-not-a-number"])
+    def test_malformed_csv_is_exit_1_before_any_output(self, text, trained_dir, tmp_path, capsys):
+        (tmp_path / "metrics.csv").write_bytes((trained_dir / "metrics.csv").read_bytes())
+        bad = tmp_path / "metrics_z.csv"  # sorts after the good file
+        bad.write_text(text)
+        assert main(["report", "--metrics-dir", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
 
 
 def _empty_dataset(path):

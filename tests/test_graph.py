@@ -262,7 +262,8 @@ class TestStoreParam:
         g = Graph((2,))
         nid = g.add("binary_dense", params={"latent": latent})
         assert g.nodes[nid].weight_bits == bitpack.binarize(latent)
-        assert g.nodes[g.add("binary_dense", params={})].weight_bits is None
+        with pytest.raises(GraphError):  # neither latent nor weight bits
+            g.add("binary_dense", params={})
 
     def test_latent_is_clipped_snapped_and_rebinarized(self):
         g = Graph((1,))
@@ -524,6 +525,41 @@ class TestGraphStructure:
         g = Graph((4,))
         with pytest.raises(GraphError):
             g.add("maxpool")
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("conv2d", {"params": {"w": np.ones((3, 3, 2, 2)), "b": np.zeros(2)}}),
+        ("add", {"inputs": [0]}),
+        ("prelu", {}),
+        ("batchnorm", {"params": {"gamma": np.ones(2)}}),
+        ("binary_conv2d", {"spec": BinConvSpec(3, 3, 1, 1, 2, 2)}),
+        ("binarize", {"inputs": [0, -1]}),
+        ("global_avg_pool", {"spec": BinConvSpec(3, 3, 1, 1, 2, 2)}),
+    ], ids=["conv-without-spec", "add-one-input", "prelu-without-alpha", "batchnorm-only-gamma",
+            "binary-conv-without-weights", "binarize-two-inputs", "pool-with-spec"])
+    def test_add_checks_the_node_against_its_kind(self, kind, kw):
+        g = Graph((4, 4, 2))
+        g.add("prelu", params={"alpha": np.full(2, 0.25)})
+        with pytest.raises(GraphError, match=r"^node 1 \(bad\): "):
+            g.add(kind, name="bad", **kw)
+        assert len(g.nodes) == 1
+
+    def test_add_takes_the_weight_bits_of_a_frozen_binary_layer(self):
+        g = Graph((3,))
+        wb = pack(np.array([[1, -1], [-1, -1], [1, 1]]))
+        node = g.nodes[g.add("binary_dense", weight_bits=wb)]
+        assert node.weight_bits is wb and node.params == {}
+        assert infer_shapes(g)[0] == (2,)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("dense", {"w": np.ones((3, 2)), "b": np.zeros(5)}),
+        ("prelu", {"alpha": np.full(5, 0.25)}),
+        ("dense", {"w": np.ones((3, 2, 1)), "b": np.zeros(2)}),
+    ], ids=["dense-bias-5-for-2-outputs", "prelu-5-alphas-on-3-channels", "dense-weight-of-rank-3"])
+    def test_infer_shapes_checks_parameter_shapes(self, kind, params):
+        g = Graph((3,))
+        g.add(kind, name="bad", params=params)
+        with pytest.raises(GraphError, match=r"^node 0 \(bad\): "):
+            infer_shapes(g)
 
     def test_bitwidth_validation(self):
         with pytest.raises(GraphError):

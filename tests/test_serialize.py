@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from binreplay import cwr, datasets, learner, serialize
 from binreplay.bitpack import BinConvSpec, pack
 from binreplay.cli import main
-from binreplay.graph import BitwidthConfig, Graph
+from binreplay.graph import KINDS, BitwidthConfig, Graph
 from binreplay.learner import ContinualConfig
 from binreplay.quant import QuantizedTensor, QuantParams, quant_params, quantize
 from binreplay.replay import LatentSample, ReplayMemory, update_after_experience
@@ -75,9 +75,8 @@ def write_small_checkpoint(path):
     g.add("concat", inputs=(5, 0))
     g.add("global_avg_pool")
     g.add("dense", trainable=True, params={"w": ramp(4, 3), "b": ramp(3)})
-    g.add("binary_dense")  # frozen: its weight bits and no latent
+    g.add("binary_dense", weight_bits=signs(3, 4))  # frozen: its weight bits and no latent
     g.add("softmax_ce_head", params={"w": ramp(4, 5), "b": ramp(5)})
-    g.nodes[9].weight_bits = signs(3, 4)
     g.replay_level = 3
     g.input_qparams = g.nodes[0].out_qparams = q
     g.nodes[8].out_qparams = QuantParams(bits=16, scale=0.5, zero_point=7, signed=False)
@@ -388,6 +387,10 @@ class TestEveryFormat:
         data = (small_files / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha256
         READERS[name](small_files / name)
+
+    def test_small_checkpoint_holds_every_kind(self, small_files):
+        g, _, _ = read_checkpoint(small_files / "c.brck")
+        assert sorted(n.kind for n in g.nodes) == sorted(KINDS)
 
     def test_golden_tensor_records(self):
         # float, bitpacked with pad bits, and signed and unsigned integer records

@@ -1,0 +1,96 @@
+"""Check that two source trees write the same bytes on the gate configs.
+
+Usage: python3 tools/bytes_gate.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are `src` directories, each holding the binreplay
+package. Each tree runs `binreplay synth` once and then, for every gate
+config, `train` and `eval` in subprocesses, on nc-protocol data: 10 classes of
+100 samples of shape 12x12x1 from synth seed 7, protocol seed 1, 1 epoch per
+experience and 2 pretrain epochs. One line per config gives the SHA-256 of
+train.brds, test.brds, metrics.csv, checkpoint.brck, replay.brrm and the
+`eval` stdout. The exit code is 1 if any of them differs between the trees.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# name -> (q_f, q_b_nonbin, q_b_bin, head_only)
+CONFIGS = {
+    "8/16/4": ("8", "16", "4", False),
+    "16/8/1": ("16", "8", "1", False),
+    "float": ("float", "float", "float", False),
+    "8/8/8": ("8", "8", "8", False),
+    "32/32/32": ("32", "32", "32", False),
+    "8/16/16": ("8", "16", "16", False),
+    "head-only": ("8", "16", "4", True),
+}
+SYNTH = ["--classes", "10", "--samples-per-class", "100", "--shape", "12,12,1", "--seed", "7"]
+OUTPUTS = ("train.brds", "test.brds", "metrics.csv", "checkpoint.brck", "replay.brrm", "eval")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _binreplay(src: str, *args: str) -> bytes:
+    """stdout of `binreplay ARGS` run from the package under src."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    p = subprocess.run([sys.executable, "-m", "binreplay.cli", *args], env=env, capture_output=True)
+    if p.returncode:
+        sys.exit(f"binreplay {' '.join(args)} from {src} exited {p.returncode}:\n"
+                 + p.stderr.decode(errors="replace"))
+    return p.stdout
+
+
+def _run(src: str, work: str, name: str) -> dict[str, str]:
+    """The hash of each output of one gate config, run from src in work."""
+    data = os.path.join(work, "data")
+    if not os.path.isdir(data):
+        _binreplay(src, "synth", "--out", data, *SYNTH)
+    q_f, q_b_nonbin, q_b_bin, head_only = CONFIGS[name]
+    out = os.path.join(work, name.replace("/", "-"))
+    config = os.path.join(work, "run.json")
+    with open(config, "w") as f:
+        json.dump({
+            "dataset": data, "output_dir": out,
+            "model": {"preset": "reference", "channels": 32},
+            "bitwidth": {"q_f": q_f, "q_b_nonbin": q_b_nonbin, "q_b_bin": q_b_bin},
+            "replay": {"quota": 80, "b_n": 16, "b_r": 64},
+            "protocol": {"num_experiences": 5, "epochs": 1, "lr": 0.3, "seed": 1,
+                         "pretrain_epochs": 2, "pretrain_lr": 0.2, "head_only": head_only},
+        }, f)
+    _binreplay(src, "train", "--config", config)
+    hashes = {}
+    for o in OUTPUTS[:-1]:
+        with open(os.path.join(data if o.endswith(".brds") else out, o), "rb") as f:
+            hashes[o] = _sha(f.read())
+    hashes["eval"] = _sha(_binreplay(src, "eval", "--checkpoint", os.path.join(out, "checkpoint.brck"),
+                                     "--dataset", data))
+    return hashes
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    old_src, new_src = argv
+    differs = False
+    with tempfile.TemporaryDirectory() as old_work, tempfile.TemporaryDirectory() as new_work:
+        for name in CONFIGS:
+            old, new = _run(old_src, old_work, name), _run(new_src, new_work, name)
+            diff = [o for o in OUTPUTS if old[o] != new[o]]
+            differs |= bool(diff)
+            line = " ".join(f"{o} {new[o][:8]}" for o in OUTPUTS)
+            verdict = "same" if not diff else "DIFFERS: " + ", ".join(
+                f"{o} {old[o][:8]} -> {new[o][:8]}" for o in diff)
+            print(f"{name:<10} {line}  {verdict}", flush=True)
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
