@@ -167,8 +167,10 @@ def _write_text_atomic(path: str, text: str):
 
 def cmd_synth(args) -> int:
     shape = tuple(int(s) for s in args.shape.split(","))
-    if len(shape) != 3:
-        raise ConfigError(f"--shape must be H,W,C, got {args.shape!r}")
+    if len(shape) != 3 or min(shape) < 1:
+        raise ConfigError(f"--shape must be H,W,C, each at least 1, got {args.shape!r}")
+    if not 2 <= args.classes <= serialize.MAX_CLASSES:
+        raise ConfigError(f"--classes must be in [2, {serialize.MAX_CLASSES}], got {args.classes}")
     if args.samples_per_class < 3:
         raise ConfigError(f"--samples-per-class must be >= 3 so that every class has a train "
                           f"and a test row, got {args.samples_per_class}")

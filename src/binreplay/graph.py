@@ -341,14 +341,14 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
         y = y.reshape(out_shape) + b
         cache = x
     elif kind in BINARY_KINDS:
-        spec, shape4, out_shape = _gemm_shapes(idx, node, kind, x.shape)
-        xb = bitpack.binarize(x.reshape(shape4))
-        rows = bitpack.conv_rows(xb, spec)
+        xb = bitpack.binarize(x)  # a sign's output is packed already and taken as it is
+        spec, shape4, out_shape = _gemm_shapes(idx, node, kind, xb.shape)
+        rows = bitpack.conv_rows(xb.reshape(shape4), spec)
         wb = node.weight_bits.reshape((spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels))
-        y = bitpack.bin_conv2d(xb, wb, spec, rows).reshape(out_shape).astype(np.float64)
-        cache = (x.shape, rows)
+        y = bitpack.bin_conv2d(xb.reshape(shape4), wb, spec, rows).reshape(out_shape).astype(np.float64)
+        cache = (xb.shape, rows)
     elif kind == "binarize":
-        y = np.where(x >= 0, 1.0, -1.0)
+        y = bitpack.binarize(x)
         cache = x
     elif kind == "batchnorm":
         y, bn_cache = batchnorm_forward(
@@ -387,6 +387,14 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
     return y, (cache if want_cache else None)
 
 
+def as_float(a) -> np.ndarray:
+    """a as a float64 array, as every layer kind without weight bits reads
+    its inputs: a packed +-1 tensor is unpacked."""
+    if isinstance(a, BitTensor):
+        return a.unpack().astype(np.float64)
+    return np.asarray(a, dtype=np.float64)
+
+
 def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
             from_level: int | None = None, stop_level: int | None = None, collect=None):
     """Run the graph; returns (output, cache).
@@ -394,21 +402,28 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     In train mode the cache holds per-node inputs needed by backward, for
     nodes above from_level only.  from_level feeds x in as the output of
     that node (used to resume from stored latent activations).
+
+    A sign's output stays a packed BitTensor, which a binary GEMM reads as
+    it is and every other kind through as_float.  x may be one (the replay
+    batch at from_level), and the output is one when the node returned is a
+    sign.  Each activation is dropped after its last reader.
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
-    if isinstance(x, BitTensor):
-        x = x.unpack().astype(np.float64)
-    x = np.asarray(x, dtype=np.float64)
     if from_level is None and graph.input_qparams is not None:
-        x = _snap_activation(x, graph.input_qparams, config.q_f)
+        x = _snap_activation(as_float(x), graph.input_qparams, config.q_f)
     level = -1 if from_level is None else from_level
-    acts: dict[int, np.ndarray] = {level: x}
+    acts: dict[int, object] = {level: x}
+    last_reader = {i: idx for idx, node in enumerate(graph.nodes) for i in node.inputs}
     cache: dict[int, object] = {}
     want_cache = mode == "train"
     for idx in range(level + 1, len(graph.nodes)):
         node = graph.nodes[idx]
-        ins = [acts[i] for i in node.inputs]
+        packed = KINDS[node.kind].weight_bits
+        ins = [acts[i] if packed else as_float(acts[i]) for i in node.inputs]
+        for i in set(node.inputs):
+            if last_reader[i] == idx:
+                del acts[i]
         y, c = _forward_node(graph, idx, node, ins, config, want_cache)
         acts[idx] = y
         if want_cache and c is not None:
@@ -416,7 +431,7 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
         if collect is not None:
             collect[idx] = y
         if stop_level is not None and idx == stop_level:
-            return acts[stop_level], cache
+            return y, cache
     return acts[graph.output_id], cache
 
 
@@ -463,7 +478,7 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
             patches = (bitpack._unpack01(rows, k).astype(np.int8) * 2 - 1).astype(np.float64)
             pgrads["latent"] = (patches.T @ gmat).reshape(node.weight_bits.shape)
         if need_input_grad[0]:
-            wmat = node.weight_bits.unpack().astype(np.float64).reshape(-1, spec.out_channels)
+            wmat = as_float(node.weight_bits).reshape(-1, spec.out_channels)
             gins[0] = _col2im(gmat @ wmat.T, spec, n, h, wd).reshape(in_shape)
     elif kind == "binarize":
         if need_input_grad[0]:

@@ -148,9 +148,8 @@ def initialize_bn_stats(g: Graph, xs: np.ndarray) -> None:
     for node in g.nodes:
         if node.kind != "batchnorm":
             continue
-        x = np.asarray(xs, dtype=np.float64)  # the graph input, as forward reads it
-        if node.inputs[0] != -1:
-            x, _ = forward(g, xs, fcfg, mode="infer", stop_level=node.inputs[0])
+        src = node.inputs[0]
+        x = G.as_float(xs if src == -1 else forward(g, xs, fcfg, mode="infer", stop_level=src)[0])
         axes = tuple(range(x.ndim - 1))
         node.params["running_mean"] = G.f32_precision(x.mean(axis=axes))
         node.params["running_var"] = G.f32_precision(np.maximum(x.var(axis=axes), 1e-3))
@@ -208,11 +207,12 @@ def frozen_region_hash(g: Graph) -> str:
 
 
 def _latents_for(g: Graph, xs: np.ndarray, ys: np.ndarray, bw: BitwidthConfig) -> list[LatentSample]:
-    """Each row's replay-level output, +-1 by construction, as a 1-bit sample."""
+    """Each row's replay-level output as a 1-bit sample: forward returns a
+    sign's output as one packed BitTensor per chunk, split here by row."""
     out = []
     for i in range(0, len(xs), LATENT_BATCH):
         lat, _ = forward(g, xs[i : i + LATENT_BATCH], bw, mode="infer", stop_level=g.replay_level)
-        rows = bitpack.unstack(bitpack.binarize(lat))
+        rows = bitpack.unstack(lat)
         out += [LatentSample(activation=a, label=int(y)) for a, y in zip(rows, ys[i : i + LATENT_BATCH])]
     return out
 

@@ -191,14 +191,25 @@ def read_tensor(f):
 # dataset files
 
 
+MAX_CLASSES = 2**16 - 1  # a dataset header holds its class count as a u16
+
+
+def _check_finite(xs: np.ndarray) -> None:
+    """Dataset samples are finite: name the first that is not."""
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=tuple(range(1, xs.ndim))))
+    if len(bad):
+        raise FormatError(f"sample {bad[0]} holds a NaN or infinite value")
+
+
 def write_dataset(path, inputs: np.ndarray, labels: np.ndarray, class_count: int) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     if len(inputs) != len(labels):
         raise FormatError(f"{len(inputs)} inputs but {len(labels)} labels")
-    if not 0 <= class_count < 2**16:
+    if not 0 <= class_count <= MAX_CLASSES:
         raise FormatError(f"class count {class_count} does not fit the u16 header field")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= class_count:
         raise FormatError("labels outside [0, class_count)")
+    _check_finite(inputs)
     shape = inputs.shape[1:]
     with atomic_write(path) as f:
         f.write(_header(DATASET_MAGIC, f"IB{len(shape)}IH", len(inputs), len(shape), *shape, class_count))
@@ -225,6 +236,7 @@ def read_dataset(path):
             (ys[i],) = r.unpack("H")
         if ys.max(initial=0) >= class_count:
             raise FormatError(f"labels outside [0, {class_count})")
+        _check_finite(xs)
     return xs, ys, class_count
 
 

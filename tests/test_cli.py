@@ -59,8 +59,21 @@ class TestSynth:
         for name in ("train.brds", "test.brds"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_bad_shape_rejected(self, tmp_path):
-        assert main(["synth", "--out", str(tmp_path), "--shape", "6,6"]) == 1
+    def test_bad_shape_rejected(self, tmp_path, capsys):
+        # a zero extent failed inside numpy after the classes were drawn
+        for shape in ("6,6", "12,12,0", "0,12,1"):
+            assert main(["synth", "--out", str(tmp_path / "d"), "--shape", shape]) == 1
+            assert "--shape must be" in capsys.readouterr().err
+            assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("n", [1, 2**16])
+    def test_class_count_rejected(self, n, tmp_path, capsys):
+        # 2**16 classes do not fit the dataset header: the writer refused
+        # them only after the whole dataset was built
+        assert main(["synth", "--out", str(tmp_path / "d"), "--classes", str(n),
+                     "--samples-per-class", "3", "--shape", "1,1,1"]) == 1
+        assert "--classes must be" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_too_few_samples_per_class(self, n, tmp_path, capsys):
@@ -110,6 +123,18 @@ class TestTrain:
         cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out")
         assert main(["train", "--config", str(cfg), flag, value]) == 1
         assert f"config.{dotted} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_sample_rejected_before_any_run(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "test.brds").write_bytes((dataset_dir / "test.brds").read_bytes())
+        train = bytearray((dataset_dir / "train.brds").read_bytes())
+        train[24 + 19 : 24 + 23] = struct.pack("<f", np.nan)  # sample 0's first pixel
+        (data / "train.brds").write_bytes(bytes(train))
+        cfg = write_config(tmp_path / "cfg.json", data, tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "sample 0 holds a NaN" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_writes_tagged_outputs(self, dataset_dir, tmp_path):
@@ -368,7 +393,8 @@ class TestEval:
 
     @pytest.mark.parametrize("pos,value", [
         (29, b"\x01"), (24 + 7 + 12 + 4 * 64, struct.pack("<H", 999)),
-    ], ids=["sample-dtype-tag", "label-999"])
+        (24 + 7 + 12, struct.pack("<f", np.nan)), (24 + 7 + 12, struct.pack("<f", np.inf)),
+    ], ids=["sample-dtype-tag", "label-999", "sample-nan", "sample-inf"])
     def test_malformed_dataset(self, pos, value, trained_dir, dataset_dir, tmp_path):
         # after the 24-byte header: sample 0's record (magic, version, tag at
         # byte 29, rank, 8x8x1 shape, 64 floats), then its u16 label
@@ -528,6 +554,15 @@ class TestImportIdx:
         labels.flat[:1] = max_label
         self._write_idx(tmp_path / "labels.idx", labels, 0x0C)
         assert self._import(tmp_path) == 1
+        assert not (tmp_path / "o.brds").exists()
+
+    def test_non_finite_float_idx(self, tmp_path, capsys):
+        imgs = np.zeros((4, 6, 6), dtype=np.float32)
+        imgs[2, 3, 3] = np.nan
+        self._write_idx(tmp_path / "imgs.idx", imgs, 0x0D)
+        self._write_idx(tmp_path / "labels.idx", np.zeros(4, dtype=np.uint8), 0x08)
+        assert self._import(tmp_path) == 1
+        assert "holds a NaN" in capsys.readouterr().err
         assert not (tmp_path / "o.brds").exists()
 
     def test_not_idx(self, tmp_path):

@@ -1,11 +1,13 @@
 """Autograd engine: gradients vs finite differences and loop oracles,
 quantized-backward fidelity, SGD grid behavior, MAC accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from binreplay import bitpack
-from binreplay.bitpack import BinConvSpec, pack
+from binreplay.bitpack import BinConvSpec, BitTensor, pack
 from binreplay.graph import (
     BitwidthConfig,
     Graph,
@@ -28,6 +30,7 @@ from binreplay.quant import QuantError, calibrate_range, dequantize, qmatmul, qu
 from helpers import (
     FLOAT_CFG,
     check_layer_gradients,
+    make_layer_case,
     naive_binary_conv_grads,
     random_binary_conv_case,
 )
@@ -79,7 +82,7 @@ class TestSTE:
         g.add("binarize")
         x = np.array([[0.5, -0.5, 1.5, -2.0]])
         out, cache = forward(g, x, FLOAT_CFG, mode="train")
-        assert out.tolist() == [[1.0, -1.0, 1.0, -1.0]]
+        assert out == pack([[1, -1, 1, -1]])
         direction = np.ones((1, 4))
         _, agrads = backward(g, cache, direction, FLOAT_CFG, return_act_grads=True)
         assert agrads[-1].tolist() == [[1.0, 1.0, 0.0, 0.0]]
@@ -461,6 +464,82 @@ class TestForwardModes:
         a, _ = forward(g, x, cfg, mode="infer")
         b, _ = forward(g, x, cfg, mode="infer")
         assert a.tobytes() == b.tobytes()
+
+
+class TestPackedSigns:
+    """A sign's output stays a BitTensor inside forward; only float readers
+    unpack it."""
+
+    @pytest.mark.parametrize("cfg", [FLOAT_CFG, BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)],
+                             ids=["float", "8/16/4"])
+    def test_reference_model_resumes_from_packed_latents(self, cfg, rng):
+        g = build_reference_model(input_shape=(6, 6, 1), channels=4, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(5, 6, 6, 1))
+        initialize_bn_stats(g, xs)
+        calibrate_activations(g, xs, cfg.q_f)
+        full, _ = forward(g, xs, cfg, mode="infer")
+        lat, _ = forward(g, xs, cfg, mode="infer", stop_level=g.replay_level)
+        assert isinstance(lat, BitTensor) and lat.shape == (5, 6, 6, 4)
+        resumed, _ = forward(g, lat, cfg, mode="infer", from_level=g.replay_level)
+        assert resumed.tobytes() == full.tobytes()
+
+    def test_only_float_readers_unpack(self, rng, monkeypatch):
+        calls = []
+        unpack = BitTensor.unpack
+        monkeypatch.setattr(BitTensor, "unpack", lambda t: calls.append(t.shape) or unpack(t))
+        g = Graph((8,))
+        g.add("binarize")
+        g.add("binary_dense", trainable=True, params={"latent": rng.uniform(-1.0, 1.0, size=(8, 3))})
+        forward(g, rng.normal(size=(4, 8)), FLOAT_CFG, mode="train")
+        assert calls == []
+        ref = build_reference_model(input_shape=(6, 6, 1), channels=4, seed=0)
+        lat = bitpack.from01(rng.integers(0, 2, size=(5, 6, 6, 4)))
+        forward(ref, lat, FLOAT_CFG, mode="train", from_level=ref.replay_level)
+        assert calls == [(5, 6, 6, 4)]  # once, for residual_add
+
+    @pytest.mark.parametrize("kind", ["add", "concat", "prelu", "batchnorm", "global_avg_pool",
+                                      "dense", "conv2d"])
+    @pytest.mark.parametrize("cfg", [FLOAT_CFG, BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)],
+                             ids=["float", "8/16/4"])
+    def test_sign_feeds_float_kinds_as_the_float_signs(self, kind, cfg, rng):
+        g, x, direction = make_layer_case(kind, rng)
+        signed = Graph(g.input_shape)  # the same layers behind a sign node
+        signed.add("binarize")
+        for node in g.nodes:
+            signed.add(node.kind, inputs=[i + 1 for i in node.inputs], trainable=node.trainable,
+                       params=dict(node.params), **node.attrs)
+        want, want_cache = forward(g, np.where(x >= 0, 1.0, -1.0), cfg, mode="train")
+        got, got_cache = forward(signed, x, cfg, mode="train")
+        assert got.tobytes() == want.tobytes()
+        want_grads = backward(g, want_cache, direction, cfg)
+        got_grads = backward(signed, got_cache, direction, cfg)
+        assert sorted(got_grads) == [i + 1 for i in sorted(want_grads)]
+        for i, grads in want_grads.items():
+            for name, v in grads.items():
+                assert got_grads[i + 1][name].tobytes() == v.tobytes()
+
+    def test_node_may_read_one_input_twice(self):
+        g = Graph((3,))
+        sign = g.add("binarize")
+        twice = g.add("add", inputs=(sign, sign))
+        g.add("concat", inputs=(twice, twice))
+        out, _ = forward(g, np.array([[0.5, -1.0, 0.0]]), FLOAT_CFG, mode="infer")
+        assert out.tolist() == [[2.0, -2.0, 2.0, 2.0, -2.0, 2.0]]
+
+    def test_activations_are_dropped_after_their_last_reader(self, rng):
+        # at most 6 float activations live at once: forward used to hold
+        # all 13 of the reference model until it returned
+        g = build_reference_model(input_shape=(12, 12, 1), channels=16, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(64, 12, 12, 1))
+        cfg = BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)
+        forward(g, xs, cfg, mode="infer")
+        tracemalloc.start()
+        try:
+            forward(g, xs, cfg, mode="infer")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * xs.size * 16 * 8
 
 
 class TestActivationSnap:

@@ -117,19 +117,23 @@ class TestReferenceModel:
         g = build_reference_model(input_shape=(8, 8, 1), channels=8, seed=0)
         lat, _ = forward(g, trx[:4], BitwidthConfig.floating(), mode="infer",
                          stop_level=g.replay_level)
-        assert set(np.unique(lat)) <= {-1.0, 1.0}
+        assert isinstance(lat, bitpack.BitTensor) and lat.shape == (4, 8, 8, 8)
 
     def test_bn_stats_from_each_batchnorm_input(self, rng):
-        # the first batchnorm reads the graph input (node id -1)
+        # the first batchnorm reads the graph input (node id -1), the last a
+        # sign, which forward returns packed
         xs = rng.normal(size=(20, 4))
         g = Graph((4,))
-        for kind in ("batchnorm", "prelu", "batchnorm"):
-            g.add(kind, params={"alpha": np.full(4, 0.25)} if kind == "prelu" else {
-                "gamma": np.ones(4), "beta": np.zeros(4),
-                "running_mean": np.zeros(4), "running_var": np.ones(4)})
+        bn = {"gamma": np.ones(4), "beta": np.zeros(4),
+              "running_mean": np.zeros(4), "running_var": np.ones(4)}
+        for kind, params in (("batchnorm", dict(bn)), ("prelu", {"alpha": np.full(4, 0.25)}),
+                             ("batchnorm", dict(bn)), ("binarize", {}), ("batchnorm", dict(bn))):
+            g.add(kind, params=params)
         learner.initialize_bn_stats(g, xs)
         mid, _ = forward(g, xs, BitwidthConfig.floating(), mode="infer", stop_level=1)
-        for node, x in ((g.nodes[0], xs), (g.nodes[2], mid)):
+        bn2, _ = forward(g, xs, BitwidthConfig.floating(), mode="infer", stop_level=2)
+        sign = np.where(bn2 >= 0, 1.0, -1.0)
+        for node, x in ((g.nodes[0], xs), (g.nodes[2], mid), (g.nodes[4], sign)):
             assert node.params["running_mean"].tobytes() == f32_precision(x.mean(axis=0)).tobytes()
             want_var = f32_precision(np.maximum(x.var(axis=0), 1e-3))
             assert node.params["running_var"].tobytes() == want_var.tobytes()

@@ -248,6 +248,24 @@ class TestDatasetFormat:
             write_dataset(p, rng.normal(size=(n_inputs, 2, 2, 1)), labels, class_count)
         assert not p.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, value, tmp_path, rng):
+        xs = rng.normal(size=(3, 2, 2, 1))
+        p = tmp_path / "d.brds"
+        write_dataset(p, xs, [0, 1, 2], 3)
+        xs[1, 0, 1, 0] = value
+        with pytest.raises(FormatError, match="sample 1 holds"):
+            write_dataset(tmp_path / "w.brds", xs, [0, 1, 2], 3)
+        assert not (tmp_path / "w.brds").exists()
+        # after the 24-byte header, each sample is a record (a 19-byte header
+        # for rank 3, then 4 f32 values) and a u16 label: sample 1's second value
+        data = bytearray(p.read_bytes())
+        at = 24 + (19 + 16 + 2) + 19 + 4
+        data[at:at + 4] = struct.pack("<f", value)
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="sample 1 holds"):
+            read_dataset(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "d.brds"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
