@@ -55,6 +55,8 @@ class BitTensor:
         expected = -(-n // WORD_BITS)
         if self.words.shape[0] != expected:
             raise BitShapeError(f"{expected} words expected for {n} bits, got {self.words.shape[0]}")
+        if n % WORD_BITS and self.words[-1] >> np.uint64(n % WORD_BITS):
+            raise BitShapeError(f"pad bits past the last of {n} bits are set")
 
     @property
     def size(self) -> int:
@@ -210,6 +212,20 @@ def patches(x: np.ndarray, spec: BinConvSpec) -> np.ndarray:
     return cols.reshape(n * oh * ow, spec.kernel_h * spec.kernel_w * c)
 
 
+def col2im(cols: np.ndarray, spec: BinConvSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """The adjoint of patches: each row of cols added back onto the window
+    it was taken from, in an NHWC array of shape; padded positions drop."""
+    n, h, w, c = shape
+    oh, ow = spec.out_hw(h, w)
+    p, s = spec.padding, spec.stride
+    cols6 = cols.reshape(n, oh, ow, spec.kernel_h, spec.kernel_w, c)
+    out = np.zeros((n, h + 2 * p, w + 2 * p, c))
+    for i in range(spec.kernel_h):
+        for j in range(spec.kernel_w):
+            out[:, i : i + oh * s : s, j : j + ow * s : s, :] += cols6[:, :, :, i, j, :]
+    return out[:, p : p + h, p : p + w, :]
+
+
 def conv_rows(x: BitTensor, spec: BinConvSpec) -> np.ndarray:
     """Packed im2col of an NHWC BitTensor: (N*OH*OW, W) uint64 words.
 
@@ -218,6 +234,13 @@ def conv_rows(x: BitTensor, spec: BinConvSpec) -> np.ndarray:
     i.e. -1.
     """
     return _pack01(patches(x.unpack01(), spec))
+
+
+def rows_pm1(rows: np.ndarray, spec: BinConvSpec) -> np.ndarray:
+    """conv_rows words as the float64 +-1 patch matrix: padded positions,
+    0 bits there, are -1 here as in the kernel."""
+    k = spec.kernel_h * spec.kernel_w * spec.in_channels
+    return (_unpack01(rows, k).astype(np.int8) * 2 - 1).astype(np.float64)
 
 
 def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray | None = None) -> np.ndarray:

@@ -133,6 +133,9 @@ def load_run_config(path: str) -> dict:
             raise ConfigError(f"sweep key {key!r} does not name a config field")
         for v in values:
             _check_values({**cfg, key: v}, f"sweep {key}={v!r}: config")
+        # checked values that differ print differently: each run's outputs get their own tag
+        if not values or len(set(values)) < len(values):
+            raise ConfigError(f"sweep {key} must list one or more values, no two equal, got {values!r}")
         cfg["sweep"] = sweep
     return cfg
 

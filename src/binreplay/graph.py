@@ -236,22 +236,6 @@ def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bi
 
 
 # ---------------------------------------------------------------------------
-# col2im, the adjoint of bitpack.patches
-
-
-def _col2im(gcols: np.ndarray, spec: BinConvSpec, n: int, h: int, w: int) -> np.ndarray:
-    oh, ow = spec.out_hw(h, w)
-    p, s = spec.padding, spec.stride
-    c = spec.in_channels
-    g6 = gcols.reshape(n, oh, ow, spec.kernel_h, spec.kernel_w, c)
-    out = np.zeros((n, h + 2 * p, w + 2 * p, c))
-    for i in range(spec.kernel_h):
-        for j in range(spec.kernel_w):
-            out[:, i : i + oh * s : s, j : j + ow * s : s, :] += g6[:, :, :, i, j, :]
-    return out[:, p : p + h, p : p + w, :]
-
-
-# ---------------------------------------------------------------------------
 # standalone ops
 
 
@@ -328,25 +312,23 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
     x = ins[0] if ins else None
     cache = None
 
-    if kind in ("dense", "conv2d"):
+    if kind in GEMM_KINDS:
         spec, shape4, out_shape = _gemm_shapes(idx, node, kind, x.shape)
-        w, b = node.params["w"], node.params["b"]
-        patches = bitpack.patches(x.reshape(shape4), spec)
-        wmat = w.reshape(-1, spec.out_channels)
-        if bits is None:
-            y = patches @ wmat
+        if KINDS[kind].weight_bits:  # the patch operand: packed rows, or the float im2col
+            x4 = bitpack.binarize(x).reshape(shape4)  # a sign's output is packed already
+            operand = bitpack.conv_rows(x4, spec)
+            wb = node.weight_bits.reshape((spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels))
+            y = bitpack.bin_conv2d(x4, wb, spec, operand).astype(np.float64)
         else:
-            in_p = _node_in_qparams(graph, node, x, bits)
-            y = _quantized_gemm(patches, in_p, wmat, bits)
-        y = y.reshape(out_shape) + b
-        cache = x
-    elif kind in BINARY_KINDS:
-        xb = bitpack.binarize(x)  # a sign's output is packed already and taken as it is
-        spec, shape4, out_shape = _gemm_shapes(idx, node, kind, xb.shape)
-        rows = bitpack.conv_rows(xb.reshape(shape4), spec)
-        wb = node.weight_bits.reshape((spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels))
-        y = bitpack.bin_conv2d(xb.reshape(shape4), wb, spec, rows).reshape(out_shape).astype(np.float64)
-        cache = (xb.shape, rows)
+            operand = bitpack.patches(x.reshape(shape4), spec)
+            wmat = node.params["w"].reshape(-1, spec.out_channels)
+            if bits is None:
+                y = operand @ wmat
+            else:
+                y = _quantized_gemm(operand, _node_in_qparams(graph, node, x, bits), wmat, bits)
+            y = y + node.params["b"]
+        y = y.reshape(out_shape)
+        cache = (x.shape, operand)
     elif kind == "binarize":
         y = bitpack.binarize(x)
         cache = x
@@ -455,31 +437,20 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
     pgrads = {}
     gins = [None] * len(node.inputs)
 
-    if kind in ("dense", "conv2d"):
-        x = cache_entry
-        spec, shape4, _ = _gemm_shapes(idx, node, kind, x.shape)
-        n, h, wd, _ = shape4
+    if kind in GEMM_KINDS:
+        binary = KINDS[kind].weight_bits
+        in_shape, operand = cache_entry
+        spec, shape4, _ = _gemm_shapes(idx, node, kind, in_shape)
         gmat = g.reshape(-1, spec.out_channels)
-        if node.trainable:
-            patches = bitpack.patches(x.reshape(shape4), spec)
-            pgrads["w"] = (patches.T @ gmat).reshape(node.params["w"].shape)
-            pgrads["b"] = gmat.sum(axis=0)
+        w = node.weight_bits if binary else node.params["w"]
+        if node.trainable and not (binary and config.q_b_bin == 1):  # 1 bit freezes weight bits
+            cols = bitpack.rows_pm1(operand, spec) if binary else operand
+            pgrads["latent" if binary else "w"] = (cols.T @ gmat).reshape(w.shape)
+            if not binary:
+                pgrads["b"] = gmat.sum(axis=0)
         if need_input_grad[0]:
-            wmat = node.params["w"].reshape(-1, spec.out_channels)
-            gins[0] = _col2im(gmat @ wmat.T, spec, n, h, wd).reshape(x.shape)
-    elif kind in BINARY_KINDS:
-        in_shape, rows = cache_entry
-        spec, (n, h, wd, _), _ = _gemm_shapes(idx, node, kind, in_shape)
-        gmat = g.reshape(-1, spec.out_channels)
-        if node.trainable and config.q_b_bin != 1:
-            # the forward's packed patch rows as +-1; padded positions are
-            # 0 bits there, so they contribute -1 here as in the kernel
-            k = spec.kernel_h * spec.kernel_w * spec.in_channels
-            patches = (bitpack._unpack01(rows, k).astype(np.int8) * 2 - 1).astype(np.float64)
-            pgrads["latent"] = (patches.T @ gmat).reshape(node.weight_bits.shape)
-        if need_input_grad[0]:
-            wmat = as_float(node.weight_bits).reshape(-1, spec.out_channels)
-            gins[0] = _col2im(gmat @ wmat.T, spec, n, h, wd).reshape(in_shape)
+            wmat = as_float(w).reshape(-1, spec.out_channels)
+            gins[0] = bitpack.col2im(gmat @ wmat.T, spec, shape4).reshape(in_shape)
     elif kind == "binarize":
         if need_input_grad[0]:
             gins[0] = ste_backward(g, cache_entry, node.attrs.get("clip", 1.0))

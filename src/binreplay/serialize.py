@@ -155,8 +155,6 @@ def _read_record(r: _Reader):
         if n != count:
             raise FormatError("bitpacked logical length disagrees with shape")
         words = np.frombuffer(r.take(8 * -(-n // 64), what), dtype="<u8").astype(np.uint64)
-        if n % 64 and words[-1] >> np.uint64(n % 64):
-            raise FormatError(f"{what} sets pad bits past its last bit")
         return BitTensor(shape=shape, words=words)
     if tag in (DTYPE_I8, DTYPE_I16, DTYPE_I32):
         scale, zp, bits, signed = r.unpack("diBB")

@@ -12,10 +12,13 @@ from binreplay.bitpack import (
     bin_conv2d,
     bin_matmul,
     binarize,
+    col2im,
+    conv_rows,
     from01,
     pack,
     patches,
     popcount,
+    rows_pm1,
     stack,
     unstack,
     unpack,
@@ -46,10 +49,15 @@ class TestPackUnpack:
         # equality must be structural: same logical bits => same words
         a = rng.choice([-1, 1], size=70).astype(np.int8)
         t1 = pack(a)
-        words = t1.words.copy()
-        words[-1] |= np.uint64(1) << np.uint64(63)  # poke a pad bit
         assert int(t1.words[-1] >> np.uint64(6)) == 0
         assert pack(a) == t1
+        words = t1.words.copy()
+        words[-1] |= np.uint64(1) << np.uint64(63)  # poke a pad bit
+        with pytest.raises(BitShapeError, match="pad bits"):
+            BitTensor(t1.shape, words)
+        with pytest.raises(BitShapeError, match="pad bits"):  # it would count in xnor_dot
+            BitTensor((3,), [0b1000])
+        assert BitTensor((64,), [1 << 63]).unpack()[-1] == 1  # a full word has no pad bits
 
     def test_word_count_validation(self):
         with pytest.raises(BitShapeError):
@@ -186,6 +194,29 @@ class TestBinConv2d:
                          for b in range(2) for i in range(2) for j in range(3)])
         assert cols.dtype == dtype
         assert np.array_equal(cols, want)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("channels", [1, 3, 5])
+    def test_col2im_is_the_adjoint_of_patches(self, stride, padding, channels, rng):
+        # <patches(x), G> == <x, col2im(G)> for every x and G
+        x = rng.normal(size=(2, 5, 6, channels))
+        spec = BinConvSpec(3, 2, stride, padding, channels, 1)
+        cols = patches(x, spec)
+        g = rng.normal(size=cols.shape)
+        back = col2im(g, spec, x.shape)
+        assert back.shape == x.shape
+        np.testing.assert_allclose(np.sum(cols * g), np.sum(x * back), rtol=1e-12)
+
+    @pytest.mark.parametrize("channels,padding", [(3, 1), (5, 0), (8, 1)])
+    def test_rows_pm1_are_the_pm1_patches(self, channels, padding, rng):
+        # K = 27, 45, 72: no multiple of 64, so each packed row ends in pad bits
+        x = from01(rng.integers(0, 2, size=(2, 5, 4, channels)))
+        spec = BinConvSpec(3, 3, 1, padding, channels, 2)
+        got = rows_pm1(conv_rows(x, spec), spec)
+        want = 2.0 * patches(x.unpack01(), spec) - 1
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
 
     def test_kernel_too_large(self):
         spec = BinConvSpec(9, 9, 1, 0, 1, 1)

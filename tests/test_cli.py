@@ -210,7 +210,11 @@ class TestTrain:
         {"protocol": [{"epochs": 1}]},
         {"protocol.epochs": [1], "model.channels": [4]},
         {"model.depth": [1]},
-    ], ids=["value-type", "value-range", "not-a-list", "object-key", "two-axes", "unknown-key"])
+        {"bitwidth.q_b_bin": []},
+        {"protocol.lr": [0.3, 0.3]},
+        {"protocol.lr": [1, 1.0]},
+    ], ids=["value-type", "value-range", "not-a-list", "object-key", "two-axes", "unknown-key",
+            "empty", "value-twice", "equal-values"])
     def test_bad_sweep_rejected_before_any_run(self, sweep, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out", sweep=sweep)
         assert main(["train", "--config", str(cfg)]) == 1

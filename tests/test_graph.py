@@ -140,6 +140,39 @@ class TestBinaryLayerGradients:
         sgd_step(g, {0: {"latent": np.ones_like(latent)}}, 0.1, cfg)
         assert g.nodes[0].weight_bits == before
 
+    def test_layer_holding_only_weight_bits_backpropagates(self, rng):
+        # a trainable binary layer given its weight bits and no latent: its
+        # latent gradient is shaped like the bits, and sgd_step leaves them
+        cfg = BitwidthConfig(q_f=None, q_b_nonbin=None, q_b_bin=4)
+        wb = pack(rng.choice([-1, 1], size=(5, 3)))
+        g = Graph((5,))
+        nid = g.add("binary_dense", trainable=True, weight_bits=wb)
+        x = rng.choice([-1.0, 1.0], size=(4, 5))
+        out, cache = forward(g, x, cfg, mode="train")
+        direction = rng.normal(size=out.shape)
+        pgrads, agrads = backward(g, cache, direction, cfg, return_act_grads=True)
+        w_pm = wb.unpack().astype(np.float64)
+        np.testing.assert_allclose(pgrads[nid]["latent"], fake_quant(x.T @ direction, 4), atol=1e-12)
+        np.testing.assert_allclose(agrads[-1], fake_quant(direction @ w_pm.T, 4), atol=1e-12)
+        sgd_step(g, pgrads, 0.1, cfg)
+        assert g.nodes[nid].weight_bits == wb and g.nodes[nid].params == {}
+
+
+class TestGemmOperand:
+    @pytest.mark.parametrize("kind", ["conv2d", "dense"])
+    @pytest.mark.parametrize("cfg", [FLOAT_CFG, BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)],
+                             ids=["float", "8/16/4"])
+    def test_float_gemm_builds_its_im2col_once(self, kind, cfg, rng, monkeypatch):
+        # backward reads the patch operand forward cached
+        g, x, direction = make_layer_case(kind, rng)
+        calls = []
+        patches = bitpack.patches
+        monkeypatch.setattr(bitpack, "patches", lambda x, spec: calls.append(x.shape) or patches(x, spec))
+        _, cache = forward(g, x, cfg, mode="train")
+        pgrads, agrads = backward(g, cache, direction, cfg, return_act_grads=True)
+        assert sorted(pgrads[0]) == ["b", "w"] and agrads[-1].shape == x.shape
+        assert len(calls) == 1
+
 
 class TestFakeQuant:
     def test_float_passthrough(self, rng):

@@ -20,15 +20,17 @@ import subprocess
 import sys
 import tempfile
 
-# name -> (q_f, q_b_nonbin, q_b_bin, head_only)
+# name -> (q_f, q_b_nonbin, q_b_bin, head_only, model channels); with 5
+# channels the 720-bit latents and 45-bit patch rows end in pad bits
 CONFIGS = {
-    "8/16/4": ("8", "16", "4", False),
-    "16/8/1": ("16", "8", "1", False),
-    "float": ("float", "float", "float", False),
-    "8/8/8": ("8", "8", "8", False),
-    "32/32/32": ("32", "32", "32", False),
-    "8/16/16": ("8", "16", "16", False),
-    "head-only": ("8", "16", "4", True),
+    "8/16/4": ("8", "16", "4", False, 32),
+    "16/8/1": ("16", "8", "1", False, 32),
+    "float": ("float", "float", "float", False, 32),
+    "8/8/8": ("8", "8", "8", False, 32),
+    "32/32/32": ("32", "32", "32", False, 32),
+    "8/16/16": ("8", "16", "16", False, 32),
+    "head-only": ("8", "16", "4", True, 32),
+    "channels-5": ("8", "16", "4", False, 5),
 }
 SYNTH = ["--classes", "10", "--samples-per-class", "100", "--shape", "12,12,1", "--seed", "7"]
 OUTPUTS = ("train.brds", "test.brds", "metrics.csv", "checkpoint.brck", "replay.brrm", "eval")
@@ -53,13 +55,13 @@ def _run(src: str, work: str, name: str) -> dict[str, str]:
     data = os.path.join(work, "data")
     if not os.path.isdir(data):
         _binreplay(src, "synth", "--out", data, *SYNTH)
-    q_f, q_b_nonbin, q_b_bin, head_only = CONFIGS[name]
+    q_f, q_b_nonbin, q_b_bin, head_only, channels = CONFIGS[name]
     out = os.path.join(work, name.replace("/", "-"))
     config = os.path.join(work, "run.json")
     with open(config, "w") as f:
         json.dump({
             "dataset": data, "output_dir": out,
-            "model": {"preset": "reference", "channels": 32},
+            "model": {"preset": "reference", "channels": channels},
             "bitwidth": {"q_f": q_f, "q_b_nonbin": q_b_nonbin, "q_b_bin": q_b_bin},
             "replay": {"quota": 80, "b_n": 16, "b_r": 64},
             "protocol": {"num_experiences": 5, "epochs": 1, "lr": 0.3, "seed": 1,
