@@ -217,12 +217,14 @@ def run_training(cfg: dict, tag: str = "") -> str:
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     suffix = f"_{tag}" if tag else ""
-    metrics_path = os.path.join(out, f"metrics{suffix}.csv")
-    _write_text_atomic(metrics_path, log.to_csv())
-    _write_text_atomic(os.path.join(out, f"timings{suffix}.csv"), log.timings_csv())
+    # state first: a run whose weights the checkpoint refuses (NaN or inf)
+    # leaves no metrics for report to read
     serialize.write_checkpoint(os.path.join(out, f"checkpoint{suffix}.brck"),
                                g, ccfg.bitwidth, head)
     serialize.write_replay_memory(os.path.join(out, f"replay{suffix}.brrm"), mem)
+    metrics_path = os.path.join(out, f"metrics{suffix}.csv")
+    _write_text_atomic(metrics_path, log.to_csv())
+    _write_text_atomic(os.path.join(out, f"timings{suffix}.csv"), log.timings_csv())
     print(f"[{tag or 'run'}] final accuracy {log.final_accuracy:.4f} -> {metrics_path}")
     return metrics_path
 

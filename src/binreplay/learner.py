@@ -217,6 +217,28 @@ def _latents_for(g: Graph, xs: np.ndarray, ys: np.ndarray, bw: BitwidthConfig) -
     return out
 
 
+def _minibatches(n: int, size: int, epochs: int, rng: np.random.Generator):
+    """Row indices of each minibatch: one fresh permutation of n rows per
+    pass, drawn when the pass starts."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for i in range(0, n, size):
+            yield order[i : i + size]
+
+
+def _train_step(g: Graph, head: cwr.CWRHead, xs, labels, lr: float, bw: BitwidthConfig,
+                from_level: int | None = None, train_graph: bool = True) -> float:
+    """One SGD step of the head and, if train_graph, of the trainable layers
+    above from_level; returns the batch loss."""
+    feats, cache = forward(g, xs, bw, mode="train" if train_graph else "infer", from_level=from_level)
+    logits = cwr.train_logits(head, feats)
+    loss, g_logits = softmax_ce(logits, np.eye(head.max_classes)[labels])
+    g_feat = cwr.apply_head_gradient(head, feats, g_logits, lr)
+    if train_graph:
+        sgd_step(g, backward(g, cache, g_feat, bw, from_level=from_level), lr, bw)
+    return loss
+
+
 def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
                               cfg: ContinualConfig, rng: np.random.Generator):
     """Full-graph float training on experience 0, then on-device setup:
@@ -231,19 +253,8 @@ def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
 
     cwr.begin_experience(head, exp0.classes_introduced)
     cwr.record_training(head, exp0.labels)
-    onehot_all = np.eye(head.max_classes)
-    losses = []
-    for _ in range(cfg.pretrain_epochs):
-        order = rng.permutation(len(exp0.inputs))
-        for i in range(0, len(order), PRETRAIN_BATCH):
-            idx = order[i : i + PRETRAIN_BATCH]
-            feats, cache = forward(g, exp0.inputs[idx], fcfg, mode="train")
-            logits = cwr.train_logits(head, feats)
-            loss, g_logits = softmax_ce(logits, onehot_all[exp0.labels[idx]])
-            losses.append(loss)
-            g_feat = cwr.apply_head_gradient(head, feats, g_logits, cfg.pretrain_learning_rate)
-            pgrads = backward(g, cache, g_feat, fcfg)
-            sgd_step(g, pgrads, cfg.pretrain_learning_rate, fcfg)
+    losses = [_train_step(g, head, exp0.inputs[idx], exp0.labels[idx], cfg.pretrain_learning_rate, fcfg)
+              for idx in _minibatches(len(exp0.inputs), PRETRAIN_BATCH, cfg.pretrain_epochs, rng)]
     cwr.consolidate(head)
 
     calibrate_activations(g, stats_x, cfg.bitwidth.q_f)
@@ -255,17 +266,14 @@ def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
 
 
 def _replay_draw_size(n_new: int, cfg: ContinualConfig) -> int:
-    if n_new == cfg.b_n:
-        return cfg.b_r
-    # partial final batch: keep the B_N:B_R ratio, rounding down
-    return (n_new * cfg.b_r) // cfg.b_n
+    """Replayed latents joined to n_new new ones: B_R for a full batch, and
+    the B_N:B_R ratio, rounded down, for a partial final one."""
+    return n_new * cfg.b_r // cfg.b_n
 
 
 def run_experience(g: Graph, head: cwr.CWRHead, mem: ReplayMemory, exp: Experience,
                    cfg: ContinualConfig, rng: np.random.Generator) -> float:
     """One on-device experience; returns the mean training loss."""
-    bw = cfg.bitwidth
-    lvl = g.replay_level
     classes_present = set(int(c) for c in exp.classes_introduced)
     if cfg.b_r > 0:
         classes_present |= set(mem.classes)
@@ -276,46 +284,41 @@ def run_experience(g: Graph, head: cwr.CWRHead, mem: ReplayMemory, exp: Experien
         # memory contents interleaved into every epoch
         cwr.record_training(head, [s.label for c in mem.classes for s in mem.per_class[c]])
 
-    new = _latents_for(g, exp.inputs, exp.labels, bw)
-    onehot_all = np.eye(head.max_classes)
+    new = _latents_for(g, exp.inputs, exp.labels, cfg.bitwidth)
     losses = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(exp.inputs))
-        for i in range(0, len(order), cfg.b_n):
-            idx = order[i : i + cfg.b_n]
-            batch = [new[j] for j in idx]
-            if cfg.b_r > 0 and mem.total > 0:
-                k = _replay_draw_size(len(idx), cfg)
-                if k > 0:
-                    batch += replay.sample_minibatch(mem, k, rng)
-            xs = bitpack.stack([s.activation for s in batch])
-            mode = "train" if cfg.train_graph_layers else "infer"
-            feats, cache = forward(g, xs, bw, mode=mode, from_level=lvl)
-            logits = cwr.train_logits(head, feats)
-            loss, g_logits = softmax_ce(logits, onehot_all[[s.label for s in batch]])
-            losses.append(loss)
-            g_feat = cwr.apply_head_gradient(head, feats, g_logits, cfg.learning_rate)
-            if cfg.train_graph_layers:
-                pgrads = backward(g, cache, g_feat, bw, from_level=lvl)
-                sgd_step(g, pgrads, cfg.learning_rate, bw)
+    for idx in _minibatches(len(new), cfg.b_n, cfg.epochs, rng):
+        batch = [new[j] for j in idx]
+        if cfg.b_r > 0 and mem.total > 0:
+            k = _replay_draw_size(len(idx), cfg)
+            if k > 0:
+                batch += replay.sample_minibatch(mem, k, rng)
+        losses.append(_train_step(g, head, bitpack.stack([s.activation for s in batch]),
+                                  [s.label for s in batch], cfg.learning_rate, cfg.bitwidth,
+                                  from_level=g.replay_level, train_graph=cfg.train_graph_layers))
     cwr.consolidate(head)
 
     replay.update_after_experience(mem, new, rng)
     return float(np.mean(losses))
 
 
-def _predict(g: Graph, head: cwr.CWRHead, xs: np.ndarray, bw: BitwidthConfig) -> np.ndarray:
-    """Top-1 class per row with consolidated weights; argmax breaks ties low."""
+def _predict(g: Graph, head: cwr.CWRHead, xs, bw: BitwidthConfig) -> np.ndarray:
+    """Top-1 class per row with consolidated weights; argmax breaks ties low.
+    xs holds input rows, or LatentSamples that resume at the replay level."""
     pred = np.empty(len(xs), dtype=np.int64)
     for i in range(0, len(xs), EVAL_BATCH):
-        feats, _ = forward(g, xs[i : i + EVAL_BATCH], bw, mode="infer")
+        chunk = xs[i : i + EVAL_BATCH]
+        if isinstance(xs, np.ndarray):
+            feats, _ = forward(g, chunk, bw, mode="infer")
+        else:
+            feats, _ = forward(g, bitpack.stack([s.activation for s in chunk]), bw, mode="infer",
+                               from_level=g.replay_level)
         pred[i : i + EVAL_BATCH] = np.argmax(cwr.predict(head, feats), axis=1)
     return pred
 
 
-def evaluate(g: Graph, head: cwr.CWRHead, xs: np.ndarray, ys: np.ndarray,
-             bw: BitwidthConfig) -> float:
-    """Top-1 accuracy with consolidated weights."""
+def evaluate(g: Graph, head: cwr.CWRHead, xs, ys: np.ndarray, bw: BitwidthConfig) -> float:
+    """Top-1 accuracy with consolidated weights, on input rows or on their
+    replay-level latents."""
     return int(np.sum(_predict(g, head, xs, bw) == ys)) / len(xs)
 
 
@@ -352,32 +355,26 @@ def build_nc_experiences(train_x, train_y, num_experiences: int, seed: int) -> l
 
 
 def run_protocol(cfg: ContinualConfig, train_x, train_y, test_x, test_y,
-                 num_classes: int, g: Graph | None = None) -> tuple[MetricsLog, Graph, cwr.CWRHead, ReplayMemory]:
+                 num_classes: int) -> tuple[MetricsLog, Graph, cwr.CWRHead, ReplayMemory]:
+    """The NC stream, one metrics row per experience.  The frozen region never
+    changes after experience 0's freeze, so the test rows cross it once and
+    every evaluation resumes from their replay-level latents."""
     rng = np.random.default_rng(cfg.seed)
-    if g is None:
-        g = build_reference_model(train_x.shape[1:], channels=cfg.channels, seed=cfg.seed)
-    shapes = G.infer_shapes(g)
-    head = cwr.init(shapes[g.output_id][0], num_classes)
-    exps = build_nc_experiences(train_x, train_y, cfg.num_experiences, cfg.seed)
-
+    g = build_reference_model(train_x.shape[1:], channels=cfg.channels, seed=cfg.seed)
+    head = cwr.init(G.infer_shapes(g)[g.output_id][0], num_classes)
     log = MetricsLog()
-    t0 = time.perf_counter()
-    mem, loss0 = pretrain_first_experience(g, head, exps[0], cfg, rng)
-    acc = evaluate(g, head, test_x, test_y, cfg.bitwidth)
-    fwd = mac_count(g, "forward", above_level=g.replay_level)
-    bwd = mac_count(g, "backward", above_level=g.replay_level)
-    log.add(experience=0, test_accuracy=acc, mean_train_loss=loss0,
-            fwd_macs=fwd, bwd_macs=bwd,
-            replay_bits=replay.memory_footprint_bits(mem).payload_bits,
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0)
-    log.frozen_hash_before = frozen_region_hash(g)
-
-    for exp in exps[1:]:
+    for exp in build_nc_experiences(train_x, train_y, cfg.num_experiences, cfg.seed):
         t0 = time.perf_counter()
-        loss = run_experience(g, head, mem, exp, cfg, rng)
-        acc = evaluate(g, head, test_x, test_y, cfg.bitwidth)
-        log.add(experience=exp.index, test_accuracy=acc, mean_train_loss=loss,
-                fwd_macs=fwd, bwd_macs=bwd,
+        if exp.index == 0:
+            mem, loss = pretrain_first_experience(g, head, exp, cfg, rng)
+            log.frozen_hash_before = frozen_region_hash(g)
+            test_latents = _latents_for(g, test_x, test_y, cfg.bitwidth)
+        else:
+            loss = run_experience(g, head, mem, exp, cfg, rng)
+        log.add(experience=exp.index, mean_train_loss=loss,
+                test_accuracy=evaluate(g, head, test_latents, test_y, cfg.bitwidth),
+                fwd_macs=mac_count(g, "forward", above_level=g.replay_level),
+                bwd_macs=mac_count(g, "backward", above_level=g.replay_level),
                 replay_bits=replay.memory_footprint_bits(mem).payload_bits,
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0)
     log.frozen_hash_after = frozen_region_hash(g)

@@ -167,16 +167,26 @@ def _read_record(r: _Reader):
     raise FormatError(f"unknown dtype tag {tag}")
 
 
+def _check_finite(x: np.ndarray, what: str) -> None:
+    """Samples, parameters and head weights are finite: name the record
+    that is not."""
+    if not np.isfinite(x).all():
+        raise FormatError(f"{what} holds a NaN or infinite value")
+
+
 _KIND_NAMES = {np.ndarray: "float", BitTensor: "bitpacked"}
 
 
 def _read_as(r: _Reader, kind: type, what: str, shape: tuple | None = None):
-    """A tensor record that must decode to kind (np.ndarray for a float
-    record, BitTensor for a bitpacked one), and have shape if one is given."""
+    """A tensor record that must decode to kind (np.ndarray for a finite
+    float record, BitTensor for a bitpacked one), and have shape if one is
+    given."""
     t = _read_record(r)
     if not isinstance(t, kind) or shape is not None and t.shape != shape:
         raise FormatError(f"{what} is not a {_KIND_NAMES[kind]} tensor"
                           + ("" if shape is None else f" of shape {shape}"))
+    if kind is np.ndarray:
+        _check_finite(t, what)
     return t
 
 
@@ -192,13 +202,6 @@ def read_tensor(f):
 MAX_CLASSES = 2**16 - 1  # a dataset header holds its class count as a u16
 
 
-def _check_finite(xs: np.ndarray) -> None:
-    """Dataset samples are finite: name the first that is not."""
-    bad = np.flatnonzero(~np.isfinite(xs).all(axis=tuple(range(1, xs.ndim))))
-    if len(bad):
-        raise FormatError(f"sample {bad[0]} holds a NaN or infinite value")
-
-
 def write_dataset(path, inputs: np.ndarray, labels: np.ndarray, class_count: int) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     if len(inputs) != len(labels):
@@ -207,7 +210,8 @@ def write_dataset(path, inputs: np.ndarray, labels: np.ndarray, class_count: int
         raise FormatError(f"class count {class_count} does not fit the u16 header field")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= class_count:
         raise FormatError("labels outside [0, class_count)")
-    _check_finite(inputs)
+    for i, x in enumerate(inputs):
+        _check_finite(x, f"sample {i}")
     shape = inputs.shape[1:]
     with atomic_write(path) as f:
         f.write(_header(DATASET_MAGIC, f"IB{len(shape)}IH", len(inputs), len(shape), *shape, class_count))
@@ -234,7 +238,6 @@ def read_dataset(path):
             (ys[i],) = r.unpack("H")
         if ys.max(initial=0) >= class_count:
             raise FormatError(f"labels outside [0, {class_count})")
-        _check_finite(xs)
     return xs, ys, class_count
 
 
@@ -283,7 +286,8 @@ def _int(v) -> bool:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json reads NaN and Infinity as floats; an int is finite at any size
+    return _int(v) or isinstance(v, float) and math.isfinite(v)
 
 
 def _bool(v) -> bool:
@@ -387,11 +391,13 @@ def write_checkpoint(path, graph: Graph, bitwidth: BitwidthConfig, head) -> None
     blob = json.dumps(desc, sort_keys=True).encode()
     with atomic_write(path) as f:
         f.write(_header(CHECKPOINT_MAGIC, "I", len(blob)) + blob)
-        for node in graph.nodes:
+        for i, node in enumerate(graph.nodes):
             for pname in sorted(node.params):
+                _check_finite(node.params[pname], f"node {i} param {pname}")
                 write_tensor(f, node.params[pname])
             if node.weight_bits is not None:
                 write_tensor(f, node.weight_bits)
+        _check_finite(head.cw, "head cw")
         write_tensor(f, head.cw)
 
 

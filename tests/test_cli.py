@@ -137,6 +137,18 @@ class TestTrain:
         assert "sample 0 holds a NaN" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bitwidth", [{}, dict.fromkeys(("q_f", "q_b_nonbin", "q_b_bin"), "float")],
+                             ids=["8-16-4", "float"])
+    def test_diverged_run_writes_no_state_and_no_metrics(self, bitwidth, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, out, bitwidth=bitwidth,
+                           protocol={"num_experiences": 2, "epochs": 1, "pretrain_epochs": 2,
+                                     "seed": 0, "lr": 1e300})
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg)]) == 1
+        assert "holds a NaN or infinite value" in capsys.readouterr().err
+        assert not any(out.glob("*.*"))
+
     def test_sweep_writes_tagged_outputs(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out")
         raw = json.loads(cfg.read_text())
@@ -336,6 +348,10 @@ class TestEval:
         lambda d: d["nodes"][8]["attrs"]["spec"].update(kernel_h=1, kernel_w=1, padding=0),
         # gamma and beta have one shape: read in this order, they would swap
         lambda d: d["nodes"][3].update(param_names=["gamma", "beta", "running_mean", "running_var"]),
+        # json reads NaN and Infinity as numbers
+        lambda d: d["nodes"][3]["attrs"].update(eps=float("nan")),
+        lambda d: d["nodes"][9]["param_scales"].update(gamma=float("inf")),
+        lambda d: d["nodes"][9]["param_scales"].update(beta=-float("inf")),
     ], ids=["qparams-extra", "qparams-missing", "spec-extra", "spec-missing",
             "bitwidth-extra", "bitwidth-missing", "head-extra", "head-missing-key",
             "head-missing", "node-missing-key", "qparams-type", "spec-type",
@@ -350,7 +366,7 @@ class TestEval:
             "bitwidth-range", "qparams-range", "head-feature-dim-range", "input-shape-empty",
             "input-shape-zero", "add-one-input", "node-no-input", "binarize-two-inputs",
             "output-not-features", "spec-kernel-h-2", "spec-in-channels-16", "spec-1x1-unpadded",
-            "batchnorm-params-out-of-order"])
+            "batchnorm-params-out-of-order", "attr-nan", "param-scale-inf", "param-scale-minus-inf"])
     def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path, capsys):
         data = (trained_dir / "checkpoint.brck").read_bytes()
         (blen,) = struct.unpack("<I", data[5:9])  # magic, version byte, blob length

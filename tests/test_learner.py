@@ -188,14 +188,55 @@ class TestProtocol:
         assert len(fwd) == 1 and len(bwd) == 1
         assert bwd.pop() / fwd.pop() == pytest.approx(2.0, abs=0.1)
 
-    def test_evaluate_matches_manual_recount(self, run, small_data):
-        cfg, (log, g, head, mem) = run
-        _, (tex, tey) = small_data
+    @staticmethod
+    def assert_run_accuracy_is_a_full_forward(cfg, out, tex, tey):
+        log, g, head, mem = out
         acc = learner.evaluate(g, head, tex, tey, cfg.bitwidth)
         feats, _ = forward(g, tex, cfg.bitwidth, mode="infer")
         preds = np.argmax(cwr.predict(head, feats), axis=1)
         assert acc == np.mean(preds == tey)
         assert acc == log.final_accuracy
+
+    def test_evaluate_matches_manual_recount(self, run, small_data):
+        _, (tex, tey) = small_data
+        self.assert_run_accuracy_is_a_full_forward(*run, tex, tey)
+
+    @pytest.mark.parametrize("shape,kw", [
+        ((8, 8, 1), dict(bitwidth=BitwidthConfig.floating())),
+        ((12, 12, 1), dict(channels=5)),  # 720-bit latents end in pad bits
+    ], ids=["float", "pad-bits"])
+    def test_evaluate_matches_manual_recount_on(self, shape, kw):
+        # the run evaluates from the test rows' replay-level latents
+        xs, ys = datasets.make_synthetic(4, 20, shape=shape, seed=5)
+        (trx, try_), (tex, tey) = datasets.stratified_split(xs, ys, seed=5)
+        cfg = small_config(**kw)
+        out = learner.run_protocol(cfg, trx, try_, tex, tey, 4)
+        self.assert_run_accuracy_is_a_full_forward(cfg, out, tex, tey)
+
+    def test_test_rows_cross_the_frozen_region_once(self, small_data, monkeypatch):
+        (trx, try_), (tex, tey) = small_data
+        calls = []  # (inside evaluate, from_level, test rows fed in at the graph input)
+        inside = []
+        orig_forward, orig_evaluate = learner.forward, learner.evaluate
+
+        def forward_spy(graph, x, *args, from_level=None, **kwargs):
+            test_rows = len(x) if isinstance(x, np.ndarray) and np.shares_memory(x, tex) else 0
+            calls.append((bool(inside), from_level, test_rows))
+            return orig_forward(graph, x, *args, from_level=from_level, **kwargs)
+
+        def evaluate_spy(*args):
+            inside.append(1)
+            try:
+                return orig_evaluate(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(learner, "forward", forward_spy)
+        monkeypatch.setattr(learner, "evaluate", evaluate_spy)
+        cfg = small_config(num_experiences=3)
+        log, g, head, mem = learner.run_protocol(cfg, trx, try_, tex, tey, 4)
+        assert {lvl for ev, lvl, _ in calls if ev} == {g.replay_level}
+        assert sum(n for _, lvl, n in calls if lvl is None) == len(tex)
 
     def test_per_class_accuracy_is_one_pass(self, run, small_data, monkeypatch):
         cfg, (log, g, head, mem) = run

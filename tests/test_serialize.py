@@ -483,6 +483,25 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="is not a"):
             read_checkpoint(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index,name", [(3, "node 1 param gamma"), (-1, "head cw")],
+                             ids=["param", "head-cw"])
+    def test_non_finite_weight_rejected(self, index, name, value, small_files, tmp_path):
+        g, head, bw = read_checkpoint(small_files / "c.brck")
+        w = g.nodes[1].params["gamma"] if index == 3 else head.cw
+        w[0] = value
+        p = tmp_path / "c.brck"
+        with pytest.raises(FormatError, match=f"{name} holds a NaN or infinite value"):
+            write_checkpoint(p, g, bw, head)
+        assert not p.exists()
+        # the same weights spliced into a checkpoint on disk
+        data = (small_files / "c.brck").read_bytes()
+        offsets = record_offsets(data, descriptor_end(data))
+        i = index % (len(offsets) - 1)  # record 3 is node 1's gamma, after beta
+        p.write_bytes(data[:offsets[i]] + tensor_bytes(w) + data[offsets[i + 1]:])
+        with pytest.raises(FormatError, match=f"{name} holds a NaN or infinite value"):
+            read_checkpoint(p)
+
     @pytest.mark.parametrize("blob", [b'{"\xff": 1}', b"{", b"[]", b"[" * 200_000],
                              ids=["not-utf8", "not-json", "not-an-object", "nested-too-deep"])
     def test_malformed_descriptor_bytes(self, blob, small_files, tmp_path):
