@@ -33,7 +33,8 @@ class Kind:
     stats: tuple[str, ...] = ()  # parameters nothing trains
     spec: bool = False  # takes a conv spec
     weight_bits: bool = False  # computes with weight bits; holds its latent unless frozen
-    binary: bool = False  # exact +-1 or popcount output: never snapped, gradients at q_b_bin
+    binary: bool = False  # exact +-1 or popcount output: gradients at q_b_bin, never snapped;
+    # holds a grid only when a float GEMM reads it
     runs_as: str | None = None  # the kind whose code it runs, if another's
 
 
@@ -126,6 +127,8 @@ def check_node(idx: int, node: LayerNode) -> None:
     if set(node.params) not in holds or row.weight_bits != (node.weight_bits is not None):
         raise GraphError(f"{where} cannot hold params {sorted(node.params)} "
                          f"{'with' if node.weight_bits is not None else 'without'} weight bits")
+    if np.any(node.params.get("running_var", 0.0) < 0):
+        raise GraphError(f"{where} holds a negative running_var")
 
 
 class Graph:
@@ -199,26 +202,27 @@ def latent_grid_scale(bits: int) -> float:
     return 2.0 / (2**bits - 1)
 
 
-def _snap_activation(y: np.ndarray, p: QuantParams | None, bits: int | None) -> np.ndarray:
+def grid_nodes(graph: Graph) -> list[int]:
+    """Nodes holding a calibrated grid, as the input does: every snapped node and every float GEMM's input."""
+    read = {n.inputs[0] for n in graph.nodes if (KINDS[n.kind].runs_as or n.kind) in ("dense", "conv2d")}
+    return [idx for idx, n in enumerate(graph.nodes) if not KINDS[n.kind].binary or idx in read]
+
+
+def _grid(graph: Graph, src: int, bits: int) -> QuantParams:
+    """The grid that calibration fixed for node src's output (-1: the input)."""
+    p = graph.input_qparams if src == -1 else graph.nodes[src].out_qparams
+    if p is None or p.bits != bits:
+        what = "the graph input" if src == -1 else f"node {src} ({graph.nodes[src].name})"
+        raise GraphError(f"{what} holds no {bits}-bit activation grid: calibrate at q_f={bits}")
+    return p
+
+
+def _snap_activation(y: np.ndarray, p: QuantParams) -> np.ndarray:
     """dequantize(quantize(y, p)), byte for byte, without the integer tensor."""
-    if bits is None:
-        return y
-    if p is None:
-        lo, hi = calibrate_range([y])
-        p = quant_params(lo, hi, bits, signed=False)
     if np.isnan(y).any():
         raise QuantError(f"NaN activation cannot be snapped to the {p.bits}-bit grid")
     # + 0.0 turns -0.0 into the +0.0 that the integer round trip gives
     return _snap(y, p.scale, p.qmin - p.zero_point, p.qmax - p.zero_point) + 0.0
-
-
-def _node_in_qparams(graph: Graph, node: LayerNode, x: np.ndarray, bits: int) -> QuantParams:
-    src = node.inputs[0]
-    p = graph.input_qparams if src == -1 else graph.nodes[src].out_qparams
-    if p is not None and p.bits == bits:
-        return p
-    lo, hi = calibrate_range([x])
-    return quant_params(lo, hi, bits, signed=False)
 
 
 def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bits: int) -> np.ndarray:
@@ -325,7 +329,7 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
             if bits is None:
                 y = operand @ wmat
             else:
-                y = _quantized_gemm(operand, _node_in_qparams(graph, node, x, bits), wmat, bits)
+                y = _quantized_gemm(operand, _grid(graph, node.inputs[0], bits), wmat, bits)
             y = y + node.params["b"]
         y = y.reshape(out_shape)
         cache = (x.shape, operand)
@@ -362,10 +366,8 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
     else:  # pragma: no cover
         raise GraphError(f"node {idx}: unhandled kind {kind}")
 
-    # binary outputs are exact integers / signs; everything else is snapped
-    # to the layer's forward grid in quantized mode
-    if not KINDS[node.kind].binary:
-        y = _snap_activation(y, node.out_qparams, bits)
+    if bits is not None and not KINDS[node.kind].binary:
+        y = _snap_activation(y, _grid(graph, idx, bits))
     return y, (cache if want_cache else None)
 
 
@@ -392,8 +394,8 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
-    if from_level is None and graph.input_qparams is not None:
-        x = _snap_activation(as_float(x), graph.input_qparams, config.q_f)
+    if from_level is None and config.q_f is not None:
+        x = _snap_activation(as_float(x), _grid(graph, -1, config.q_f))
     level = -1 if from_level is None else from_level
     acts: dict[int, object] = {level: x}
     last_reader = {i: idx for idx, node in enumerate(graph.nodes) for i in node.inputs}

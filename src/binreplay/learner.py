@@ -156,7 +156,8 @@ def initialize_bn_stats(g: Graph, xs: np.ndarray) -> None:
 
 
 def calibrate_activations(g: Graph, xs: np.ndarray, q_f: int | None) -> None:
-    """Fix per-node activation ranges at q_f bits from float-mode statistics."""
+    """Fix the q_f-bit grid of the input and of each node in graph.grid_nodes
+    from one float pass over xs; a sign's packed output is read through as_float."""
     if q_f is None:
         return
     fcfg = BitwidthConfig.floating()
@@ -164,10 +165,9 @@ def calibrate_activations(g: Graph, xs: np.ndarray, q_f: int | None) -> None:
     forward(g, xs, fcfg, mode="infer", collect=acts)
     lo, hi = calibrate_range([xs])
     g.input_qparams = quant_params(lo, hi, q_f, signed=False)
-    for idx, node in enumerate(g.nodes):
-        if not G.KINDS[node.kind].binary:
-            lo, hi = calibrate_range([acts[idx]])
-            node.out_qparams = quant_params(lo, hi, q_f, signed=False)
+    for idx in G.grid_nodes(g):
+        lo, hi = calibrate_range([G.as_float(acts[idx])])
+        g.nodes[idx].out_qparams = quant_params(lo, hi, q_f, signed=False)
 
 
 def freeze_backbone(g: Graph, cfg: ContinualConfig) -> None:
@@ -233,6 +233,8 @@ def _train_step(g: Graph, head: cwr.CWRHead, xs, labels, lr: float, bw: Bitwidth
     feats, cache = forward(g, xs, bw, mode="train" if train_graph else "infer", from_level=from_level)
     logits = cwr.train_logits(head, feats)
     loss, g_logits = softmax_ce(logits, np.eye(head.max_classes)[labels])
+    if not np.isfinite(loss):
+        raise ProtocolError(f"training diverged: the batch loss holds a NaN or infinite value ({loss})")
     g_feat = cwr.apply_head_gradient(head, feats, g_logits, lr)
     if train_graph:
         sgd_step(g, backward(g, cache, g_feat, bw, from_level=from_level), lr, bw)

@@ -11,6 +11,7 @@ import pytest
 from binreplay import cli, serialize
 from binreplay.bitpack import pack
 from binreplay.cli import SETTINGS, load_run_config, main
+from binreplay.graph import BitwidthConfig
 
 
 def write_config(path, dataset_dir, out_dir, **overrides):
@@ -379,6 +380,28 @@ class TestEval:
             serialize.read_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_missing_activation_grid_is_an_error_that_names_the_node(self, trained_dir, dataset_dir,
+                                                                     tmp_path, capsys):
+        g, head, bw = serialize.read_checkpoint(trained_dir / "checkpoint.brck")
+        assert bw.q_f == 8
+        g.nodes[3].out_qparams = None
+        bad = tmp_path / "bad.brck"
+        serialize.write_checkpoint(bad, g, bw, head)
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+        assert "node 3 (block1_bn) holds no 8-bit activation grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floating", [False, True], ids=["8-16-4", "float"])
+    def test_negative_running_var_is_a_format_error(self, floating, trained_dir, dataset_dir, tmp_path,
+                                                    capsys):
+        g, head, bw = serialize.read_checkpoint(trained_dir / "checkpoint.brck")
+        g.nodes[9].params["running_var"] = -g.nodes[9].params["running_var"]
+        bad = tmp_path / "bad.brck"
+        serialize.write_checkpoint(bad, g, BitwidthConfig.floating() if floating else bw, head)
+        with pytest.raises(serialize.FormatError, match=r"node 9 \(block3_bn\).*negative running_var"):
+            serialize.read_checkpoint(bad)
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+        assert "negative running_var" in capsys.readouterr().err
 
     def test_tensor_shape_beyond_file_length(self, trained_dir, dataset_dir, tmp_path, capsys):
         data = bytearray((trained_dir / "checkpoint.brck").read_bytes())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from binreplay import bitpack
+from binreplay import graph as graph_module
 from binreplay.bitpack import BinConvSpec, BitTensor, pack
 from binreplay.graph import (
     BitwidthConfig,
@@ -16,6 +17,7 @@ from binreplay.graph import (
     backward,
     fake_quant,
     forward,
+    grid_nodes,
     infer_shapes,
     latent_grid_scale,
     mac_count,
@@ -26,7 +28,8 @@ from binreplay.graph import (
     store_param,
 )
 from binreplay.learner import build_reference_model, calibrate_activations, initialize_bn_stats
-from binreplay.quant import QuantError, calibrate_range, dequantize, qmatmul, quant_params, quantize
+from binreplay.quant import (QuantError, QuantParams, calibrate_range, dequantize, qmatmul, quant_params,
+                             quantize)
 from helpers import (
     FLOAT_CFG,
     check_layer_gradients,
@@ -165,6 +168,7 @@ class TestGemmOperand:
     def test_float_gemm_builds_its_im2col_once(self, kind, cfg, rng, monkeypatch):
         # backward reads the patch operand forward cached
         g, x, direction = make_layer_case(kind, rng)
+        calibrate_activations(g, x, cfg.q_f)
         calls = []
         patches = bitpack.patches
         monkeypatch.setattr(bitpack, "patches", lambda x, spec: calls.append(x.shape) or patches(x, spec))
@@ -455,21 +459,23 @@ class TestForwardModes:
     @pytest.mark.parametrize("kind", ["dense", "softmax_ce_head"])
     def test_quantized_dense_matches_oracle(self, kind, bits, rng):
         # 8 bits goes through qmatmul's 32-bit accumulator, 16 bits through
-        # the int64 product; input and output grids are calibrated on the fly
+        # the int64 product; the input and output grids span x and y
         for _ in range(5):
             fin, fout, batch = (int(v) for v in rng.integers(1, 40, size=3))
             w, b = rng.normal(size=(fin, fout)), rng.normal(size=fout)
             g = Graph((fin,))
             g.add(kind, params={"w": w, "b": b})
             x = rng.normal(size=(batch, fin))
-            out, _ = forward(g, x, BitwidthConfig(q_f=bits), mode="infer")
             xq = quantize(x, quant_params(*calibrate_range([x]), bits, signed=False))
             wq = quantize(w, quant_params(*calibrate_range([w]), bits, signed=True))
             if bits == 8:
                 y = dequantize(qmatmul(xq, wq)) + b
             else:
                 y = ((xq.data - xq.params.zero_point) @ wq.data) * (xq.params.scale * wq.params.scale) + b
-            want = dequantize(quantize(y, quant_params(*calibrate_range([y]), bits, signed=False)))
+            g.input_qparams = xq.params
+            g.nodes[0].out_qparams = quant_params(*calibrate_range([y]), bits, signed=False)
+            want = dequantize(quantize(y, g.nodes[0].out_qparams))
+            out, _ = forward(g, x, BitwidthConfig(q_f=bits), mode="infer")
             assert out.shape == (batch, fout)
             assert out.tobytes() == want.tobytes()
 
@@ -478,8 +484,10 @@ class TestForwardModes:
         g = Graph((3, 3, 1))
         g.add("conv2d", params={"w": np.ones((3, 3, 1, 1)), "b": np.zeros(1)},
               spec=BinConvSpec(3, 3, 1, 0, 1, 1))
+        x = np.ones((1, 3, 3, 1))
+        g.input_qparams = quant_params(*calibrate_range([x]), 32, signed=False)
         g.nodes[0].out_qparams = quant_params(-16.0, 16.0, 32, signed=False)
-        out, _ = forward(g, np.ones((1, 3, 3, 1)), BitwidthConfig(q_f=32), mode="infer")
+        out, _ = forward(g, x, BitwidthConfig(q_f=32), mode="infer")
         np.testing.assert_allclose(out, [[[[9.0]]]], rtol=1e-9)
 
     def test_32_bit_dense_matches_float(self, rng):
@@ -487,6 +495,7 @@ class TestForwardModes:
         w = rng.normal(size=(64, 8))
         g = Graph((64,))
         g.add("dense", params={"w": w, "b": np.zeros(8)})
+        calibrate_activations(g, x, 32)
         out, _ = forward(g, x, BitwidthConfig(q_f=32), mode="infer")
         np.testing.assert_allclose(out, x @ w, rtol=0, atol=1e-6)
 
@@ -494,6 +503,7 @@ class TestForwardModes:
         g = self._chain(rng)
         x = rng.normal(size=(3, 4))
         cfg = BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)
+        calibrate_activations(g, x, cfg.q_f)
         a, _ = forward(g, x, cfg, mode="infer")
         b, _ = forward(g, x, cfg, mode="infer")
         assert a.tobytes() == b.tobytes()
@@ -541,6 +551,13 @@ class TestPackedSigns:
         for node in g.nodes:
             signed.add(node.kind, inputs=[i + 1 for i in node.inputs], trainable=node.trainable,
                        params=dict(node.params), **node.attrs)
+        if cfg.q_f is not None:
+            calibrate_activations(signed, x, cfg.q_f)
+            x = _snap_activation(x, signed.input_qparams)  # on its grid, the input snap keeps x
+            # +-1 lie on an integer grid: g's input snap keeps the signs that signed's sign emits
+            g.input_qparams = signed.nodes[0].out_qparams = QuantParams(cfg.q_f, 1.0, 2 ** (cfg.q_f - 1), False)
+            for node, twin in zip(g.nodes, signed.nodes[1:]):
+                node.out_qparams = twin.out_qparams
         want, want_cache = forward(g, np.where(x >= 0, 1.0, -1.0), cfg, mode="train")
         got, got_cache = forward(signed, x, cfg, mode="train")
         assert got.tobytes() == want.tobytes()
@@ -565,6 +582,7 @@ class TestPackedSigns:
         g = build_reference_model(input_shape=(12, 12, 1), channels=16, seed=0)
         xs = rng.uniform(-1.0, 1.0, size=(64, 12, 12, 1))
         cfg = BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)
+        calibrate_activations(g, xs, cfg.q_f)
         forward(g, xs, cfg, mode="infer")
         tracemalloc.start()
         try:
@@ -584,7 +602,7 @@ class TestActivationSnap:
         y = np.concatenate([rng.uniform(-3.0, 3.0, size=500),
                             [0.0, -0.0, -5e-324, -1e-300, -s / 4, -s / 2, s / 2, -1.5 * s,
                              np.inf, -np.inf]])
-        got = _snap_activation(y, p, bits)
+        got = _snap_activation(y, p)
         assert got.tobytes() == dequantize(quantize(y, p)).tobytes()
         assert not np.any(np.signbit(got) & (got == 0))  # no -0.0 survives
 
@@ -621,6 +639,88 @@ class TestActivationSnap:
         assert a.tobytes() == b.tobytes()
 
 
+class TestFixedGrids:
+    """A quantized forward reads every activation on the grid that
+    calibration fixed, and derives none from the batch it is given."""
+
+    @staticmethod
+    def _case(case, rng):
+        if case == "reference":
+            g = build_reference_model((6, 6, 1), channels=4, seed=0)
+            xs = rng.uniform(-1.0, 1.0, size=(4, 6, 6, 1))
+            initialize_bn_stats(g, xs)
+            return g, xs
+        g = Graph((3,))
+        if case == "binarize-dense":
+            g.add("binarize")
+        else:
+            g.add("binary_dense", params={"latent": rng.uniform(-1.0, 1.0, size=(3, 3))})
+        g.add("dense", params={"w": np.array([[1.0], [0.05], [-0.05]]), "b": np.ones(1)})
+        # alone, the first row's signs are all -1: a grid calibrated on that
+        # row alone is not the batch's
+        return g, np.array([[-2.0, -1.0, -0.5], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+
+    CASES = ["reference", "binarize-dense", "binary_dense-dense"]
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_row_reads_the_same_alone_as_in_its_batch(self, case, bits, rng):
+        g, xs = self._case(case, rng)
+        calibrate_activations(g, xs, bits)
+        cfg = BitwidthConfig(q_f=bits)
+        batch, _ = forward(g, xs, cfg)
+        for i in range(len(xs)):
+            alone, _ = forward(g, xs[i : i + 1], cfg)
+            assert alone.tobytes() == batch[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_forward_calibrates_only_the_weights_of_float_gemms(self, case, rng, monkeypatch):
+        g, xs = self._case(case, rng)
+        calibrate_activations(g, xs, 8)
+        seen = []
+        spy = graph_module.calibrate_range
+        monkeypatch.setattr(graph_module, "calibrate_range", lambda s: seen.append(list(s)) or spy(s))
+        forward(g, xs, BitwidthConfig(q_f=8))
+        weights = [n.params["w"] for n in g.nodes if n.kind in ("dense", "conv2d")]
+        assert [len(s) for s in seen] == [1] * len(weights)
+        for s, w in zip(seen, weights):
+            assert s[0].tobytes() == w.reshape(-1, w.shape[-1]).tobytes()
+
+    @pytest.mark.parametrize("case,want", [
+        ("reference", [0, 3, 6, 9, 10, 11, 12]), ("binarize-dense", [0, 1]), ("binary_dense-dense", [0, 1]),
+    ])
+    def test_calibration_fixes_the_grid_of_the_input_and_each_grid_node_only(self, case, want, rng):
+        g, xs = self._case(case, rng)
+        assert grid_nodes(g) == want
+        calibrate_activations(g, xs, 8)
+        assert g.input_qparams.bits == 8
+        assert [i for i, n in enumerate(g.nodes) if n.out_qparams is not None] == want
+
+    @pytest.mark.parametrize("drop,name", [(-1, "the graph input"), (0, r"node 0 \(binarize_0\)"),
+                                           (1, r"node 1 \(dense_1\)")])
+    def test_missing_grid_is_an_error_that_names_the_node(self, drop, name, rng):
+        g, xs = self._case("binarize-dense", rng)
+        calibrate_activations(g, xs, 8)
+        if drop == -1:
+            g.input_qparams = None
+        else:
+            g.nodes[drop].out_qparams = None
+        with pytest.raises(GraphError, match=f"^{name} holds no 8-bit activation grid"):
+            forward(g, xs, BitwidthConfig(q_f=8))
+        forward(g, xs, FLOAT_CFG)  # a float forward reads no grid
+
+    def test_uncalibrated_or_other_bits_is_an_error(self, rng):
+        g, xs = self._case("reference", rng)
+        lat, _ = forward(g, xs, FLOAT_CFG, stop_level=g.replay_level)
+        with pytest.raises(GraphError, match="^the graph input holds no 8-bit"):
+            forward(g, xs, BitwidthConfig(q_f=8))
+        with pytest.raises(GraphError, match=r"^node 9 \(block3_bn\) holds no 8-bit"):
+            forward(g, lat, BitwidthConfig(q_f=8), from_level=g.replay_level)
+        calibrate_activations(g, xs, 16)
+        with pytest.raises(GraphError, match=r"^node 9 \(block3_bn\) holds no 8-bit"):
+            forward(g, lat, BitwidthConfig(q_f=8), from_level=g.replay_level)
+
+
 class TestGraphStructure:
     def test_default_input_chains_previous_node(self):
         g = Graph((4,))
@@ -646,8 +746,11 @@ class TestGraphStructure:
         ("binary_conv2d", {"spec": BinConvSpec(3, 3, 1, 1, 2, 2)}),
         ("binarize", {"inputs": [0, -1]}),
         ("global_avg_pool", {"spec": BinConvSpec(3, 3, 1, 1, 2, 2)}),
+        ("batchnorm", {"params": {"gamma": np.ones(2), "beta": np.zeros(2), "running_mean": np.zeros(2),
+                                  "running_var": np.array([1.0, -1e-3])}}),
     ], ids=["conv-without-spec", "add-one-input", "prelu-without-alpha", "batchnorm-only-gamma",
-            "binary-conv-without-weights", "binarize-two-inputs", "pool-with-spec"])
+            "binary-conv-without-weights", "binarize-two-inputs", "pool-with-spec",
+            "batchnorm-negative-running-var"])
     def test_add_checks_the_node_against_its_kind(self, kind, kw):
         g = Graph((4, 4, 2))
         g.add("prelu", params={"alpha": np.full(2, 0.25)})

@@ -272,6 +272,22 @@ class TestProtocol:
         assert "elapsed_ms" not in log.to_csv()
         assert log.timings_csv().splitlines()[0] == "experience,elapsed_ms"
 
+    def test_diverging_run_stops_at_its_first_non_finite_loss(self, small_data, monkeypatch):
+        (trx, try_), (tex, tey) = small_data
+        losses = []
+        orig = learner.softmax_ce
+
+        def spy(*args):
+            out = orig(*args)
+            losses.append(out[0])
+            return out
+
+        monkeypatch.setattr(learner, "softmax_ce", spy)
+        cfg = small_config(pretrain_learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="holds a NaN or infinite value"):
+            learner.run_protocol(cfg, trx, try_, tex, tey, 4)
+        assert np.all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
+
     def test_head_only_baseline_trains_no_graph_layers(self, small_data):
         (trx, try_), (tex, tey) = small_data
         cfg = small_config(train_graph_layers=False, b_r=0)
