@@ -13,23 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 WORD_BITS = 64
+GEMM_BLOCK = 2048  # rows of the left operand per XNOR GEMM block
 
 
 class BitShapeError(ValueError):
     pass
 
 
+def _words(packed: np.ndarray) -> np.ndarray:
+    """Bytes packed along the last axis as little-endian uint64 words, 0 bytes appended."""
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.concatenate([packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
+    return np.ascontiguousarray(packed).view("<u8").astype(np.uint64, copy=False)
+
+
 def _pack01(bits01: np.ndarray) -> np.ndarray:
     """Pack a flat 0/1 array into little-endian uint64 words (last axis packed)."""
-    packed = np.packbits(bits01.astype(np.uint8, copy=False), axis=-1, bitorder="little")
-    n_words = max(1, -(-bits01.shape[-1] // WORD_BITS)) if bits01.shape[-1] else 0
-    pad = n_words * 8 - packed.shape[-1]
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
-        )
-    packed = np.ascontiguousarray(packed)
-    return packed.view("<u8").reshape(bits01.shape[:-1] + (n_words,)).astype(np.uint64)
+    return _words(np.packbits(bits01.astype(np.uint8, copy=False), axis=-1, bitorder="little"))
 
 
 def _unpack01(words: np.ndarray, n: int) -> np.ndarray:
@@ -141,14 +142,30 @@ def xnor_dot(a: BitTensor, b: BitTensor) -> int:
 def _xnor_gemm(a_rows: np.ndarray, b_rows: np.ndarray, k: int) -> np.ndarray:
     """a_rows (m, W) vs b_rows (n, W) packed over a k-long inner axis -> (m, n) int32.
 
-    One pass per packed word: each adds popcount(a XOR b) of that word into
-    an (m, n) accumulator, so no (m, n, W) intermediate is built.  Pad bits
-    are zero in both operands and never count.
+    Blocks of GEMM_BLOCK rows of a run one pass per packed word: each adds
+    popcount(a XOR b) of that word into an accumulator that holds up to k, in
+    XOR, popcount and accumulator buffers that every block reuses, so no
+    (m, n, W) intermediate is built.  Pad bits are zero in both operands and
+    never count.
     """
-    diff = np.zeros((a_rows.shape[0], b_rows.shape[0]), dtype=np.int32)
-    for j in range(a_rows.shape[1]):
-        diff += popcount(a_rows[:, j, None] ^ b_rows[None, :, j])
-    return k - 2 * diff
+    m, n = a_rows.shape[0], b_rows.shape[0]
+    out = np.empty((m, n), dtype=np.int32)
+    block = max(1, min(m, GEMM_BLOCK))
+    xor = np.empty((block, n), dtype=np.uint64)
+    ones = np.empty((block, n), dtype=np.uint8)
+    diff = np.empty((block, n), dtype=np.uint16 if k < 2**16 else np.uint32)
+    b_words = np.ascontiguousarray(b_rows.T)
+    for i in range(0, m, block):
+        a = a_rows[i : i + block]
+        x, c, d = xor[: len(a)], ones[: len(a)], diff[: len(a)]
+        d[...] = 0
+        for j in range(a.shape[1]):
+            np.bitwise_xor(a[:, j, None], b_words[j], out=x)
+            np.add(d, np.bitwise_count(x, out=c), out=d)
+        o = out[i : i + block]
+        np.multiply(d, np.int32(-2), out=o)
+        o += k
+    return out
 
 
 def bin_matmul(a: BitTensor, w: BitTensor) -> np.ndarray:
@@ -229,18 +246,22 @@ def col2im(cols: np.ndarray, spec: BinConvSpec, shape: tuple[int, ...]) -> np.nd
 def conv_rows(x: BitTensor, spec: BinConvSpec) -> np.ndarray:
     """Packed im2col of an NHWC BitTensor: (N*OH*OW, W) uint64 words.
 
-    Row r holds output position r's K = kernel_h * kernel_w * in_channels
-    patch bits, packed as _pack01 packs them; padded positions are 0 bits,
-    i.e. -1.
+    Row r holds output position r's patch, pixel by pixel: each pixel's
+    in_channels bits packed LSB-first into whole bytes, the bits after the
+    last channel 0.  Padded positions are 0 bytes, i.e. -1.  bin_conv2d packs
+    the weights the same way, so pad bits never differ and k - 2 * diff with
+    the true K stays exact.
     """
-    return _pack01(patches(x.unpack01(), spec))
+    return _words(patches(np.packbits(x.unpack01(), axis=-1, bitorder="little"), spec))
 
 
 def rows_pm1(rows: np.ndarray, spec: BinConvSpec) -> np.ndarray:
-    """conv_rows words as the float64 +-1 patch matrix: padded positions,
-    0 bits there, are -1 here as in the kernel."""
-    k = spec.kernel_h * spec.kernel_w * spec.in_channels
-    return (_unpack01(rows, k).astype(np.int8) * 2 - 1).astype(np.float64)
+    """conv_rows words as the float64 +-1 (N*OH*OW, K) patch matrix, without
+    the pad bits: padded positions, 0 bits there, are -1 here as in the kernel."""
+    taps, c = spec.kernel_h * spec.kernel_w, spec.in_channels
+    width = -(-c // 8) * 8
+    bits = _unpack01(rows, taps * width).reshape(len(rows), taps, width)[:, :, :c]
+    return (bits.reshape(len(rows), taps * c).astype(np.int8) * 2 - 1).astype(np.float64)
 
 
 def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray | None = None) -> np.ndarray:
@@ -263,5 +284,7 @@ def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray |
     k = spec.kernel_h * spec.kernel_w * spec.in_channels
     if rows is None:
         rows = conv_rows(x, spec)
-    w_cols = _pack01(w.unpack01().reshape(k, spec.out_channels).T)
+    # one row per output channel, in the layout of conv_rows
+    w_bytes = np.packbits(np.moveaxis(w.unpack01(), 3, 0), axis=-1, bitorder="little")
+    w_cols = _words(w_bytes.reshape(spec.out_channels, -1))
     return _xnor_gemm(rows, w_cols, k).reshape(n, oh, ow, spec.out_channels)

@@ -36,6 +36,7 @@ class Kind:
     binary: bool = False  # exact +-1 or popcount output: gradients at q_b_bin, never snapped;
     # holds a grid only when a float GEMM reads it
     runs_as: str | None = None  # the kind whose code it runs, if another's
+    per_channel: bool = False  # maps each channel's value on its own: joins a binary GEMM's table
 
 
 KINDS = {
@@ -43,17 +44,18 @@ KINDS = {
     "conv2d": Kind(trained=("b", "w"), spec=True),
     "binary_dense": Kind(trained=("latent",), weight_bits=True, binary=True),
     "binary_conv2d": Kind(trained=("latent",), spec=True, weight_bits=True, binary=True),
-    "binarize": Kind(binary=True),
-    "batchnorm": Kind(trained=("beta", "gamma"), stats=("running_mean", "running_var")),
-    "add": Kind(inputs=2),
+    "binarize": Kind(binary=True, per_channel=True),
+    "batchnorm": Kind(trained=("beta", "gamma"), stats=("running_mean", "running_var"), per_channel=True),
+    "add": Kind(inputs=2, per_channel=True),  # when its other input is a packed sign
     "concat": Kind(inputs=None),
-    "prelu": Kind(trained=("alpha",)),
+    "prelu": Kind(trained=("alpha",), per_channel=True),
     "global_avg_pool": Kind(),
     "softmax_ce_head": Kind(trained=("b", "w"), runs_as="dense"),
 }
 BINARY_KINDS = tuple(k for k, row in KINDS.items() if row.weight_bits)
 # layers that run as one patches-by-weights product: a dense layer is a 1x1 conv
 GEMM_KINDS = ("dense", "conv2d", *BINARY_KINDS)
+GATHER_ROWS = 2048  # positions per block of a table gather
 
 
 class GraphError(ValueError):
@@ -129,6 +131,10 @@ def check_node(idx: int, node: LayerNode) -> None:
                          f"{'with' if node.weight_bits is not None else 'without'} weight bits")
     if np.any(node.params.get("running_var", 0.0) < 0):
         raise GraphError(f"{where} holds a negative running_var")
+    eps = node.attrs.get("eps", 1e-5)
+    if node.kind == "batchnorm" and not (isinstance(eps, (int, float)) and not isinstance(eps, bool)
+                                         and math.isfinite(eps) and eps > 0):
+        raise GraphError(f"{where} takes eps {eps!r}, not a finite number above 0")
 
 
 class Graph:
@@ -322,7 +328,7 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
             x4 = bitpack.binarize(x).reshape(shape4)  # a sign's output is packed already
             operand = bitpack.conv_rows(x4, spec)
             wb = node.weight_bits.reshape((spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels))
-            y = bitpack.bin_conv2d(x4, wb, spec, operand).astype(np.float64)
+            y = bitpack.bin_conv2d(x4, wb, spec, operand)  # exact int32 counts
         else:
             operand = bitpack.patches(x.reshape(shape4), spec)
             wmat = node.params["w"].reshape(-1, spec.out_channels)
@@ -379,6 +385,101 @@ def as_float(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
+def _chain(graph: Graph, gemm: int, readers: dict, acts: dict, shape: tuple) -> list[int]:
+    """The nodes after binary GEMM gemm that one table computes.
+
+    Each is per channel and the only reader of the node before it, an add
+    among them takes a packed sign of the GEMM's output shape that forward
+    holds already, and a sign closes the chain.
+    """
+    chain, prev = [], gemm
+    while graph.nodes[prev].kind != "binarize" and len(readers.get(prev, ())) == 1:
+        idx = readers[prev][0]
+        node = graph.nodes[idx]
+        other = [acts.get(i) for i in node.inputs if i != prev]
+        if not KINDS[node.kind].per_channel or (node.kind == "add" and not (
+                isinstance(other[0], BitTensor) and other[0].shape == shape)):
+            break
+        chain.append(idx)
+        prev = idx
+    return chain
+
+
+def _tabulate(graph, gemm, chain, counts, acts, config, want_cache):
+    """Every chain node's own _forward_node run once on every value its input
+    can take; returns {node: (table, cache on the grid)} and _Rows.
+
+    counts = k - 2 * diff, so row j holds count k - 2j.  An add of a packed
+    sign doubles the rows, and the sign's bit becomes the lowest bit of each
+    row, so a table from before that add is read at row >> 1.  The rows are
+    computed in place, in the narrowest type that holds both k - counts and
+    the last table's row count.
+    """
+    c = counts.shape[-1]
+    k = graph.nodes[gemm].weight_bits.size // c
+    rows = (k + 1) << sum(graph.nodes[i].kind == "add" for i in chain)
+    code = np.subtract(k, counts, dtype=np.min_scalar_type(max(rows - 1, 2 * k)), casting="unsafe")
+    code >>= 1
+    table = np.repeat(k - 2.0 * np.arange(k + 1), c).reshape(k + 1, c)
+    stages, prev = {}, gemm
+    for idx in chain:
+        node = graph.nodes[idx]
+        ins = [table]
+        if node.kind == "add":
+            slot = node.inputs.index(prev)
+            code <<= 1
+            code |= acts[node.inputs[1 - slot]].unpack01()
+            table = np.repeat(table, 2, axis=0)
+            signs = np.tile([[-1.0], [1.0]], (len(table) // 2, c))
+            ins = [table, signs] if slot == 0 else [signs, table]
+        table, cache = _forward_node(graph, idx, node, ins, config, want_cache)
+        stages[idx] = (table, cache)
+        prev = idx
+    return stages, _Rows(code, rows)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Each element's row in the tables of one chain.  The chain's last
+    table has `rows` rows; a table from before s adds of a sign, 2**s times
+    shorter, is read at row >> s."""
+
+    code: np.ndarray
+    rows: int
+
+    def read(self, table):
+        """table's value, or packed sign, at each element: a flat np.take per
+        block of GATHER_ROWS positions, so no index array of the whole
+        output is built."""
+        shift = (self.rows // table.shape[0]).bit_length() - 1
+        bits = isinstance(table, BitTensor)
+        src = table.unpack01() if bits else table
+        c = src.shape[1]
+        out = np.empty(self.code.shape, dtype=src.dtype)
+        codes, outs, channel = self.code.reshape(-1, c), out.reshape(-1, c), np.arange(c)
+        for i in range(0, len(codes), GATHER_ROWS):
+            block = codes[i : i + GATHER_ROWS]
+            flat = np.multiply(block >> shift if shift else block, c, dtype=np.intp)
+            flat += channel
+            np.take(src, flat, out=outs[i : i + GATHER_ROWS], mode="clip")  # "raise" copies through a buffer
+        return bitpack.from01(out) if bits else out
+
+
+@dataclass(frozen=True)
+class _OnGrid:
+    """A chain node's backward cache: the cache its code left on the table
+    grid, read at each element's row when backward needs it."""
+
+    rows: _Rows
+    cache: object
+
+    def gather(self):
+        def read(a):  # a (rows, C) table; a per-channel array stays as it is
+            return self.rows.read(a) if isinstance(a, np.ndarray) and a.ndim == 2 else a
+
+        return tuple(map(read, self.cache)) if isinstance(self.cache, tuple) else read(self.cache)
+
+
 def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
             from_level: int | None = None, stop_level: int | None = None, collect=None):
     """Run the graph; returns (output, cache).
@@ -391,6 +492,13 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     it is and every other kind through as_float.  x may be one (the replay
     batch at from_level), and the output is one when the node returned is a
     sign.  Each activation is dropped after its last reader.
+
+    A binary GEMM's output is an exact count, so the chain of per-channel
+    nodes after it (_chain) is a function of each channel's count and the
+    bits of the packed signs it adds: forward tabulates the chain once and
+    gathers the chain's output, and each node's cache, from the tables.  The
+    output of a node inside the chain is gathered from its own table only
+    when it is stop_level or collect asks for it.
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
@@ -398,17 +506,34 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
         x = _snap_activation(as_float(x), _grid(graph, -1, config.q_f))
     level = -1 if from_level is None else from_level
     acts: dict[int, object] = {level: x}
-    last_reader = {i: idx for idx, node in enumerate(graph.nodes) for i in node.inputs}
+    readers: dict[int, list[int]] = {}
+    for idx, node in enumerate(graph.nodes):
+        for i in node.inputs:
+            readers.setdefault(i, []).append(idx)
     cache: dict[int, object] = {}
     want_cache = mode == "train"
+    tabled: dict[int, tuple] = {}  # chain node -> (its table, its cache on the grid, _Rows, chain end)
     for idx in range(level + 1, len(graph.nodes)):
         node = graph.nodes[idx]
-        packed = KINDS[node.kind].weight_bits
-        ins = [acts[i] if packed else as_float(acts[i]) for i in node.inputs]
+        shown = collect is not None or idx == stop_level
+        if idx in tabled:
+            table, c, rows, last = tabled.pop(idx)
+            y = rows.read(table) if shown or idx == last else None
+            if c is not None:
+                c = _OnGrid(rows, c)
+        else:
+            packed = KINDS[node.kind].weight_bits
+            ins = [acts[i] if packed else as_float(acts[i]) for i in node.inputs]
+            y, c = _forward_node(graph, idx, node, ins, config, want_cache)
+            if packed:  # the exact counts: tabulated, or read as floats
+                chain = _chain(graph, idx, readers, acts, y.shape)
+                if chain:
+                    stages, rows = _tabulate(graph, idx, chain, y, acts, config, want_cache)
+                    tabled.update({i: (*stages[i], rows, chain[-1]) for i in chain})
+                y = y.astype(np.float64) if shown or not chain else None
         for i in set(node.inputs):
-            if last_reader[i] == idx:
+            if readers[i][-1] == idx:
                 del acts[i]
-        y, c = _forward_node(graph, idx, node, ins, config, want_cache)
         acts[idx] = y
         if want_cache and c is not None:
             cache[idx] = c
@@ -511,6 +636,8 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
             continue
         needs_cache = node.kind not in ("add",)
         entry = cache.get(idx)
+        if isinstance(entry, _OnGrid):
+            entry = entry.gather()
         if needs_cache and entry is None:
             raise GraphError(f"node {idx} ({node.name}): missing cache entry for backward")
         need = [(i > floor and i != -1) or return_act_grads for i in node.inputs]

@@ -155,18 +155,29 @@ def initialize_bn_stats(g: Graph, xs: np.ndarray) -> None:
         node.params["running_var"] = G.f32_precision(np.maximum(x.var(axis=axes), 1e-3))
 
 
+class _Ranges(dict):
+    """A forward collect= target that keeps the range of each grid node's
+    output, not the output, so a calibration pass holds no extra activation."""
+
+    def __init__(self, grid):
+        super().__init__()
+        self.grid = set(grid)
+
+    def __setitem__(self, idx, y):
+        if idx in self.grid:
+            super().__setitem__(idx, calibrate_range([G.as_float(y)]))
+
+
 def calibrate_activations(g: Graph, xs: np.ndarray, q_f: int | None) -> None:
     """Fix the q_f-bit grid of the input and of each node in graph.grid_nodes
     from one float pass over xs; a sign's packed output is read through as_float."""
     if q_f is None:
         return
-    fcfg = BitwidthConfig.floating()
-    acts: dict = {}
-    forward(g, xs, fcfg, mode="infer", collect=acts)
+    ranges = _Ranges(G.grid_nodes(g))
+    forward(g, xs, BitwidthConfig.floating(), mode="infer", collect=ranges)
     lo, hi = calibrate_range([xs])
     g.input_qparams = quant_params(lo, hi, q_f, signed=False)
-    for idx in G.grid_nodes(g):
-        lo, hi = calibrate_range([G.as_float(acts[idx])])
+    for idx, (lo, hi) in ranges.items():
         g.nodes[idx].out_qparams = quant_params(lo, hi, q_f, signed=False)
 
 

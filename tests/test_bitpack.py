@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binreplay import bitpack
 from binreplay.bitpack import (
     BinConvSpec,
     BitShapeError,
@@ -140,6 +141,18 @@ class TestBinMatmul:
         with pytest.raises(BitShapeError):
             bin_matmul(pack(np.ones((2, 3))), pack(np.ones((4, 2))))
 
+    def test_row_blocks_and_a_partial_last_block(self, rng, monkeypatch):
+        monkeypatch.setattr(bitpack, "GEMM_BLOCK", 7)
+        a = rng.choice([-1, 1], size=(30, 130))
+        w = rng.choice([-1, 1], size=(130, 5))
+        assert np.array_equal(bin_matmul(pack(a), pack(w)), a @ w)
+
+    def test_popcounts_past_16_bits_do_not_wrap(self):
+        # K = 70000 differing bits per dot: a 16-bit accumulator would wrap
+        k = 70000
+        got = bin_matmul(pack(np.ones((2, k))), pack(-np.ones((k, 3))))
+        assert np.array_equal(got, np.full((2, 3), -k))
+
 
 class TestBinConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
@@ -217,6 +230,36 @@ class TestBinConv2d:
         want = 2.0 * patches(x.unpack01(), spec) - 1
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("channels", [1, 5, 8, 9, 63, 64, 65])
+    def test_conv_rows_hold_each_pixels_channels_in_whole_bytes(self, channels, rng):
+        # bit oracle: tap t, channel ch of a row sits at bit t * 8 * ceil(C / 8) + ch;
+        # padded positions, the bits after a pixel's last channel and after
+        # the last tap are 0
+        x01 = rng.integers(0, 2, size=(2, 4, 3, channels))
+        spec = BinConvSpec(3, 3, 2, 1, channels, 1)
+        rows = conv_rows(from01(x01), spec)
+        width = -(-channels // 8) * 8
+        assert rows.dtype == np.uint64 and rows.shape == (2 * 2 * 2, -(-9 * width // 64))
+        want = np.zeros((len(rows), rows.shape[1] * 64), dtype=np.uint8)
+        for r, (b, oi, oj) in enumerate(np.ndindex(2, 2, 2)):
+            for t, (ki, kj) in enumerate(np.ndindex(3, 3)):
+                i, j = 2 * oi - 1 + ki, 2 * oj - 1 + kj
+                if 0 <= i < 4 and 0 <= j < 3:
+                    want[r, t * width : t * width + channels] = x01[b, i, j]
+        got = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+        assert np.array_equal(got, want)
+        pm1 = rows_pm1(rows, spec)
+        assert pm1.dtype == np.float64
+        assert np.array_equal(pm1, 2.0 * want.reshape(len(rows), -1)[:, : 9 * width]
+                              .reshape(len(rows), 9, width)[:, :, :channels].reshape(len(rows), -1) - 1)
+
+    @pytest.mark.parametrize("channels", [1, 5, 8, 9, 63, 64, 65])
+    def test_channel_widths_match_the_loop_oracle(self, channels, rng):
+        x = rng.choice([-1, 1], size=(2, 4, 3, channels))
+        w = rng.choice([-1, 1], size=(3, 3, channels, 3))
+        got = bin_conv2d(pack(x), pack(w), BinConvSpec(3, 3, 1, 1, channels, 3))
+        assert np.array_equal(got, naive_conv2d_pm1(x, w, 1, 1))
 
     def test_kernel_too_large(self):
         spec = BinConvSpec(9, 9, 1, 0, 1, 1)

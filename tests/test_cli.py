@@ -403,6 +403,19 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
         assert "negative running_var" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("floating", [False, True], ids=["8-16-4", "float"])
+    def test_non_positive_eps_is_a_format_error(self, floating, trained_dir, dataset_dir, tmp_path, capsys):
+        # running_var + eps below 0 took a square root of a negative number,
+        # and eval exited 0
+        g, head, bw = serialize.read_checkpoint(trained_dir / "checkpoint.brck")
+        g.nodes[9].attrs["eps"] = -1000.0
+        bad = tmp_path / "bad.brck"
+        serialize.write_checkpoint(bad, g, BitwidthConfig.floating() if floating else bw, head)
+        with pytest.raises(serialize.FormatError, match=r"node 9 \(block3_bn\).*eps -1000.0"):
+            serialize.read_checkpoint(bad)
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+        assert "not a finite number above 0" in capsys.readouterr().err
+
     def test_tensor_shape_beyond_file_length(self, trained_dir, dataset_dir, tmp_path, capsys):
         data = bytearray((trained_dir / "checkpoint.brck").read_bytes())
         (blen,) = struct.unpack("<I", data[5:9])

@@ -538,7 +538,7 @@ class TestPackedSigns:
         ref = build_reference_model(input_shape=(6, 6, 1), channels=4, seed=0)
         lat = bitpack.from01(rng.integers(0, 2, size=(5, 6, 6, 4)))
         forward(ref, lat, FLOAT_CFG, mode="train", from_level=ref.replay_level)
-        assert calls == [(5, 6, 6, 4)]  # once, for residual_add
+        assert calls == []  # residual_add reads the latent's bits as part of its table row
 
     @pytest.mark.parametrize("kind", ["add", "concat", "prelu", "batchnorm", "global_avg_pool",
                                       "dense", "conv2d"])
@@ -695,6 +695,25 @@ class TestFixedGrids:
         calibrate_activations(g, xs, 8)
         assert g.input_qparams.bits == 8
         assert [i for i, n in enumerate(g.nodes) if n.out_qparams is not None] == want
+        outputs = {}
+        forward(g, xs, FLOAT_CFG, collect=outputs)
+        for i in want:
+            lo, hi = calibrate_range([graph_module.as_float(outputs[i])])
+            assert g.nodes[i].out_qparams == quant_params(lo, hi, 8, signed=False)
+
+    def test_calibration_holds_no_activation_past_its_last_reader(self, rng):
+        # calibration used to collect all 13 outputs of the reference model
+        # before it read their ranges
+        g = build_reference_model(input_shape=(12, 12, 1), channels=16, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(64, 12, 12, 1))
+        calibrate_activations(g, xs, 8)
+        tracemalloc.start()
+        try:
+            calibrate_activations(g, xs, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * xs.size * 16 * 8
 
     @pytest.mark.parametrize("drop,name", [(-1, "the graph input"), (0, r"node 0 \(binarize_0\)"),
                                            (1, r"node 1 \(dense_1\)")])
@@ -748,9 +767,13 @@ class TestGraphStructure:
         ("global_avg_pool", {"spec": BinConvSpec(3, 3, 1, 1, 2, 2)}),
         ("batchnorm", {"params": {"gamma": np.ones(2), "beta": np.zeros(2), "running_mean": np.zeros(2),
                                   "running_var": np.array([1.0, -1e-3])}}),
+        *[("batchnorm", {"params": {"gamma": np.ones(2), "beta": np.zeros(2), "running_mean": np.zeros(2),
+                                    "running_var": np.ones(2)}, "eps": eps})
+          for eps in (-1000.0, 0.0, np.nan, np.inf, "1e-5")],
     ], ids=["conv-without-spec", "add-one-input", "prelu-without-alpha", "batchnorm-only-gamma",
             "binary-conv-without-weights", "binarize-two-inputs", "pool-with-spec",
-            "batchnorm-negative-running-var"])
+            "batchnorm-negative-running-var", "batchnorm-negative-eps", "batchnorm-zero-eps",
+            "batchnorm-nan-eps", "batchnorm-infinite-eps", "batchnorm-string-eps"])
     def test_add_checks_the_node_against_its_kind(self, kind, kw):
         g = Graph((4, 4, 2))
         g.add("prelu", params={"alpha": np.full(2, 0.25)})

@@ -1,0 +1,279 @@
+"""The per-channel chain after a binary GEMM runs as one table over the GEMM's
+exact counts: against a node-by-node forward, its outputs, packed signs,
+backward caches and gradients are the same bytes, -0.0 included."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from binreplay import bitpack
+from binreplay import graph as G
+from binreplay.bitpack import BinConvSpec, BitTensor
+from binreplay.graph import BitwidthConfig, Graph, backward, forward
+from binreplay.learner import ContinualConfig, build_reference_model, calibrate_activations, freeze_backbone
+from binreplay.learner import initialize_bn_stats
+
+GATE_BITS = {
+    "8/16/4": BitwidthConfig(8, 16, 4),
+    "16/8/1": BitwidthConfig(16, 8, 1),
+    "float": BitwidthConfig.floating(),
+    "8/8/8": BitwidthConfig(8, 8, 8),
+    "32/32/32": BitwidthConfig(32, 32, 32),
+    "8/16/16": BitwidthConfig(8, 16, 16),
+}
+CHANNELS = (1, 5, 8, 9, 63, 64, 65)
+
+
+def node_by_node(graph, x, config, mode="infer", from_level=None):
+    """Every node's output and the train cache, from _forward_node run on one
+    node at a time, a binary GEMM's counts read as floats."""
+    if from_level is None and config.q_f is not None:
+        x = G._snap_activation(G.as_float(x), G._grid(graph, -1, config.q_f))
+    level = -1 if from_level is None else from_level
+    acts, cache = {level: x}, {}
+    for idx in range(level + 1, len(graph.nodes)):
+        node = graph.nodes[idx]
+        packed = G.KINDS[node.kind].weight_bits
+        ins = [acts[i] if packed else G.as_float(acts[i]) for i in node.inputs]
+        y, c = G._forward_node(graph, idx, node, ins, config, mode == "train")
+        acts[idx] = y.astype(np.float64) if packed else y
+        if c is not None:
+            cache[idx] = c
+    return acts, cache
+
+
+def assert_same_bytes(got, want, what):
+    """Equal type, dtype, shape and bytes, through tuples and packed signs."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want), what
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same_bytes(a, b, f"{what}[{i}]")
+    elif isinstance(want, BitTensor):
+        assert got == want, what
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.shape == want.shape, what
+        assert got.tobytes() == want.tobytes(), what
+    else:
+        assert got == want, what
+
+
+def batchnorm_params(rng, c, k):
+    """Means on the counts' own lattice, so x - mean is exactly 0 somewhere,
+    zero variances, and signed zeros in gamma and beta."""
+    return {
+        "gamma": rng.choice([rng.normal(), 0.0, -0.0, -1.5], size=c),
+        "beta": rng.choice([rng.normal(), 0.0, -0.0], size=c),
+        "running_mean": np.where(rng.random(c) < 0.5, k - 2.0 * rng.integers(0, k + 1, size=c),
+                                 rng.normal(0.0, np.sqrt(k), size=c)),
+        "running_var": np.where(rng.random(c) < 0.2, 0.0, rng.uniform(0.0, k, size=c)),
+    }
+
+
+def chain_graph(rng, c, dense, ops, close, trainable):
+    """sign -> binary GEMM (c -> c) -> ops -> close; an "add" adds the sign."""
+    shape = (c,) if dense else (3, 3, c)
+    g = Graph(shape)
+    sign = g.add("binarize")
+    latent = rng.uniform(-1.0, 1.0, size=(c, c) if dense else (3, 3, c, c))
+    if dense:
+        g.add("binary_dense", trainable=trainable, params={"latent": latent})
+    else:
+        g.add("binary_conv2d", trainable=trainable, params={"latent": latent}, spec=BinConvSpec(3, 3, 1, 1, c, c))
+    k = latent.size // c
+    for op in ops:
+        if op == "batchnorm":
+            g.add("batchnorm", trainable=trainable, params=batchnorm_params(rng, c, k),
+                  eps=float(rng.choice([1e-5, 0.5])))
+        elif op == "prelu":
+            g.add("prelu", trainable=trainable, params={"alpha": rng.choice([rng.normal(), 0.0, 0.25], size=c)})
+        else:
+            g.add("add", inputs=(g.output_id, sign)[:: int(rng.choice([1, -1]))])
+    if close:
+        g.add(close)
+    return g
+
+
+def check_against_node_by_node(g, x, cfg, rng):
+    """Forward in both modes, with collect, stop_level and from_level, and
+    backward, each the same bytes as the node-by-node reference."""
+    if cfg.q_f is not None:
+        calibrate_activations(g, x, cfg.q_f)
+    want, want_cache = node_by_node(g, x, cfg, mode="train")
+    got, cache = forward(g, x, cfg, mode="infer")
+    assert_same_bytes(got, want[g.output_id], "output")
+    shown = {}
+    forward(g, x, cfg, mode="infer", collect=shown)
+    for idx in range(len(g.nodes)):
+        assert_same_bytes(shown[idx], want[idx], f"node {idx} ({g.nodes[idx].kind})")
+    stop = int(rng.integers(0, len(g.nodes)))
+    assert_same_bytes(forward(g, x, cfg, stop_level=stop)[0], want[stop], f"stop_level {stop}")
+    resumed, _ = forward(g, want[0], cfg, from_level=0)
+    assert_same_bytes(resumed, want[g.output_id], "resumed at the sign")
+
+    out, cache = forward(g, x, cfg, mode="train")
+    assert sorted(cache) == sorted(want_cache)
+    for idx, entry in cache.items():
+        rebuilt = entry.gather() if isinstance(entry, G._OnGrid) else entry
+        assert_same_bytes(rebuilt, want_cache[idx], f"cache of node {idx} ({g.nodes[idx].kind})")
+    direction = rng.normal(size=G.as_float(out).shape)
+    got_p, got_a = backward(g, cache, direction, cfg, return_act_grads=True)
+    want_p, want_a = backward(g, want_cache, direction, cfg, return_act_grads=True)
+    assert sorted(got_p) == sorted(want_p) and sorted(got_a) == sorted(want_a)
+    for idx, grads in want_p.items():
+        assert sorted(got_p[idx]) == sorted(grads)
+        for name, v in grads.items():
+            assert_same_bytes(got_p[idx][name], v, f"node {idx} {name} gradient")
+    for idx, v in want_a.items():
+        assert_same_bytes(got_a[idx], v, f"gradient at node {idx}")
+
+
+@st.composite
+def chains(draw):
+    dense = draw(st.booleans())
+    closes = [None, "binarize"] if dense else [None, "binarize", "global_avg_pool"]
+    return dict(
+        c=draw(st.sampled_from(CHANNELS)),
+        dense=dense,
+        ops=draw(st.lists(st.sampled_from(["batchnorm", "prelu", "add"]), max_size=4)),
+        close=draw(st.sampled_from(closes)),
+        trainable=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestTablesMatchNodeByNode:
+    @pytest.mark.parametrize("bits", sorted(GATE_BITS))
+    @given(case=chains())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_random_chain(self, bits, case):
+        rng = np.random.default_rng(case.pop("seed"))
+        g = chain_graph(rng, **case)
+        x = rng.normal(size=(3, *g.input_shape))
+        check_against_node_by_node(g, x, GATE_BITS[bits], rng)
+
+    @pytest.mark.parametrize("c", [128, 200, 255])
+    def test_rows_of_counts_that_span_more_than_their_row_count(self, c, rng):
+        # with k in [128, 255] the k + 1 rows fit in a byte, but k - counts
+        # reaches 2k, which does not: row i differs in every bit from
+        # channel i's weights, so its count there is -k
+        g = chain_graph(rng, c, True, ["batchnorm", "prelu"], "binarize", True)
+        x = np.concatenate([-G.as_float(g.nodes[1].weight_bits)[:, :3].T, rng.normal(size=(3, c))])
+        check_against_node_by_node(g, x, GATE_BITS["8/16/4"], rng)
+
+
+def _chains_tabulated(monkeypatch):
+    """The chain of every table forward builds, in order."""
+    seen = []
+    tabulate = G._tabulate
+
+    def spy(graph, gemm, chain, *args):
+        seen.append(list(chain))
+        return tabulate(graph, gemm, chain, *args)
+
+    monkeypatch.setattr(G, "_tabulate", spy)
+    return seen
+
+
+def _stop_case(case, rng):
+    c = 5
+    bn = dict(params=batchnorm_params(rng, c, 9 * c))
+    g = Graph((3, 3, c))
+    first = g.add("prelu", params={"alpha": np.full(c, 0.25)})  # a float input
+    sign = g.add("binarize")
+    gemm = g.add("binary_conv2d", params={"latent": rng.uniform(-1.0, 1.0, size=(3, 3, c, c))},
+                 spec=BinConvSpec(3, 3, 1, 1, c, c))
+    norm = g.add("batchnorm", **bn)
+    if case == "add-of-float":
+        g.add("add", inputs=(norm, first))
+    elif case == "sign-not-yet-computed":
+        later = g.add("binarize", inputs=first)
+        g.add("add", inputs=(norm, later))
+    elif case == "second-reader":
+        act = g.add("prelu", params={"alpha": np.full(c, 0.25)})
+        g.add("add", inputs=(act, norm))
+    elif case == "global-avg-pool":
+        g.add("add", inputs=(norm, sign))
+        g.add("global_avg_pool")
+    elif case == "gemm":
+        g.add("binary_conv2d", params={"latent": rng.uniform(-1.0, 1.0, size=(3, 3, c, c))},
+              spec=BinConvSpec(3, 3, 1, 1, c, c))
+        g.add("batchnorm", **bn)
+    return g, gemm
+
+
+class TestChainStops:
+    @pytest.mark.parametrize("case,want", [
+        ("add-of-float", [[3]]),
+        ("sign-not-yet-computed", [[3]]),
+        ("second-reader", [[3]]),
+        ("global-avg-pool", [[3, 4]]),
+        ("gemm", [[3], [5]]),
+    ])
+    @pytest.mark.parametrize("bits", ["float", "8/16/4"])
+    def test_chain_stops_and_the_rest_runs_node_by_node(self, case, want, bits, rng, monkeypatch):
+        g, _ = _stop_case(case, rng)
+        seen = _chains_tabulated(monkeypatch)
+        x = rng.normal(size=(4, 3, 3, 5))
+        check_against_node_by_node(g, x, GATE_BITS[bits], rng)
+        assert seen[-len(want):] == want
+
+    def test_reference_model_chains(self, rng, monkeypatch):
+        g = build_reference_model((6, 6, 1), channels=4, seed=0)
+        seen = _chains_tabulated(monkeypatch)
+        read = []
+        run_node = G._forward_node
+        monkeypatch.setattr(G, "_forward_node", lambda graph, idx, node, ins, *a: read.append(
+            (node.name, [i.shape for i in ins])) or run_node(graph, idx, node, ins, *a))
+        forward(g, rng.normal(size=(2, 6, 6, 1)), GATE_BITS["float"])
+        names = [[g.nodes[i].name for i in chain] for chain in seen]
+        assert names == [["block1_bn", "block1_sign"], ["block2_bn", "block2_sign"],
+                         ["block3_bn", "residual_add", "head_act"]]
+        # a chain node's code runs once, on its table: K + 1 = 37 counts per
+        # channel, twice that after the residual add; never on an activation
+        k = 3 * 3 * 4
+        tables = {name: [[(k + 1, 4)]] for name in ("block1_bn", "block1_sign", "block2_bn", "block2_sign",
+                                                     "block3_bn")}
+        tables |= {"residual_add": [[(2 * k + 2, 4)] * 2], "head_act": [[(2 * k + 2, 4)]]}
+        for name, want in tables.items():
+            assert [shapes for n, shapes in read if n == name] == want, name
+
+
+def _arrays(obj):
+    """Every array a cache entry holds."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, BitTensor):
+        yield obj.words
+    elif isinstance(obj, (tuple, list)):
+        for o in obj:
+            yield from _arrays(o)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def test_experience_step_caches_no_float_activation_above_block3_conv():
+    # the 80-row 8/16/4 step: x_hat and head_act's input, 2.95 MB each, were
+    # most of a 6.4 MB cache
+    rng = np.random.default_rng(0)
+    cfg = ContinualConfig()
+    g = build_reference_model((12, 12, 1), channels=32, seed=0)
+    xs = rng.uniform(-1.0, 1.0, size=(64, 12, 12, 1))
+    initialize_bn_stats(g, xs)
+    calibrate_activations(g, xs, cfg.bitwidth.q_f)
+    freeze_backbone(g, cfg)
+    latents = bitpack.from01(rng.integers(0, 2, size=(cfg.b_n + cfg.b_r, 12, 12, 32)))
+    out, cache = forward(g, latents, cfg.bitwidth, mode="train", from_level=g.replay_level)
+    conv = next(i for i, n in enumerate(g.nodes) if n.name == "block3_conv")
+    activation = latents.size
+    for idx, entry in cache.items():
+        if idx > conv:
+            floats = [a for a in _arrays(entry) if a.dtype.kind == "f" and a.size >= activation]
+            assert not floats, f"node {idx} ({g.nodes[idx].name}) caches a float activation"
+    held = {id(a): a.nbytes for a in _arrays(list(cache.values()))}
+    assert sum(held.values()) <= 1.5e6
+    grads = backward(g, cache, rng.normal(size=out.shape), cfg.bitwidth, from_level=g.replay_level)
+    assert sorted(g.nodes[i].name for i in grads) == ["block3_bn", "block3_conv", "head_act"]
