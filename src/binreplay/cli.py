@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import datasets, learner, replay, serialize
+from . import datasets, learner, serialize
 from .graph import BACKWARD_BIN_BITS, BACKWARD_NONBIN_BITS, FORWARD_BITS, BitwidthConfig, GraphError
 from .learner import ContinualConfig
 from .quant import QuantError
@@ -108,6 +108,16 @@ def _nested(cfg: dict) -> dict:
     return out
 
 
+def _sweep_tag(key: str, value) -> str:
+    """The suffix of a sweep variant's output names: the key's last part and
+    the value, each path separator made "_", so every output stays in
+    output_dir."""
+    tag = f"{key.split('.')[-1]}{value}"
+    for sep in filter(None, (os.sep, os.altsep)):
+        tag = tag.replace(sep, "_")
+    return tag
+
+
 def load_run_config(path: str) -> dict:
     """The run config at path as {dotted key: value}, defaults filled in and
     every value checked; a sweep, checked the same way, stays under "sweep"."""
@@ -133,9 +143,11 @@ def load_run_config(path: str) -> dict:
             raise ConfigError(f"sweep key {key!r} does not name a config field")
         for v in values:
             _check_values({**cfg, key: v}, f"sweep {key}={v!r}: config")
-        # checked values that differ print differently: each run's outputs get their own tag
         if not values or len(set(values)) < len(values):
             raise ConfigError(f"sweep {key} must list one or more values, no two equal, got {values!r}")
+        tags = [_sweep_tag(key, v) for v in values]
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"sweep {key} values {values!r} would share an output tag: {tags!r}")
         cfg["sweep"] = sweep
     return cfg
 
@@ -210,10 +222,33 @@ def _load_dataset_dir(path: str):
     return train, test
 
 
-def run_training(cfg: dict, tag: str = "") -> str:
-    (tr_x, tr_y, n_classes), (te_x, te_y, _) = _load_dataset_dir(cfg["dataset"])
+class _Slots:
+    """One slot each for the dataset read last and the pretraining run last:
+    consecutive sweep variants on one dataset read it once, and those that
+    also agree on learner.PRETRAIN_FIELDS share one pretraining."""
+
+    def __init__(self):
+        self.path = self.data = self.key = self.pretrained = None
+
+    def dataset(self, path: str):
+        if path != self.path:
+            self.path, self.data = path, _load_dataset_dir(path)
+        return self.data
+
+    def pretrain(self, ccfg: ContinualConfig, train_x, train_y, num_classes: int):
+        """learner.pretrain_first_experience of the rows self.dataset read last."""
+        key = (self.path, *(getattr(ccfg, f) for f in learner.PRETRAIN_FIELDS))
+        if key != self.key:
+            self.key = key
+            self.pretrained = learner.pretrain_first_experience(ccfg, train_x, train_y, num_classes)
+        return self.pretrained
+
+
+def run_training(cfg: dict, tag: str, slots: _Slots) -> str:
+    (tr_x, tr_y, n_classes), (te_x, te_y, _) = slots.dataset(cfg["dataset"])
     ccfg = continual_config(cfg)
-    log, g, head, mem = learner.run_protocol(ccfg, tr_x, tr_y, te_x, te_y, n_classes)
+    log, g, head, mem = learner.run_protocol(ccfg, tr_x, tr_y, te_x, te_y, n_classes,
+                                             pretrain=slots.pretrain)
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     suffix = f"_{tag}" if tag else ""
@@ -236,13 +271,12 @@ def cmd_train(args) -> int:
     if args.out is not None:
         cfg["output_dir"] = args.out
     _check_values(cfg)  # the overrides, before anything runs
+    # a plain config runs as an untagged sweep of its own dataset
     sweep = cfg.pop("sweep", None)
-    if not sweep:
-        run_training(cfg)
-        return 0
-    (key, values), = sweep.items()
+    (key, values), = (sweep or {"dataset": [cfg["dataset"]]}).items()
+    slots = _Slots()
     for v in values:
-        run_training({**cfg, key: v}, tag=f"{key.split('.')[-1]}{v}")
+        run_training({**cfg, key: v}, _sweep_tag(key, v) if sweep else "", slots)
     return 0
 
 

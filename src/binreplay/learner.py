@@ -1,13 +1,20 @@
 """Continual-learning orchestration: frozen backbone, latent replay, CWR* head.
 
-Protocol: experience 0 plays the offline-pretraining role (full-graph float
-training, activation-range calibration, replay-memory pre-population); later
-experiences train only the layers above the replay level, on minibatches that
-join B_N new latents with B_R replayed 1-bit latents.
+Protocol, in two phases split at the deployment boundary:
+- pretraining (offline) trains the full graph in float on experience 0 and
+  returns a Pretrained state;
+- deployment (on-device) runs on a copy of that state: it calibrates the
+  activation grids at q_f, freezes the backbone, fills the replay memory with
+  experience 0's latents, and then trains the later experiences only above
+  the replay level, on minibatches that join B_N new latents with B_R
+  replayed 1-bit latents.
+Runs that agree on PRETRAIN_FIELDS and the training rows can share one
+pretraining.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -22,6 +29,7 @@ from .replay import LatentSample, ReplayMemory
 
 
 PRETRAIN_BATCH = 32  # experience-0 rows per float training step
+STATS_ROWS = 256  # experience-0 rows that set the BN statistics and the activation grids
 LATENT_BATCH = 128  # rows per forward pass of the frozen region
 EVAL_BATCH = 256  # rows per forward pass when classifying
 
@@ -52,6 +60,22 @@ class ContinualConfig:
     bitwidth: BitwidthConfig = field(default_factory=BitwidthConfig)
     train_graph_layers: bool = True  # False: head-only baseline
     channels: int = 32
+
+
+# the ContinualConfig fields pretraining reads
+PRETRAIN_FIELDS = ("seed", "channels", "num_experiences", "pretrain_epochs", "pretrain_learning_rate")
+
+
+@dataclass
+class Pretrained:
+    """The offline phase's result: the float-trained graph, the consolidated
+    head, the rng after its draws, and the NC stream whose experience 0 they
+    were trained on."""
+    graph: Graph
+    head: cwr.CWRHead
+    rng: np.random.Generator
+    stream: list[Experience]
+    loss: float  # experience 0's mean training loss
 
 
 @dataclass
@@ -252,30 +276,26 @@ def _train_step(g: Graph, head: cwr.CWRHead, xs, labels, lr: float, bw: Bitwidth
     return loss
 
 
-def pretrain_first_experience(g: Graph, head: cwr.CWRHead, exp0: Experience,
-                              cfg: ContinualConfig, rng: np.random.Generator):
-    """Full-graph float training on experience 0, then on-device setup:
-    range calibration, backbone freeze, replay-memory pre-population."""
-    if len(exp0.inputs) == 0:
-        raise ProtocolError("experience 0 is empty")
-    fcfg = BitwidthConfig.floating()
-    stats_x = exp0.inputs[: min(len(exp0.inputs), 256)]
-    initialize_bn_stats(g, stats_x)
+def pretrain_first_experience(cfg: ContinualConfig, train_x, train_y, num_classes: int) -> Pretrained:
+    """The offline phase: build the model, the head and the NC stream, set
+    the BN statistics, train the full graph in float on experience 0 and
+    consolidate the head.  Reads only the fields in PRETRAIN_FIELDS."""
+    rng = np.random.default_rng(cfg.seed)
+    g = build_reference_model(train_x.shape[1:], channels=cfg.channels, seed=cfg.seed)
+    head = cwr.init(G.infer_shapes(g)[g.output_id][0], num_classes)
+    stream = build_nc_experiences(train_x, train_y, cfg.num_experiences, cfg.seed)
+    exp0 = stream[0]
+    initialize_bn_stats(g, exp0.inputs[:STATS_ROWS])
     for node in g.nodes:
         node.trainable = bool(G.KINDS[node.kind].trained)
 
     cwr.begin_experience(head, exp0.classes_introduced)
     cwr.record_training(head, exp0.labels)
+    fcfg = BitwidthConfig.floating()
     losses = [_train_step(g, head, exp0.inputs[idx], exp0.labels[idx], cfg.pretrain_learning_rate, fcfg)
               for idx in _minibatches(len(exp0.inputs), PRETRAIN_BATCH, cfg.pretrain_epochs, rng)]
     cwr.consolidate(head)
-
-    calibrate_activations(g, stats_x, cfg.bitwidth.q_f)
-    freeze_backbone(g, cfg)
-
-    mem = ReplayMemory(quota=cfg.quota, max_classes=head.max_classes)
-    replay.update_after_experience(mem, _latents_for(g, exp0.inputs, exp0.labels, cfg.bitwidth), rng)
-    return mem, float(np.mean(losses))
+    return Pretrained(g, head, rng, stream, float(np.mean(losses)))
 
 
 def _replay_draw_size(n_new: int, cfg: ContinualConfig) -> int:
@@ -367,28 +387,47 @@ def build_nc_experiences(train_x, train_y, num_experiences: int, seed: int) -> l
     return exps
 
 
-def run_protocol(cfg: ContinualConfig, train_x, train_y, test_x, test_y,
-                 num_classes: int) -> tuple[MetricsLog, Graph, cwr.CWRHead, ReplayMemory]:
-    """The NC stream, one metrics row per experience.  The frozen region never
-    changes after experience 0's freeze, so the test rows cross it once and
-    every evaluation resumes from their replay-level latents."""
-    rng = np.random.default_rng(cfg.seed)
-    g = build_reference_model(train_x.shape[1:], channels=cfg.channels, seed=cfg.seed)
-    head = cwr.init(G.infer_shapes(g)[g.output_id][0], num_classes)
-    log = MetricsLog()
-    for exp in build_nc_experiences(train_x, train_y, cfg.num_experiences, cfg.seed):
-        t0 = time.perf_counter()
-        if exp.index == 0:
-            mem, loss = pretrain_first_experience(g, head, exp, cfg, rng)
-            log.frozen_hash_before = frozen_region_hash(g)
-            test_latents = _latents_for(g, test_x, test_y, cfg.bitwidth)
-        else:
-            loss = run_experience(g, head, mem, exp, cfg, rng)
-        log.add(experience=exp.index, mean_train_loss=loss,
+def deploy_and_run(pre: Pretrained, cfg: ContinualConfig, test_x, test_y,
+                   started: float | None = None) -> tuple[MetricsLog, Graph, cwr.CWRHead, ReplayMemory]:
+    """The on-device phase, on a deep copy of pre, which stays as it was:
+    calibrate at q_f, freeze the backbone, fill the replay memory with
+    experience 0's latents, then learn the later experiences.  One metrics
+    row per experience; row 0's clock runs from started (default: now).  The
+    frozen region never changes after the freeze, so the test rows cross it
+    once and every evaluation resumes from their replay-level latents."""
+    started = time.perf_counter() if started is None else started
+    g, head, rng = copy.deepcopy((pre.graph, pre.head, pre.rng))
+    exp0, *later = pre.stream
+    calibrate_activations(g, exp0.inputs[:STATS_ROWS], cfg.bitwidth.q_f)
+    freeze_backbone(g, cfg)
+    mem = ReplayMemory(quota=cfg.quota, max_classes=head.max_classes)
+    replay.update_after_experience(mem, _latents_for(g, exp0.inputs, exp0.labels, cfg.bitwidth), rng)
+    log = MetricsLog(frozen_hash_before=frozen_region_hash(g))
+    test_latents = _latents_for(g, test_x, test_y, cfg.bitwidth)
+
+    def add_row(index: int, loss: float, t0: float):
+        log.add(experience=index, mean_train_loss=loss,
                 test_accuracy=evaluate(g, head, test_latents, test_y, cfg.bitwidth),
                 fwd_macs=mac_count(g, "forward", above_level=g.replay_level),
                 bwd_macs=mac_count(g, "backward", above_level=g.replay_level),
                 replay_bits=replay.memory_footprint_bits(mem).payload_bits,
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+
+    add_row(0, pre.loss, started)
+    for exp in later:
+        t0 = time.perf_counter()
+        add_row(exp.index, run_experience(g, head, mem, exp, cfg, rng), t0)
     log.frozen_hash_after = frozen_region_hash(g)
     return log, g, head, mem
+
+
+def run_protocol(cfg: ContinualConfig, train_x, train_y, test_x, test_y, num_classes: int,
+                 pretrain=None) -> tuple[MetricsLog, Graph, cwr.CWRHead, ReplayMemory]:
+    """The NC stream: pretraining, then deploy_and_run on its result, with
+    row 0's clock started before the pretraining.  pretrain, if given, is
+    called in place of pretrain_first_experience with the same arguments; a
+    caller that runs several configs passes one that returns an earlier
+    result for configs that agree on PRETRAIN_FIELDS and the training rows."""
+    started = time.perf_counter()
+    pre = (pretrain or pretrain_first_experience)(cfg, train_x, train_y, num_classes)
+    return deploy_and_run(pre, cfg, test_x, test_y, started)

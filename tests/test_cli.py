@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from binreplay import cli, serialize
+from binreplay import cli, learner, serialize
 from binreplay.bitpack import pack
 from binreplay.cli import SETTINGS, load_run_config, main
 from binreplay.graph import BitwidthConfig
@@ -25,6 +25,26 @@ def write_config(path, dataset_dir, out_dir, **overrides):
     }
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def _train_outputs(out_dir, tag=""):
+    """The bytes of one run's metrics, checkpoint and replay memory."""
+    suffix = f"_{tag}" if tag else ""
+    return {name: (out_dir / f"{name}{suffix}{ext}").read_bytes()
+            for name, ext in (("metrics", ".csv"), ("checkpoint", ".brck"), ("replay", ".brrm"))}
+
+
+def _config_at(path, dataset_dir, out_dir, dotted, value):
+    """write_config, with the dotted key set to value."""
+    write_config(path, dataset_dir, out_dir)
+    raw = json.loads(path.read_text())
+    *parents, leaf = dotted.split(".")
+    cur = raw
+    for p in parents:
+        cur = cur.setdefault(p, {})
+    cur[leaf] = value
+    path.write_text(json.dumps(raw))
     return path
 
 
@@ -160,6 +180,21 @@ class TestTrain:
         assert names == ["metrics_q_b_bin1.csv", "metrics_q_b_bin16.csv",
                          "metrics_q_b_bin4.csv", "metrics_q_b_bin8.csv"]
 
+    def test_sweep_tags_hold_no_path_separator(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        # "./data" would write metrics_dataset./data.csv: a file in a new directory
+        monkeypatch.chdir(dataset_dir.parent)
+        name, out = dataset_dir.name, tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, out,
+                           sweep={"dataset": [name, f".{os.sep}{name}"]})
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert all(p.is_file() for p in out.iterdir())
+        metrics = sorted(p.name for p in out.glob("metrics_*.csv"))
+        assert metrics == [f"metrics_dataset._{name}.csv", f"metrics_dataset{name}.csv"]
+        capsys.readouterr()
+        assert main(["report", "--metrics-dir", str(out)]) == 0
+        listed = [line.split(",")[0] for line in (out / "report.csv").read_text().splitlines()[1:]]
+        assert listed == [m[:-len(".csv")] for m in metrics]
+
     def test_unknown_config_key(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out",
                            nonsense=True)
@@ -204,14 +239,7 @@ class TestTrain:
         ("output_dir", ""),
     ])
     def test_bad_value(self, dotted, value, dataset_dir, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out")
-        raw = json.loads(cfg.read_text())
-        *parents, leaf = dotted.split(".")
-        cur = raw
-        for p in parents:
-            cur = cur.setdefault(p, {})
-        cur[leaf] = value
-        cfg.write_text(json.dumps(raw))
+        cfg = _config_at(tmp_path / "cfg.json", dataset_dir, tmp_path / "out", dotted, value)
         assert main(["train", "--config", str(cfg)]) == 1
         assert f"config.{dotted} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -226,8 +254,9 @@ class TestTrain:
         {"bitwidth.q_b_bin": []},
         {"protocol.lr": [0.3, 0.3]},
         {"protocol.lr": [1, 1.0]},
+        {"dataset": [f"a{os.sep}b", "a_b"]},
     ], ids=["value-type", "value-range", "not-a-list", "object-key", "two-axes", "unknown-key",
-            "empty", "value-twice", "equal-values"])
+            "empty", "value-twice", "equal-values", "same-tag"])
     def test_bad_sweep_rejected_before_any_run(self, sweep, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out", sweep=sweep)
         assert main(["train", "--config", str(cfg)]) == 1
@@ -256,13 +285,67 @@ class TestTrain:
             loaded.append(load_run_config(path))
             return loaded[-1]
         monkeypatch.setattr(cli, "load_run_config", load)
-        monkeypatch.setattr(cli, "run_training", lambda c, tag="": runs.append((tag, c)))
+        monkeypatch.setattr(cli, "run_training", lambda c, tag, slots: runs.append((tag, c)))
         assert main(["train", "--config", str(cfg)]) == 0
         # compared after both runs: no variant sees another's value, and the
         # loaded config has lost only its sweep
         assert runs == [("q_b_bin1", {**base, "bitwidth.q_b_bin": "1"}),
                         ("q_b_bin8", {**base, "bitwidth.q_b_bin": "8"})]
         assert loaded == [base]
+
+
+class TestSharedPretraining:
+    # sweep key -> a value other than write_config's; pretraining reads none of these keys
+    SHARED = {
+        "bitwidth.q_f": "16", "bitwidth.q_b_nonbin": "8", "bitwidth.q_b_bin": "1",
+        "replay.quota": 5, "replay.b_n": 4, "replay.b_r": 8,
+        "protocol.epochs": 2, "protocol.lr": 0.1, "protocol.head_only": True,
+    }
+    # ... and pretraining reads each of these
+    OWN = {"protocol.seed": 1, "protocol.pretrain_epochs": 1, "model.channels": 4,
+           "protocol.num_experiences": 3, "protocol.pretrain_lr": 0.1}
+
+    @pytest.fixture
+    @staticmethod
+    def pretrainings(monkeypatch):
+        calls = []
+        orig = learner.pretrain_first_experience
+
+        def spy(*args):
+            calls.append(args[0])
+            return orig(*args)
+
+        monkeypatch.setattr(learner, "pretrain_first_experience", spy)
+        return calls
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def default_run(dataset_dir, tmp_path_factory):
+        base = tmp_path_factory.mktemp("alone")
+        assert main(["train", "--config", str(write_config(base / "cfg.json", dataset_dir, base / "out"))]) == 0
+        return load_run_config(str(base / "cfg.json")), _train_outputs(base / "out")
+
+    @pytest.mark.parametrize("key,other", SHARED.items(), ids=list(SHARED))
+    def test_sweep_writes_the_bytes_of_independent_runs(self, key, other, dataset_dir, default_run,
+                                                        tmp_path, pretrainings):
+        defaults, alone = default_run
+        values = [defaults[key], other]
+        cfg = write_config(tmp_path / "sweep.json", dataset_dir, tmp_path / "sweep", sweep={key: values})
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert len(pretrainings) == 1
+        cfg = _config_at(tmp_path / "alone.json", dataset_dir, tmp_path / "alone", key, other)
+        assert main(["train", "--config", str(cfg)]) == 0
+        for v, want in zip(values, (alone, _train_outputs(tmp_path / "alone"))):
+            assert _train_outputs(tmp_path / "sweep", cli._sweep_tag(key, v)) == want
+
+    @pytest.mark.parametrize("key,other", OWN.items(), ids=list(OWN))
+    def test_sweep_over_a_pretraining_key_pretrains_per_value(self, key, other, dataset_dir,
+                                                              default_run, tmp_path, pretrainings):
+        defaults, _ = default_run
+        cfg = write_config(tmp_path / "sweep.json", dataset_dir, tmp_path / "sweep",
+                           sweep={key: [defaults[key], other]})
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert len(pretrainings) == 2
 
 
 class TestEval:

@@ -7,7 +7,6 @@ from binreplay import bitpack, cwr, datasets, learner, replay
 from binreplay.graph import BitwidthConfig, Graph, f32_precision, forward, infer_shapes, latent_grid_scale
 from binreplay.learner import (
     ContinualConfig,
-    Experience,
     ProtocolError,
     build_nc_experiences,
     build_reference_model,
@@ -296,13 +295,56 @@ class TestProtocol:
         assert all(r["bwd_macs"] == 0 for r in log.rows)
 
     def test_empty_experience_zero_rejected(self):
-        g = build_reference_model(input_shape=(8, 8, 1), channels=8, seed=0)
-        head = cwr.init(8, 4)
-        exp = Experience(inputs=np.zeros((0, 8, 8, 1)), labels=np.zeros(0, dtype=int),
-                         index=0, classes_introduced=(0,))
         with pytest.raises(ProtocolError):
-            learner.pretrain_first_experience(g, head, exp, small_config(),
-                                              np.random.default_rng(0))
+            learner.pretrain_first_experience(small_config(), np.zeros((0, 8, 8, 1)),
+                                              np.zeros(0, dtype=int), 4)
+
+
+class TestSharedPretraining:
+    def test_pretraining_reads_only_its_fields(self, small_data):
+        (trx, try_), _ = small_data
+        fields = set(vars(small_config()))
+        reads = set()
+
+        class Recording(ContinualConfig):
+            def __getattribute__(self, name):
+                if name in fields:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        learner.pretrain_first_experience(Recording(**vars(small_config())), trx, try_, 4)
+        assert reads == set(learner.PRETRAIN_FIELDS)
+
+    def test_variants_of_one_pretraining_draw_as_independent_runs(self, small_data, monkeypatch):
+        (trx, try_), (tex, tey) = small_data
+        draws = []
+        orig = replay.sample_minibatch
+
+        def spy(mem, k, rng):
+            out = orig(mem, k, rng)
+            draws.append([(s.label, s.activation.words.tobytes()) for s in out])
+            return out
+
+        monkeypatch.setattr(learner.replay, "sample_minibatch", spy)
+
+        def observed(run):
+            draws.clear()
+            log, g, head, mem = run()
+            memory = [(s.label, s.activation.words.tobytes()) for c in mem.classes for s in mem.per_class[c]]
+            return log.to_csv(), list(draws), memory
+
+        def param_bytes(g):
+            return [v.tobytes() for n in g.nodes for _, v in sorted(n.params.items())]
+
+        cfgs = [small_config(bitwidth=BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=b)) for b in (1, 4)]
+        pre = learner.pretrain_first_experience(cfgs[0], trx, try_, 4)
+        rng_state, params = pre.rng.bit_generator.state, param_bytes(pre.graph)
+        for cfg in cfgs:
+            shared = observed(lambda: learner.deploy_and_run(pre, cfg, tex, tey))
+            assert draws
+            assert shared == observed(lambda: learner.run_protocol(cfg, trx, try_, tex, tey, 4))
+        assert pre.rng.bit_generator.state == rng_state
+        assert param_bytes(pre.graph) == params
 
 
 class TestMinibatchComposition:
