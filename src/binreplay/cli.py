@@ -7,11 +7,13 @@ Configs are JSON (unknown keys rejected), metrics are CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import struct
 import sys
+import time
 
 import numpy as np
 
@@ -122,12 +124,14 @@ def load_run_config(path: str) -> dict:
     """The run config at path as {dotted key: value}, defaults filled in and
     every value checked; a sweep, checked the same way, stays under "sweep"."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
+    except (ValueError, RecursionError) as e:  # not UTF-8, or nested too deep for json
+        raise ConfigError(f"{path}: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     sweep = raw.pop("sweep", None)
@@ -181,7 +185,10 @@ def _write_text_atomic(path: str, text: str):
 
 
 def cmd_synth(args) -> int:
-    shape = tuple(int(s) for s in args.shape.split(","))
+    try:
+        shape = tuple(int(s) for s in args.shape.split(","))
+    except ValueError:
+        shape = ()
     if len(shape) != 3 or min(shape) < 1:
         raise ConfigError(f"--shape must be H,W,C, each at least 1, got {args.shape!r}")
     if not 2 <= args.classes <= serialize.MAX_CLASSES:
@@ -189,26 +196,30 @@ def cmd_synth(args) -> int:
     if args.samples_per_class < 3:
         raise ConfigError(f"--samples-per-class must be >= 3 so that every class has a train "
                           f"and a test row, got {args.samples_per_class}")
+    _io(_makedirs, args.out, "make --out directory")
     xs, ys = datasets.make_synthetic(args.classes, args.samples_per_class,
                                      shape=shape, seed=args.seed)
     (tr_x, tr_y), (te_x, te_y) = datasets.stratified_split(xs, ys, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     serialize.write_dataset(os.path.join(args.out, "train.brds"), tr_x, tr_y, args.classes)
     serialize.write_dataset(os.path.join(args.out, "test.brds"), te_x, te_y, args.classes)
     print(f"wrote {len(tr_x)} train / {len(te_x)} test samples of shape {shape} to {args.out}")
     return 0
 
 
-def _reading(read, path: str, what: str):
-    """read(path); a path that cannot be opened is a ConfigError."""
+def _io(call, path: str, what: str):
+    """call(path); an OSError, such as a missing file, is a ConfigError that
+    says what could not be done to path."""
     try:
-        return read(path)
+        return call(path)
     except OSError as e:
-        raise ConfigError(f"cannot read {what} {path}: {e.strerror}") from None
+        raise ConfigError(f"cannot {what} {path}: {e.strerror}") from None
+
+
+_makedirs = functools.partial(os.makedirs, exist_ok=True)
 
 
 def _read_dataset(path: str):
-    xs, ys, n_classes = _reading(serialize.read_dataset, path, "dataset")
+    xs, ys, n_classes = _io(serialize.read_dataset, path, "read dataset")
     if not len(xs):
         raise ConfigError(f"dataset {path} holds no rows")
     return xs, ys, n_classes
@@ -222,40 +233,14 @@ def _load_dataset_dir(path: str):
     return train, test
 
 
-class _Slots:
-    """One slot each for the dataset read last and the pretraining run last:
-    consecutive sweep variants on one dataset read it once, and those that
-    also agree on learner.PRETRAIN_FIELDS share one pretraining."""
-
-    def __init__(self):
-        self.path = self.data = self.key = self.pretrained = None
-
-    def dataset(self, path: str):
-        if path != self.path:
-            self.path, self.data = path, _load_dataset_dir(path)
-        return self.data
-
-    def pretrain(self, ccfg: ContinualConfig, train_x, train_y, num_classes: int):
-        """learner.pretrain_first_experience of the rows self.dataset read last."""
-        key = (self.path, *(getattr(ccfg, f) for f in learner.PRETRAIN_FIELDS))
-        if key != self.key:
-            self.key = key
-            self.pretrained = learner.pretrain_first_experience(ccfg, train_x, train_y, num_classes)
-        return self.pretrained
-
-
-def run_training(cfg: dict, tag: str, slots: _Slots) -> str:
-    (tr_x, tr_y, n_classes), (te_x, te_y, _) = slots.dataset(cfg["dataset"])
-    ccfg = continual_config(cfg)
-    log, g, head, mem = learner.run_protocol(ccfg, tr_x, tr_y, te_x, te_y, n_classes,
-                                             pretrain=slots.pretrain)
+def run_training(cfg: dict, tag: str, bitwidth: BitwidthConfig, run) -> str:
+    """Write one variant's outputs: run is what learner.deploy_and_run returned."""
+    log, g, head, mem = run
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
     suffix = f"_{tag}" if tag else ""
     # state first: a run whose weights the checkpoint refuses (NaN or inf)
     # leaves no metrics for report to read
-    serialize.write_checkpoint(os.path.join(out, f"checkpoint{suffix}.brck"),
-                               g, ccfg.bitwidth, head)
+    serialize.write_checkpoint(os.path.join(out, f"checkpoint{suffix}.brck"), g, bitwidth, head)
     serialize.write_replay_memory(os.path.join(out, f"replay{suffix}.brrm"), mem)
     metrics_path = os.path.join(out, f"metrics{suffix}.csv")
     _write_text_atomic(metrics_path, log.to_csv())
@@ -274,14 +259,28 @@ def cmd_train(args) -> int:
     # a plain config runs as an untagged sweep of its own dataset
     sweep = cfg.pop("sweep", None)
     (key, values), = (sweep or {"dataset": [cfg["dataset"]]}).items()
-    slots = _Slots()
-    for v in values:
-        run_training({**cfg, key: v}, _sweep_tag(key, v) if sweep else "", slots)
+    variants = [({**cfg, key: v}, _sweep_tag(key, v) if sweep else "") for v in values]
+    # every input is read and every output directory made before the first run
+    data = {c["dataset"]: _load_dataset_dir(c["dataset"]) for c, _ in variants}
+    for out in dict.fromkeys(c["output_dir"] for c, _ in variants):
+        _io(_makedirs, out, "make output_dir")
+    # consecutive variants that agree on the dataset and learner.PRETRAIN_FIELDS
+    # deploy copies of one pretraining
+    last = pre = None
+    for c, tag in variants:
+        (tr_x, tr_y, n_classes), (te_x, te_y, _) = data[c["dataset"]]
+        ccfg = continual_config(c)
+        started = time.perf_counter()  # row 0 counts the pretraining, if this variant runs it
+        pre_key = (c["dataset"], *(getattr(ccfg, f) for f in learner.PRETRAIN_FIELDS))
+        if pre_key != last:
+            last, pre = pre_key, None  # the previous Pretrained goes before the next is built
+            pre = learner.pretrain_first_experience(ccfg, tr_x, tr_y, n_classes)
+        run_training(c, tag, ccfg.bitwidth, learner.deploy_and_run(pre, ccfg, te_x, te_y, started))
     return 0
 
 
 def cmd_eval(args) -> int:
-    g, head, bw = _reading(serialize.read_checkpoint, args.checkpoint, "checkpoint")
+    g, head, bw = _io(serialize.read_checkpoint, args.checkpoint, "read checkpoint")
     path = os.path.join(args.dataset, "test.brds") if os.path.isdir(args.dataset) else args.dataset
     xs, ys, n_classes = _read_dataset(path)
     if xs.shape[1:] != g.input_shape:
@@ -315,7 +314,7 @@ def _parse_metrics_csv(path: str):
 def cmd_report(args) -> int:
     paths = sorted(
         os.path.join(args.metrics_dir, p)
-        for p in _reading(os.listdir, args.metrics_dir, "metrics dir")
+        for p in _io(os.listdir, args.metrics_dir, "read metrics dir")
         if p.startswith("metrics") and p.endswith(".csv")
     )
     if not paths:
@@ -358,8 +357,8 @@ def _read_idx(path: str) -> np.ndarray:
 
 def cmd_import_idx(args) -> int:
     """Convert IDX image/label pairs into the repo dataset format."""
-    images = _reading(_read_idx, args.images, "IDX file").astype(np.float64)
-    labels = _reading(_read_idx, args.labels, "IDX file").astype(np.int64)
+    images = _io(_read_idx, args.images, "read IDX file").astype(np.float64)
+    labels = _io(_read_idx, args.labels, "read IDX file").astype(np.int64)
     if images.ndim not in (3, 4) or labels.ndim != 1:
         raise ConfigError(f"expected N x H x W (x C) images and N labels, "
                           f"got shapes {images.shape} and {labels.shape}")

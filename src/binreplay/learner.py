@@ -421,13 +421,10 @@ def deploy_and_run(pre: Pretrained, cfg: ContinualConfig, test_x, test_y,
     return log, g, head, mem
 
 
-def run_protocol(cfg: ContinualConfig, train_x, train_y, test_x, test_y, num_classes: int,
-                 pretrain=None) -> tuple[MetricsLog, Graph, cwr.CWRHead, ReplayMemory]:
-    """The NC stream: pretraining, then deploy_and_run on its result, with
-    row 0's clock started before the pretraining.  pretrain, if given, is
-    called in place of pretrain_first_experience with the same arguments; a
-    caller that runs several configs passes one that returns an earlier
-    result for configs that agree on PRETRAIN_FIELDS and the training rows."""
+def run_protocol(cfg: ContinualConfig, train_x, train_y, test_x, test_y,
+                 num_classes: int) -> tuple[MetricsLog, Graph, cwr.CWRHead, ReplayMemory]:
+    """The NC stream: pretrain_first_experience, then deploy_and_run on its
+    result, with row 0's clock started before the pretraining."""
     started = time.perf_counter()
-    pre = (pretrain or pretrain_first_experience)(cfg, train_x, train_y, num_classes)
+    pre = pretrain_first_experience(cfg, train_x, train_y, num_classes)
     return deploy_and_run(pre, cfg, test_x, test_y, started)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ def trained_dir(dataset_dir, tmp_path_factory):
     return base / "out"
 
 
+@pytest.fixture
+def pretrainings(monkeypatch):
+    """The config of each learner.pretrain_first_experience call, in order."""
+    calls = []
+    orig = learner.pretrain_first_experience
+
+    def spy(*args):
+        calls.append(args[0])
+        return orig(*args)
+
+    monkeypatch.setattr(learner, "pretrain_first_experience", spy)
+    return calls
+
+
 class TestSynth:
     def test_writes_both_splits(self, dataset_dir):
         xs, ys, nc = serialize.read_dataset(dataset_dir / "train.brds")
@@ -81,11 +96,20 @@ class TestSynth:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_bad_shape_rejected(self, tmp_path, capsys):
-        # a zero extent failed inside numpy after the classes were drawn
-        for shape in ("6,6", "12,12,0", "0,12,1"):
+        # a zero extent failed inside numpy after the classes were drawn, and
+        # a non-integer one in int(), whose message named no flag
+        for shape in ("6,6", "12,12,0", "0,12,1", "a,b,c"):
             assert main(["synth", "--out", str(tmp_path / "d"), "--shape", shape]) == 1
             assert "--shape must be" in capsys.readouterr().err
             assert not (tmp_path / "d").exists()
+
+    def test_out_naming_a_file_rejected(self, tmp_path, capsys):
+        # os.makedirs raised FileExistsError after the dataset was built: exit 2
+        out = tmp_path / "d"
+        out.write_text("kept")
+        assert main(["synth", "--out", str(out), "--shape", "6,6,1"]) == 1
+        assert f"cannot make --out directory {out}" in capsys.readouterr().err
+        assert out.read_text() == "kept"
 
     @pytest.mark.parametrize("n", [1, 2**16])
     def test_class_count_rejected(self, n, tmp_path, capsys):
@@ -157,6 +181,57 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "sample 0 holds a NaN" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_output_dir_naming_a_file_rejected_before_any_run(self, dataset_dir, tmp_path,
+                                                              capsys, pretrainings):
+        # the whole protocol ran, then os.makedirs raised FileExistsError: exit 2
+        out = tmp_path / "out"
+        out.write_text("kept")
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, out)
+        assert main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"cannot make output_dir {out}" in captured.err
+        assert "final accuracy" not in captured.out
+        assert pretrainings == [] and out.read_text() == "kept"
+
+    def test_missing_dataset_in_a_sweep_rejected_before_any_run(self, dataset_dir, tmp_path,
+                                                                capsys, pretrainings):
+        # variant 1 trained and wrote its outputs before variant 2's dataset was read
+        missing = tmp_path / "missing"
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out",
+                           sweep={"dataset": [str(dataset_dir), str(missing)]})
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"cannot read dataset {missing}" in capsys.readouterr().err
+        assert pretrainings == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [b"[" * 200_000 + b"]" * 200_000, b'{"dataset": "\xff"}'],
+                             ids=["nested-too-deep", "not-utf-8"])
+    def test_unparsable_config_names_its_path(self, text, tmp_path, capsys):
+        # json's RecursionError exited 2; a UnicodeDecodeError named no file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+    def test_timings_row_0_counts_the_pretraining_of_its_own_variant(self, dataset_dir, tmp_path,
+                                                                     monkeypatch, pretrainings):
+        # a clock that only the pretraining advances, by 1000 s
+        clock = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        counted = learner.pretrain_first_experience
+
+        def pretrain(*args):
+            clock[0] += 1000.0
+            return counted(*args)
+
+        monkeypatch.setattr(learner, "pretrain_first_experience", pretrain)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, out,
+                           sweep={"bitwidth.q_b_bin": ["1", "4"]})
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert len(pretrainings) == 1
+        rows = [(out / f"timings_q_b_bin{v}.csv").read_text().splitlines()[1:] for v in "14"]
+        assert rows == [["0,1000000.0", "1,0.0"], ["0,0.0", "1,0.0"]]
 
     @pytest.mark.parametrize("bitwidth", [{}, dict.fromkeys(("q_f", "q_b_nonbin", "q_b_bin"), "float")],
                              ids=["8-16-4", "float"])
@@ -285,7 +360,7 @@ class TestTrain:
             loaded.append(load_run_config(path))
             return loaded[-1]
         monkeypatch.setattr(cli, "load_run_config", load)
-        monkeypatch.setattr(cli, "run_training", lambda c, tag, slots: runs.append((tag, c)))
+        monkeypatch.setattr(cli, "run_training", lambda c, tag, bitwidth, run: runs.append((tag, c)))
         assert main(["train", "--config", str(cfg)]) == 0
         # compared after both runs: no variant sees another's value, and the
         # loaded config has lost only its sweep
@@ -304,19 +379,6 @@ class TestSharedPretraining:
     # ... and pretraining reads each of these
     OWN = {"protocol.seed": 1, "protocol.pretrain_epochs": 1, "model.channels": 4,
            "protocol.num_experiences": 3, "protocol.pretrain_lr": 0.1}
-
-    @pytest.fixture
-    @staticmethod
-    def pretrainings(monkeypatch):
-        calls = []
-        orig = learner.pretrain_first_experience
-
-        def spy(*args):
-            calls.append(args[0])
-            return orig(*args)
-
-        monkeypatch.setattr(learner, "pretrain_first_experience", spy)
-        return calls
 
     @pytest.fixture(scope="class")
     @staticmethod
