@@ -18,9 +18,9 @@ import time
 import numpy as np
 
 from . import datasets, learner, serialize
-from .graph import BACKWARD_BIN_BITS, BACKWARD_NONBIN_BITS, FORWARD_BITS, BitwidthConfig, GraphError
+from .graph import BACKWARD_BIN_BITS, BACKWARD_NONBIN_BITS, FORWARD_BITS, BitwidthConfig
 from .learner import ContinualConfig
-from .quant import QuantError
+from .quant import is_number
 
 
 class ConfigError(ValueError):
@@ -29,9 +29,9 @@ class ConfigError(ValueError):
 
 # checks of run-config values: (check, what the value must be); JSON's true
 # and false are not integers here
-def _int_at_least(lo: int):
-    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
-            f"an integer >= {lo}")
+def _int_in(lo: int, hi=math.inf):
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi,
+            f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]")
 
 
 def _one_of(allowed):
@@ -43,7 +43,7 @@ def _bits(allowed):
 
 
 def _positive(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+    return is_number(v) and v > 0
 
 
 def _path(v) -> bool:
@@ -57,18 +57,18 @@ _BW = _ENGINE.bitwidth
 # must be); defaults the engine holds come from ContinualConfig
 SETTINGS = {
     "model.preset": ("reference", *_one_of(("reference",))),
-    "model.channels": (_ENGINE.channels, *_int_at_least(1)),
+    "model.channels": (_ENGINE.channels, *_int_in(1)),
     "bitwidth.q_f": (str(_BW.q_f), *_bits(FORWARD_BITS)),
     "bitwidth.q_b_nonbin": (str(_BW.q_b_nonbin), *_bits(BACKWARD_NONBIN_BITS)),
     "bitwidth.q_b_bin": (str(_BW.q_b_bin), *_bits(BACKWARD_BIN_BITS)),
-    "replay.quota": (_ENGINE.quota, *_int_at_least(1)),
-    "replay.b_n": (_ENGINE.b_n, *_int_at_least(1)),
-    "replay.b_r": (_ENGINE.b_r, *_int_at_least(0)),
-    "protocol.num_experiences": (_ENGINE.num_experiences, *_int_at_least(1)),
-    "protocol.epochs": (_ENGINE.epochs, *_int_at_least(1)),
+    "replay.quota": (_ENGINE.quota, *_int_in(1, serialize.MAX_QUOTA)),
+    "replay.b_n": (_ENGINE.b_n, *_int_in(1)),
+    "replay.b_r": (_ENGINE.b_r, *_int_in(0)),
+    "protocol.num_experiences": (_ENGINE.num_experiences, *_int_in(1)),
+    "protocol.epochs": (_ENGINE.epochs, *_int_in(1)),
     "protocol.lr": (_ENGINE.learning_rate, _positive, "a finite number > 0"),
-    "protocol.seed": (_ENGINE.seed, *_int_at_least(0)),
-    "protocol.pretrain_epochs": (_ENGINE.pretrain_epochs, *_int_at_least(1)),
+    "protocol.seed": (_ENGINE.seed, *_int_in(0)),
+    "protocol.pretrain_epochs": (_ENGINE.pretrain_epochs, *_int_in(1)),
     "protocol.pretrain_lr": (_ENGINE.pretrain_learning_rate, _positive, "a finite number > 0"),
     "protocol.head_only": (not _ENGINE.train_graph_layers, lambda v: isinstance(v, bool),
                            "true or false"),
@@ -80,7 +80,7 @@ SETTINGS = {
 def _check_values(cfg: dict, where: str = "config"):
     for key, (_, ok, what) in SETTINGS.items():
         if not ok(cfg[key]):
-            raise ConfigError(f"{where}.{key} must be {what}, got {cfg[key]!r}")
+            raise ConfigError(f"{where}.{key} must be {what}, got {cfg[key]!r:.60}")
 
 
 def _read_into(cfg: dict, raw: dict, where: str = "config", prefix: str = ""):
@@ -144,14 +144,14 @@ def load_run_config(path: str) -> dict:
             raise ConfigError("config.sweep must map one dotted key to a list of values")
         (key, values), = sweep.items()
         if key not in SETTINGS:
-            raise ConfigError(f"sweep key {key!r} does not name a config field")
+            raise ConfigError(f"sweep key {key!r:.60} does not name a config field")
         for v in values:
-            _check_values({**cfg, key: v}, f"sweep {key}={v!r}: config")
+            _check_values({**cfg, key: v}, f"sweep {key}={v!r:.60}: config")
         if not values or len(set(values)) < len(values):
-            raise ConfigError(f"sweep {key} must list one or more values, no two equal, got {values!r}")
+            raise ConfigError(f"sweep {key} must list one or more values, no two equal, got {values!r:.60}")
         tags = [_sweep_tag(key, v) for v in values]
         if len(set(tags)) < len(tags):
-            raise ConfigError(f"sweep {key} values {values!r} would share an output tag: {tags!r}")
+            raise ConfigError(f"sweep {key} values {values!r:.60} would share an output tag: {tags!r:.60}")
         cfg["sweep"] = sweep
     return cfg
 
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, serialize.FormatError, GraphError, QuantError, ValueError) as e:
+    except ValueError as e:  # ConfigError, FormatError and every other refusal
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

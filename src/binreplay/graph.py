@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bitpack
 from .bitpack import BinConvSpec, BitTensor
-from .quant import QuantError, QuantParams, calibrate_range, dequantize, quant_params, quantize, qmatmul
+from .quant import QuantError, QuantParams, calibrate_range, dequantize, is_number, quant_params, quantize, qmatmul
 
 FORWARD_BITS = (8, 16, 32)
 BACKWARD_NONBIN_BITS = (8, 16, 32)
@@ -132,8 +132,7 @@ def check_node(idx: int, node: LayerNode) -> None:
     if np.any(node.params.get("running_var", 0.0) < 0):
         raise GraphError(f"{where} holds a negative running_var")
     eps = node.attrs.get("eps", 1e-5)
-    if node.kind == "batchnorm" and not (isinstance(eps, (int, float)) and not isinstance(eps, bool)
-                                         and math.isfinite(eps) and eps > 0):
+    if node.kind == "batchnorm" and not (is_number(eps) and eps > 0):
         raise GraphError(f"{where} takes eps {eps!r}, not a finite number above 0")
 
 

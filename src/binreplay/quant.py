@@ -8,6 +8,7 @@ round-half-to-even for reproducibility across platforms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,6 +18,13 @@ VALID_BITS = (8, 16, 32)
 
 # storage dtype per bitwidth, used by the file format
 STORAGE_DTYPE = {8: np.int8, 16: np.int16, 32: np.int32}
+
+
+def is_number(v) -> bool:
+    """Whether v, read from a config or file, is an int or float (not a bool) that float64 holds."""
+    # a float takes the cheap test, as QuantParams calls this per GEMM; an int compares exactly
+    return (math.isfinite(v) if isinstance(v, float)
+            else isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 
 
 class QuantError(ValueError):
@@ -37,7 +45,7 @@ class QuantParams:
     def __post_init__(self):
         if self.bits not in VALID_BITS:
             raise QuantError(f"bits must be one of {VALID_BITS}, got {self.bits}")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
+        if not (is_number(self.scale) and self.scale > 0):
             raise QuantError(f"scale must be positive and finite, got {self.scale}")
         if self.signed and self.zero_point != 0:
             raise QuantError("signed quantization requires zero_point = 0")

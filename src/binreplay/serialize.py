@@ -21,7 +21,7 @@ from . import cwr as cwr_mod
 from .bitpack import BitTensor
 from .graph import BitwidthConfig, Graph, LayerNode, check_node, infer_shapes
 from .bitpack import BinConvSpec
-from .quant import QuantParams, QuantizedTensor, STORAGE_DTYPE
+from .quant import QuantParams, QuantizedTensor, STORAGE_DTYPE, is_number
 from .replay import LatentSample, ReplayMemory
 
 TENSOR_MAGIC = b"QTNS"
@@ -200,6 +200,7 @@ def read_tensor(f):
 
 
 MAX_CLASSES = 2**16 - 1  # a dataset header holds its class count as a u16
+MAX_QUOTA = 2**32 - 1  # a replay-memory header holds its per-class quota as a u32
 
 
 def write_dataset(path, inputs: np.ndarray, labels: np.ndarray, class_count: int) -> None:
@@ -280,14 +281,9 @@ def read_replay_memory(path) -> ReplayMemory:
 # checkpoints
 
 
-# descriptor value checks (JSON types; bool is not accepted as a number)
+# descriptor value checks (JSON types, no bools); integers fit the int64 numpy reads them as
 def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _number(v) -> bool:
-    # json reads NaN and Infinity as floats; an int is finite at any size
-    return _int(v) or isinstance(v, float) and math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
 
 
 def _bool(v) -> bool:
@@ -312,12 +308,12 @@ def _list_of(check):
 
 def _attrs(v) -> bool:
     # the conv spec is checked as its own object; other attrs are numbers
-    return isinstance(v, dict) and all(_number(x) for k, x in v.items() if k != "spec")
+    return isinstance(v, dict) and all(is_number(x) for k, x in v.items() if k != "spec")
 
 
 # descriptor objects: read_checkpoint accepts exactly these keys, with values
 # that pass these checks
-_QPARAMS = {"bits": _int, "scale": _number, "zero_point": _int, "signed": _bool}
+_QPARAMS = {"bits": _int, "scale": is_number, "zero_point": _int, "signed": _bool}
 _SPEC = dict.fromkeys(("kernel_h", "kernel_w", "stride", "padding", "in_channels", "out_channels"), _int)
 _BITWIDTH = dict.fromkeys(("q_f", "q_b_nonbin", "q_b_bin"), _optional(_int))
 _HEAD = {"feature_dim": _int, "max_classes": _int, "past_counts": _list_of(_int), "seen": _list_of(_int)}
@@ -325,7 +321,7 @@ _NODE = {
     "kind": _str, "name": _str, "inputs": _list_of(_int), "trainable": _bool,
     "attrs": _attrs,
     "param_names": _list_of(_str),
-    "param_scales": lambda v: isinstance(v, dict) and all(_number(x) for x in v.values()),
+    "param_scales": lambda v: isinstance(v, dict) and all(is_number(x) for x in v.values()),
     "out_qparams": _optional(_dict), "has_weight_bits": _bool,
 }
 _DESCRIPTOR = {

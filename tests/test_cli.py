@@ -8,11 +8,22 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binreplay import cli, learner, serialize
 from binreplay.bitpack import pack
 from binreplay.cli import SETTINGS, load_run_config, main
 from binreplay.graph import BitwidthConfig
+
+
+# every kind of JSON value, with numbers at and past float64's range
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(-10**400, 10**400) | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64, 10**400])
+    | st.floats() | st.sampled_from([5e-324, 1e308, float("nan"), float("inf"), -float("inf")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
 
 
 def write_config(path, dataset_dir, out_dir, **overrides):
@@ -296,6 +307,7 @@ class TestTrain:
         ("model.channels", 0),
         ("model.channels", True),
         ("replay.quota", 0),
+        ("replay.quota", 2**32),  # replay.brrm stores it as a u32
         ("replay.b_n", 0),
         ("replay.b_r", -1),
         ("replay.b_r", 1.5),
@@ -306,6 +318,8 @@ class TestTrain:
         ("protocol.lr", "x"),
         ("protocol.lr", 0),
         ("protocol.lr", float("inf")),
+        pytest.param("protocol.lr", 10**400, id="protocol.lr-10**400"),  # past float64's range
+        pytest.param("protocol.pretrain_lr", 10**400, id="protocol.pretrain_lr-10**400"),
         ("protocol.pretrain_lr", -0.2),
         ("protocol.seed", -1),
         ("protocol.head_only", "no"),
@@ -319,6 +333,30 @@ class TestTrain:
         assert f"config.{dotted} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @given(key=st.sampled_from(list(SETTINGS)), value=JSON_VALUES)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_any_value_loads_or_is_a_config_error(self, key, value, tmp_path_factory):
+        cfg = _config_at(tmp_path_factory.getbasetemp() / "any_value.json", "data", "out", key, value)
+        try:
+            loaded = load_run_config(str(cfg))
+        except cli.ConfigError as e:
+            head, got = str(e).split(", got ", 1)
+            assert head.startswith(f"config.{key} must be ")
+            assert len(got) <= 60  # a long value is cut short
+        else:
+            assert loaded[key] == value
+
+    @pytest.mark.parametrize("dotted,value,rc", [
+        ("replay.quota", 2**32 - 1, 0),
+        ("replay.b_n", 10**6, 0),
+        ("protocol.seed", 2**128, 0),
+        ("protocol.lr", 5e-324, 0),
+        ("protocol.pretrain_lr", 1e308, 1),  # diverges
+    ])
+    def test_accepted_edge_value_runs(self, dotted, value, rc, dataset_dir, tmp_path):
+        cfg = _config_at(tmp_path / "cfg.json", dataset_dir, tmp_path / "out", dotted, value)
+        assert main(["train", "--config", str(cfg)]) == rc
+
     @pytest.mark.parametrize("sweep", [
         {"model.channels": [4, "8"]},
         {"protocol.epochs": [1, 0]},
@@ -330,12 +368,18 @@ class TestTrain:
         {"protocol.lr": [0.3, 0.3]},
         {"protocol.lr": [1, 1.0]},
         {"dataset": [f"a{os.sep}b", "a_b"]},
+        # a long value or key is echoed in at most 60 characters
+        {"protocol.seed": [10**400, 10**400]},
+        {"dataset": [f"a{os.sep}b" + "x" * 400, "a_b" + "x" * 400]},
+        {"x" * 400: [1]},
     ], ids=["value-type", "value-range", "not-a-list", "object-key", "two-axes", "unknown-key",
-            "empty", "value-twice", "equal-values", "same-tag"])
-    def test_bad_sweep_rejected_before_any_run(self, sweep, dataset_dir, tmp_path):
+            "empty", "value-twice", "equal-values", "same-tag", "huge-value-twice", "long-same-tag",
+            "long-unknown-key"])
+    def test_bad_sweep_rejected_before_any_run(self, sweep, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dataset_dir, tmp_path / "out", sweep=sweep)
         assert main(["train", "--config", str(cfg)]) == 1
         assert not (tmp_path / "out").exists()
+        assert len(capsys.readouterr().err) < 250
 
     def test_help_defaults_load_to_the_table(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -498,6 +542,12 @@ class TestEval:
         lambda d: d["nodes"][3]["attrs"].update(eps=float("nan")),
         lambda d: d["nodes"][9]["param_scales"].update(gamma=float("inf")),
         lambda d: d["nodes"][9]["param_scales"].update(beta=-float("inf")),
+        # numbers past float64's range, and integers past int64's, which numpy cannot take
+        lambda d: d["input_qparams"].update(scale=10**400),
+        lambda d: d["nodes"][0]["out_qparams"].update(scale=10**400),
+        lambda d: d["nodes"][3]["attrs"].update(eps=10**400),
+        lambda d: d["head"]["past_counts"].__setitem__(0, 2**63),
+        lambda d: d["nodes"][0]["attrs"]["spec"].update(padding=2**63),
     ], ids=["qparams-extra", "qparams-missing", "spec-extra", "spec-missing",
             "bitwidth-extra", "bitwidth-missing", "head-extra", "head-missing-key",
             "head-missing", "node-missing-key", "qparams-type", "spec-type",
@@ -512,7 +562,9 @@ class TestEval:
             "bitwidth-range", "qparams-range", "head-feature-dim-range", "input-shape-empty",
             "input-shape-zero", "add-one-input", "node-no-input", "binarize-two-inputs",
             "output-not-features", "spec-kernel-h-2", "spec-in-channels-16", "spec-1x1-unpadded",
-            "batchnorm-params-out-of-order", "attr-nan", "param-scale-inf", "param-scale-minus-inf"])
+            "batchnorm-params-out-of-order", "attr-nan", "param-scale-inf", "param-scale-minus-inf",
+            "qparams-scale-huge", "out-qparams-scale-huge", "eps-huge", "past-counts-past-int64",
+            "spec-padding-past-int64"])
     def test_malformed_descriptor(self, mutate, trained_dir, dataset_dir, tmp_path, capsys):
         data = (trained_dir / "checkpoint.brck").read_bytes()
         (blen,) = struct.unpack("<I", data[5:9])  # magic, version byte, blob length

@@ -13,6 +13,7 @@ from binreplay.quant import (
     calibrate_range,
     check_matmul_headroom,
     dequantize,
+    is_number,
     qmatmul,
     quant_params,
     quantize,
@@ -50,10 +51,33 @@ class TestQuantParams:
         with pytest.raises(QuantError):
             quant_params(1.0, 1.0, 8, signed=False)
 
+    @pytest.mark.parametrize("scale", [0, -1.0, float("nan"), float("inf"), 10**400, True, "1"],
+                             ids=["zero", "negative", "nan", "inf", "10**400", "bool", "str"])
+    def test_invalid_scale(self, scale):
+        with pytest.raises(QuantError):
+            QuantParams(bits=8, scale=scale, zero_point=0, signed=True)
+
     def test_example_scale_2_over_255(self):
         p = QuantParams(bits=8, scale=2 / 255, zero_point=0, signed=True)
         q = QuantizedTensor(data=np.array([127]), params=p)
         assert dequantize(q)[0] == pytest.approx(127 * 2 / 255)
+
+
+class TestIsNumber:
+    # a number that float64 holds, compared exactly for ints of any size
+    @pytest.mark.parametrize("v", [0, -3, 5e-324, 1e308, -1.7976931348623157e308,
+                                   2**1024 - 2**971, np.float64(0.5)],
+                             ids=["0", "-3", "5e-324", "1e308", "-float64-max", "float64-max-int",
+                                  "np.float64"])
+    def test_number(self, v):
+        assert is_number(v)
+
+    @pytest.mark.parametrize("v", [True, False, None, "1", [1], float("nan"), float("inf"),
+                                   -float("inf"), 2**1024, -(10**400), 2**1024 - 2**971 + 1],
+                             ids=["true", "false", "none", "str", "list", "nan", "inf", "-inf",
+                                  "2**1024", "-10**400", "float64-max-int+1"])
+    def test_not_a_number(self, v):
+        assert not is_number(v)
 
 
 class TestCalibrateRange:

@@ -1,9 +1,12 @@
 """File formats: round trips, atomicity, corruption detection."""
 
+import functools
 import hashlib
 import io
 import itertools
+import json
 import math
+import operator
 import os
 import struct
 
@@ -529,9 +532,18 @@ def loads(read, path) -> bool:
     return True
 
 
+def number_paths(obj, path=()) -> list[tuple]:
+    """The key path of every number in a JSON value, through its objects and lists."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [p for k, v in items for p in number_paths(v, (*path, k))]
+    return [path] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+
+
 class TestFuzz:
-    """Every truncation of a small file of each format raises FormatError, and
-    every single-byte flip either loads or raises FormatError."""
+    """Every truncation of a small file of each format raises FormatError;
+    every single-byte flip, and every descriptor number set past its range,
+    either loads or raises FormatError."""
 
     @pytest.mark.parametrize("name", READERS)
     def test_every_truncation(self, name, small_files, tmp_path):
@@ -552,6 +564,23 @@ class TestFuzz:
             if pos not in descriptor:
                 p.write_bytes(flipped(data, pos, mask))
                 loads(READERS[name], p)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, 2**63, 2**64],
+                             ids=["10**400", "-10**400", "2**63", "2**64"])
+    def test_every_descriptor_number_past_range(self, value, small_files, tmp_path):
+        # past float64's range, or past the int64 that numpy takes
+        data = (small_files / "c.brck").read_bytes()
+        desc = json.loads(data[9:descriptor_end(data)])
+        p = tmp_path / "c.brck"
+        for path in number_paths(desc):
+            bad = json.loads(json.dumps(desc))
+            *parents, leaf = path
+            functools.reduce(operator.getitem, parents, bad)[leaf] = value
+            blob = json.dumps(bad, sort_keys=True).encode()
+            p.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[descriptor_end(data):])
+            if loads(read_checkpoint, p):
+                assert main(["eval", "--checkpoint", str(p),
+                             "--dataset", str(small_files / "d.brds")]) in (0, 1), path
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
