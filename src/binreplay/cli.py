@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import datasets, learner, serialize
-from .graph import BACKWARD_BIN_BITS, BACKWARD_NONBIN_BITS, FORWARD_BITS, BitwidthConfig
+from .graph import BITWIDTHS, BitwidthConfig
 from .learner import ContinualConfig
 from .quant import is_number
 
@@ -38,10 +38,6 @@ def _one_of(allowed):
     return (lambda v: v in allowed), f"one of {allowed}"
 
 
-def _bits(allowed):
-    return _one_of(("float", *map(str, reversed(allowed))))
-
-
 def _positive(v) -> bool:
     return is_number(v) and v > 0
 
@@ -51,34 +47,42 @@ def _path(v) -> bool:
 
 
 _ENGINE = ContinualConfig()
-_BW = _ENGINE.bitwidth
+
+
+def _sets(field: str, check, what: str) -> tuple:
+    """The row of a key that sets ContinualConfig's field, whose default is the engine's."""
+    return getattr(_ENGINE, field), check, what, field
+
+
+def _bits(field: str, allowed) -> tuple:
+    """The row of a key that sets BitwidthConfig's field, as the string "float" or a width."""
+    return (str(getattr(_ENGINE.bitwidth, field)), *_one_of(("float", *map(str, reversed(allowed)))), field)
+
 
 # every run-config key, dotted as in a sweep: (default, check, what the value
-# must be); defaults the engine holds come from ContinualConfig
+# must be, the ContinualConfig or BitwidthConfig field it sets, if one)
 SETTINGS = {
-    "model.preset": ("reference", *_one_of(("reference",))),
-    "model.channels": (_ENGINE.channels, *_int_in(1)),
-    "bitwidth.q_f": (str(_BW.q_f), *_bits(FORWARD_BITS)),
-    "bitwidth.q_b_nonbin": (str(_BW.q_b_nonbin), *_bits(BACKWARD_NONBIN_BITS)),
-    "bitwidth.q_b_bin": (str(_BW.q_b_bin), *_bits(BACKWARD_BIN_BITS)),
-    "replay.quota": (_ENGINE.quota, *_int_in(1, serialize.MAX_QUOTA)),
-    "replay.b_n": (_ENGINE.b_n, *_int_in(1)),
-    "replay.b_r": (_ENGINE.b_r, *_int_in(0)),
-    "protocol.num_experiences": (_ENGINE.num_experiences, *_int_in(1)),
-    "protocol.epochs": (_ENGINE.epochs, *_int_in(1)),
-    "protocol.lr": (_ENGINE.learning_rate, _positive, "a finite number > 0"),
-    "protocol.seed": (_ENGINE.seed, *_int_in(0)),
-    "protocol.pretrain_epochs": (_ENGINE.pretrain_epochs, *_int_in(1)),
-    "protocol.pretrain_lr": (_ENGINE.pretrain_learning_rate, _positive, "a finite number > 0"),
+    "model.preset": ("reference", *_one_of(("reference",)), None),
+    "model.channels": _sets("channels", *_int_in(1)),
+    **{f"bitwidth.{f}": _bits(f, allowed) for f, allowed in BITWIDTHS.items()},
+    "replay.quota": _sets("quota", *_int_in(1, serialize.MAX_QUOTA)),
+    "replay.b_n": _sets("b_n", *_int_in(1)),
+    "replay.b_r": _sets("b_r", *_int_in(0)),
+    "protocol.num_experiences": _sets("num_experiences", *_int_in(1)),
+    "protocol.epochs": _sets("epochs", *_int_in(1)),
+    "protocol.lr": _sets("learning_rate", _positive, "a finite number > 0"),
+    "protocol.seed": _sets("seed", *_int_in(0)),
+    "protocol.pretrain_epochs": _sets("pretrain_epochs", *_int_in(1)),
+    "protocol.pretrain_lr": _sets("pretrain_learning_rate", _positive, "a finite number > 0"),
     "protocol.head_only": (not _ENGINE.train_graph_layers, lambda v: isinstance(v, bool),
-                           "true or false"),
-    "dataset": (None, _path, "a directory holding train.brds and test.brds"),
-    "output_dir": ("out", _path, "a directory path"),
+                           "true or false", None),
+    "dataset": (None, _path, "a directory holding train.brds and test.brds", None),
+    "output_dir": ("out", _path, "a directory path", None),
 }
 
 
 def _check_values(cfg: dict, where: str = "config"):
-    for key, (_, ok, what) in SETTINGS.items():
+    for key, (_, ok, what, _) in SETTINGS.items():
         if not ok(cfg[key]):
             raise ConfigError(f"{where}.{key} must be {what}, got {cfg[key]!r:.60}")
 
@@ -135,7 +139,7 @@ def load_run_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     sweep = raw.pop("sweep", None)
-    cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
+    cfg = {key: default for key, (default, *_) in SETTINGS.items()}
     _read_into(cfg, raw)
     _check_values(cfg)
     if sweep is not None:
@@ -157,22 +161,14 @@ def load_run_config(path: str) -> dict:
 
 
 def continual_config(cfg: dict) -> ContinualConfig:
-    head_only = cfg["protocol.head_only"]
-    return ContinualConfig(
-        num_experiences=cfg["protocol.num_experiences"],
-        epochs=cfg["protocol.epochs"],
-        b_n=cfg["replay.b_n"],
-        b_r=0 if head_only else cfg["replay.b_r"],
-        learning_rate=cfg["protocol.lr"],
-        pretrain_learning_rate=cfg["protocol.pretrain_lr"],
-        pretrain_epochs=cfg["protocol.pretrain_epochs"],
-        quota=cfg["replay.quota"],
-        seed=cfg["protocol.seed"],
-        bitwidth=BitwidthConfig.from_strings(
-            cfg["bitwidth.q_f"], cfg["bitwidth.q_b_nonbin"], cfg["bitwidth.q_b_bin"]),
-        train_graph_layers=not head_only,
-        channels=cfg["model.channels"],
-    )
+    """The engine's config: each SETTINGS row that names a field sets it."""
+    fields = {f: cfg[key] for key, (*_, f) in SETTINGS.items() if f}
+    bits = {f: fields.pop(f) for f in BITWIDTHS}
+    ccfg = ContinualConfig(**fields, bitwidth=BitwidthConfig(
+        **{f: None if s == "float" else int(s) for f, s in bits.items()}))
+    if cfg["protocol.head_only"]:  # the baseline: no replay, and only the head learns
+        ccfg.b_r, ccfg.train_graph_layers = 0, False
+    return ccfg
 
 
 def _write_text_atomic(path: str, text: str):
@@ -233,20 +229,25 @@ def _load_dataset_dir(path: str):
     return train, test
 
 
+def _outputs(cfg: dict, tag: str) -> tuple[str, str, str, str]:
+    """A variant's checkpoint, replay memory, metrics and timings paths."""
+    suffix = f"_{tag}" if tag else ""
+    return tuple(os.path.join(cfg["output_dir"], f"{name}{suffix}{ext}") for name, ext in (
+        ("checkpoint", ".brck"), ("replay", ".brrm"), ("metrics", ".csv"), ("timings", ".csv")))
+
+
 def run_training(cfg: dict, tag: str, bitwidth: BitwidthConfig, run) -> str:
     """Write one variant's outputs: run is what learner.deploy_and_run returned."""
     log, g, head, mem = run
-    out = cfg["output_dir"]
-    suffix = f"_{tag}" if tag else ""
+    checkpoint, replay_memory, metrics, timings = _outputs(cfg, tag)
     # state first: a run whose weights the checkpoint refuses (NaN or inf)
     # leaves no metrics for report to read
-    serialize.write_checkpoint(os.path.join(out, f"checkpoint{suffix}.brck"), g, bitwidth, head)
-    serialize.write_replay_memory(os.path.join(out, f"replay{suffix}.brrm"), mem)
-    metrics_path = os.path.join(out, f"metrics{suffix}.csv")
-    _write_text_atomic(metrics_path, log.to_csv())
-    _write_text_atomic(os.path.join(out, f"timings{suffix}.csv"), log.timings_csv())
-    print(f"[{tag or 'run'}] final accuracy {log.final_accuracy:.4f} -> {metrics_path}")
-    return metrics_path
+    serialize.write_checkpoint(checkpoint, g, bitwidth, head)
+    serialize.write_replay_memory(replay_memory, mem)
+    _write_text_atomic(metrics, log.to_csv())
+    _write_text_atomic(timings, log.timings_csv())
+    print(f"[{tag or 'run'}] final accuracy {log.final_accuracy:.4f} -> {metrics}")
+    return metrics
 
 
 def cmd_train(args) -> int:
@@ -260,8 +261,11 @@ def cmd_train(args) -> int:
     sweep = cfg.pop("sweep", None)
     (key, values), = (sweep or {"dataset": [cfg["dataset"]]}).items()
     variants = [({**cfg, key: v}, _sweep_tag(key, v) if sweep else "") for v in values]
-    # every input is read and every output directory made before the first run
+    # before the first run: every input read, every output path checked, every output directory made
     data = {c["dataset"]: _load_dataset_dir(c["dataset"]) for c, _ in variants}
+    for path in (p for c, tag in variants for p in _outputs(c, tag)):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
     for out in dict.fromkeys(c["output_dir"] for c, _ in variants):
         _io(_makedirs, out, "make output_dir")
     # consecutive variants that agree on the dataset and learner.PRETRAIN_FIELDS
@@ -298,8 +302,11 @@ def _parse_metrics_csv(path: str):
     """Test accuracy, replay bits and forward and backward MACs from the last
     row of a metrics CSV, whose header must be MetricsLog.CSV_COLUMNS."""
     columns = learner.MetricsLog.CSV_COLUMNS
-    with open(path) as f:
-        header, *rows = [line.strip().split(",") for line in f if line.strip()] or [[]]
+    try:
+        with _io(functools.partial(open, encoding="utf-8"), path, "read metrics file") as f:
+            header, *rows = [line.strip().split(",") for line in f if line.strip()] or [[]]
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {e}") from None
     if tuple(header) != columns or not rows or any(len(r) != len(columns) for r in rows):
         raise ConfigError(f"{path}: expected the header {','.join(columns)} "
                           f"and rows of {len(columns)} cells")
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="binreplay",
         description="Binary-network continual learning with 1-bit latent replay.",
         epilog="Config defaults: "
-        + json.dumps(_nested({key: default for key, (default, _, _) in SETTINGS.items()})),
+        + json.dumps(_nested({key: default for key, (default, *_) in SETTINGS.items()})),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

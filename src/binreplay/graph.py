@@ -17,11 +17,12 @@ import numpy as np
 
 from . import bitpack
 from .bitpack import BinConvSpec, BitTensor
-from .quant import QuantError, QuantParams, calibrate_range, dequantize, is_number, quant_params, quantize, qmatmul
+from .quant import (VALID_BITS, QuantError, QuantParams, calibrate_range, dequantize, is_number,
+                    quant_params, quantize, qmatmul)
 
-FORWARD_BITS = (8, 16, 32)
-BACKWARD_NONBIN_BITS = (8, 16, 32)
-BACKWARD_BIN_BITS = (1, 4, 8, 16, 32)
+# the widths each BitwidthConfig field may take besides None (float); q_f
+# sets QuantParams grids
+BITWIDTHS = {"q_f": VALID_BITS, "q_b_nonbin": (8, 16, 32), "q_b_bin": (1, 4, 8, 16, 32)}
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class Kind:
     weight_bits: bool = False  # computes with weight bits; holds its latent unless frozen
     binary: bool = False  # exact +-1 or popcount output: gradients at q_b_bin, never snapped;
     # holds a grid only when a float GEMM reads it
-    runs_as: str | None = None  # the kind whose code it runs, if another's
     per_channel: bool = False  # maps each channel's value on its own: joins a binary GEMM's table
 
 
@@ -50,11 +50,11 @@ KINDS = {
     "concat": Kind(inputs=None),
     "prelu": Kind(trained=("alpha",), per_channel=True),
     "global_avg_pool": Kind(),
-    "softmax_ce_head": Kind(trained=("b", "w"), runs_as="dense"),
+    "softmax_ce_head": Kind(trained=("b", "w")),  # a dense layer that feeds the loss
 }
 BINARY_KINDS = tuple(k for k, row in KINDS.items() if row.weight_bits)
 # layers that run as one patches-by-weights product: a dense layer is a 1x1 conv
-GEMM_KINDS = ("dense", "conv2d", *BINARY_KINDS)
+GEMM_KINDS = ("dense", "conv2d", "softmax_ce_head", *BINARY_KINDS)
 GATHER_ROWS = 2048  # positions per block of a table gather
 
 
@@ -71,30 +71,14 @@ class BitwidthConfig:
     q_b_bin: int | None = 4
 
     def __post_init__(self):
-        if self.q_f is not None and self.q_f not in FORWARD_BITS:
-            raise GraphError(f"q_f must be in {FORWARD_BITS} or float, got {self.q_f}")
-        if self.q_b_nonbin is not None and self.q_b_nonbin not in BACKWARD_NONBIN_BITS:
-            raise GraphError(f"q_b_nonbin must be in {BACKWARD_NONBIN_BITS} or float, got {self.q_b_nonbin}")
-        if self.q_b_bin is not None and self.q_b_bin not in BACKWARD_BIN_BITS:
-            raise GraphError(f"q_b_bin must be in {BACKWARD_BIN_BITS} or float, got {self.q_b_bin}")
+        for name, allowed in BITWIDTHS.items():
+            bits = getattr(self, name)
+            if bits is not None and bits not in allowed:
+                raise GraphError(f"{name} must be in {allowed} or float, got {bits}")
 
     @classmethod
     def floating(cls) -> "BitwidthConfig":
         return cls(q_f=None, q_b_nonbin=None, q_b_bin=None)
-
-    @staticmethod
-    def parse_bits(s: str) -> int | None:
-        if s == "float":
-            return None
-        return int(s)
-
-    @classmethod
-    def from_strings(cls, q_f: str, q_b_nonbin: str, q_b_bin: str) -> "BitwidthConfig":
-        return cls(
-            q_f=cls.parse_bits(q_f),
-            q_b_nonbin=cls.parse_bits(q_b_nonbin),
-            q_b_bin=cls.parse_bits(q_b_bin),
-        )
 
 
 @dataclass
@@ -209,7 +193,7 @@ def latent_grid_scale(bits: int) -> float:
 
 def grid_nodes(graph: Graph) -> list[int]:
     """Nodes holding a calibrated grid, as the input does: every snapped node and every float GEMM's input."""
-    read = {n.inputs[0] for n in graph.nodes if (KINDS[n.kind].runs_as or n.kind) in ("dense", "conv2d")}
+    read = {n.inputs[0] for n in graph.nodes if n.kind in GEMM_KINDS and not KINDS[n.kind].weight_bits}
     return [idx for idx, n in enumerate(graph.nodes) if not KINDS[n.kind].binary or idx in read]
 
 
@@ -295,20 +279,21 @@ def softmax_ce(logits: np.ndarray, one_hot: np.ndarray) -> tuple[float, np.ndarr
 # forward
 
 
-def _gemm_shapes(idx, node, kind, in_shape):
+def _gemm_shapes(idx, node, in_shape):
     """A GEMM layer's conv spec, its input shape as NHWC, and its output shape.
 
     A dense layer is a 1x1 convolution over a 1x1 image: its (k, n) weights
     already have the layout that reshape(-1, n) gives conv weights, and only
     its input and output are 2-D.
     """
-    if kind in ("conv2d", "binary_conv2d"):
+    row = KINDS[node.kind]
+    if row.spec:
         spec = node.attrs["spec"]
         if len(in_shape) != 4 or in_shape[3] != spec.in_channels:
             raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs spec {spec}")
         n, h, wd, _ = in_shape
         return spec, in_shape, (n, *spec.out_hw(h, wd), spec.out_channels)
-    w = (node.weight_bits if kind in BINARY_KINDS else node.params["w"]).shape
+    w = (node.weight_bits if row.weight_bits else node.params["w"]).shape
     if len(in_shape) != 2 or len(w) != 2 or in_shape[1] != w[0]:
         raise GraphError(f"node {idx} ({node.name}): input shape {in_shape} vs weight {w}")
     k, out = w
@@ -317,13 +302,12 @@ def _gemm_shapes(idx, node, kind, in_shape):
 
 def _forward_node(graph, idx, node, ins, config, want_cache):
     bits = config.q_f
-    kind = KINDS[node.kind].runs_as or node.kind
     x = ins[0] if ins else None
     cache = None
 
-    if kind in GEMM_KINDS:
-        spec, shape4, out_shape = _gemm_shapes(idx, node, kind, x.shape)
-        if KINDS[kind].weight_bits:  # the patch operand: packed rows, or the float im2col
+    if node.kind in GEMM_KINDS:
+        spec, shape4, out_shape = _gemm_shapes(idx, node, x.shape)
+        if KINDS[node.kind].weight_bits:  # the patch operand: packed rows, or the float im2col
             x4 = bitpack.binarize(x).reshape(shape4)  # a sign's output is packed already
             operand = bitpack.conv_rows(x4, spec)
             wb = node.weight_bits.reshape((spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels))
@@ -338,38 +322,38 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
             y = y + node.params["b"]
         y = y.reshape(out_shape)
         cache = (x.shape, operand)
-    elif kind == "binarize":
+    elif node.kind == "binarize":
         y = bitpack.binarize(x)
         cache = x
-    elif kind == "batchnorm":
+    elif node.kind == "batchnorm":
         y, bn_cache = batchnorm_forward(
             x, node.params["gamma"], node.params["beta"],
             node.params["running_mean"], node.params["running_var"],
             node.attrs.get("eps", 1e-5),
         )
         cache = bn_cache
-    elif kind == "add":
+    elif node.kind == "add":
         a, b2 = ins
         if a.shape != b2.shape:
             raise GraphError(f"node {idx} ({node.name}): add shapes {a.shape} vs {b2.shape}")
         y = a + b2
-    elif kind == "concat":
+    elif node.kind == "concat":
         widths = [t.shape[-1] for t in ins]
         y = np.concatenate(ins, axis=-1)
         cache = widths
-    elif kind == "prelu":
+    elif node.kind == "prelu":
         alpha = node.params["alpha"]
         if x.shape[-1] != alpha.shape[0]:
             raise GraphError(f"node {idx} ({node.name}): channel mismatch {x.shape[-1]} vs {alpha.shape[0]}")
         y = np.where(x >= 0, x, alpha * x)
         cache = x
-    elif kind == "global_avg_pool":
+    elif node.kind == "global_avg_pool":
         if x.ndim != 4:
             raise GraphError(f"node {idx} ({node.name}): expects NHWC input, got shape {x.shape}")
         y = x.mean(axis=(1, 2))
         cache = x.shape
     else:  # pragma: no cover
-        raise GraphError(f"node {idx}: unhandled kind {kind}")
+        raise GraphError(f"node {idx}: unhandled kind {node.kind}")
 
     if bits is not None and not KINDS[node.kind].binary:
         y = _snap_activation(y, _grid(graph, idx, bits))
@@ -559,14 +543,13 @@ def _node_backward_bits(node: LayerNode, config: BitwidthConfig) -> int | None:
 
 def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
     """Returns (input grads aligned with node.inputs, param grads)."""
-    kind = KINDS[node.kind].runs_as or node.kind
     pgrads = {}
     gins = [None] * len(node.inputs)
 
-    if kind in GEMM_KINDS:
-        binary = KINDS[kind].weight_bits
+    if node.kind in GEMM_KINDS:
+        binary = KINDS[node.kind].weight_bits
         in_shape, operand = cache_entry
-        spec, shape4, _ = _gemm_shapes(idx, node, kind, in_shape)
+        spec, shape4, _ = _gemm_shapes(idx, node, in_shape)
         gmat = g.reshape(-1, spec.out_channels)
         w = node.weight_bits if binary else node.params["w"]
         if node.trainable and not (binary and config.q_b_bin == 1):  # 1 bit freezes weight bits
@@ -577,27 +560,27 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
         if need_input_grad[0]:
             wmat = as_float(w).reshape(-1, spec.out_channels)
             gins[0] = bitpack.col2im(gmat @ wmat.T, spec, shape4).reshape(in_shape)
-    elif kind == "binarize":
+    elif node.kind == "binarize":
         if need_input_grad[0]:
             gins[0] = ste_backward(g, cache_entry, node.attrs.get("clip", 1.0))
-    elif kind == "batchnorm":
+    elif node.kind == "batchnorm":
         g_in, g_gamma, g_beta = batchnorm_backward(g, node.params["gamma"], cache_entry)
         if node.trainable:
             pgrads["gamma"] = g_gamma
             pgrads["beta"] = g_beta
         if need_input_grad[0]:
             gins[0] = g_in
-    elif kind == "add":
+    elif node.kind == "add":
         for slot in range(2):
             if need_input_grad[slot]:
                 gins[slot] = g
-    elif kind == "concat":
+    elif node.kind == "concat":
         widths = cache_entry
         offs = np.cumsum([0] + widths)
         for slot in range(len(widths)):
             if need_input_grad[slot]:
                 gins[slot] = g[..., offs[slot] : offs[slot + 1]]
-    elif kind == "prelu":
+    elif node.kind == "prelu":
         x = cache_entry
         alpha = node.params["alpha"]
         if node.trainable:
@@ -605,12 +588,12 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
             pgrads["alpha"] = np.sum(g * x * (x < 0), axis=axes)
         if need_input_grad[0]:
             gins[0] = g * np.where(x >= 0, 1.0, alpha)
-    elif kind == "global_avg_pool":
+    elif node.kind == "global_avg_pool":
         n, h, wd, c = cache_entry
         if need_input_grad[0]:
             gins[0] = np.broadcast_to(g[:, None, None, :] / (h * wd), (n, h, wd, c)).copy()
     else:  # pragma: no cover
-        raise GraphError(f"node {idx}: unhandled kind {kind}")
+        raise GraphError(f"node {idx}: unhandled kind {node.kind}")
     return gins, pgrads
 
 
@@ -709,14 +692,13 @@ def infer_shapes(graph: Graph) -> dict[int, tuple[int, ...]]:
     shapes: dict[int, tuple[int, ...]] = {-1: graph.input_shape}
     for idx, node in enumerate(graph.nodes):
         ins = [shapes[i] for i in node.inputs]
-        kind = KINDS[node.kind].runs_as or node.kind
-        if kind in GEMM_KINDS:
-            shapes[idx] = _gemm_shapes(idx, node, kind, (1, *ins[0]))[2][1:]
-        elif kind == "global_avg_pool":
+        if node.kind in GEMM_KINDS:
+            shapes[idx] = _gemm_shapes(idx, node, (1, *ins[0]))[2][1:]
+        elif node.kind == "global_avg_pool":
             shapes[idx] = (ins[0][-1],)
-        elif kind == "concat":
+        elif node.kind == "concat":
             shapes[idx] = ins[0][:-1] + (sum(s[-1] for s in ins),)
-        elif kind == "add":
+        elif node.kind == "add":
             if ins[0] != ins[1]:
                 raise GraphError(f"node {idx} ({node.name}): add shapes {ins[0]} vs {ins[1]}")
             shapes[idx] = ins[0]
@@ -733,10 +715,9 @@ def infer_shapes(graph: Graph) -> dict[int, tuple[int, ...]]:
 
 def _node_macs(idx: int, node: LayerNode, in_shape: tuple[int, ...]) -> int:
     """Per-sample MACs: every output value of a GEMM layer is one patch-by-weight dot."""
-    kind = KINDS[node.kind].runs_as or node.kind
-    if kind not in GEMM_KINDS:
+    if node.kind not in GEMM_KINDS:
         return 0
-    spec, _, out_shape = _gemm_shapes(idx, node, kind, (1, *in_shape))
+    spec, _, out_shape = _gemm_shapes(idx, node, (1, *in_shape))
     return math.prod(out_shape) * spec.kernel_h * spec.kernel_w * spec.in_channels
 
 

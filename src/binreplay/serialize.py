@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cwr as cwr_mod
 from .bitpack import BitTensor
-from .graph import BitwidthConfig, Graph, LayerNode, check_node, infer_shapes
+from .graph import BITWIDTHS, BitwidthConfig, Graph, LayerNode, check_node, infer_shapes
 from .bitpack import BinConvSpec
 from .quant import QuantParams, QuantizedTensor, STORAGE_DTYPE, is_number
 from .replay import LatentSample, ReplayMemory
@@ -315,7 +315,7 @@ def _attrs(v) -> bool:
 # that pass these checks
 _QPARAMS = {"bits": _int, "scale": is_number, "zero_point": _int, "signed": _bool}
 _SPEC = dict.fromkeys(("kernel_h", "kernel_w", "stride", "padding", "in_channels", "out_channels"), _int)
-_BITWIDTH = dict.fromkeys(("q_f", "q_b_nonbin", "q_b_bin"), _optional(_int))
+_BITWIDTH = dict.fromkeys(BITWIDTHS, _optional(_int))
 _HEAD = {"feature_dim": _int, "max_classes": _int, "past_counts": _list_of(_int), "seen": _list_of(_int)}
 _NODE = {
     "kind": _str, "name": _str, "inputs": _list_of(_int), "trainable": _bool,

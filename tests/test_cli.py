@@ -1,5 +1,6 @@
 """Command-line interface: end-to-end runs against real files in tmp dirs."""
 
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from binreplay import cli, learner, serialize
 from binreplay.bitpack import pack
-from binreplay.cli import SETTINGS, load_run_config, main
-from binreplay.graph import BitwidthConfig
+from binreplay.cli import SETTINGS, continual_config, load_run_config, main
+from binreplay.graph import BITWIDTHS, BitwidthConfig
+from binreplay.learner import ContinualConfig
 
 
 # every kind of JSON value, with numbers at and past float64's range
@@ -205,6 +207,21 @@ class TestTrain:
         assert "final accuracy" not in captured.out
         assert pretrainings == [] and out.read_text() == "kept"
 
+    @pytest.mark.parametrize("name", ["checkpoint.brck", "replay.brrm", "metrics.csv", "timings.csv",
+                                      "checkpoint_q_b_bin4.brck"])
+    def test_output_file_that_is_a_directory_rejected_before_any_run(self, name, dataset_dir, tmp_path,
+                                                                     capsys, pretrainings):
+        # the whole protocol ran, then the rename onto the directory exited 2
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        sweep = {"sweep": {"bitwidth.q_b_bin": ["1", "4"]}} if "q_b_bin" in name else {}
+        cfg = write_config(tmp_path / "cfg.json", dataset_dir, out, **sweep)
+        assert main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"cannot write {out / name}: it is a directory" in captured.err
+        assert "final accuracy" not in captured.out
+        assert pretrainings == [] and sorted(p.name for p in out.iterdir()) == [name]
+
     def test_missing_dataset_in_a_sweep_rejected_before_any_run(self, dataset_dir, tmp_path,
                                                                 capsys, pretrainings):
         # variant 1 trained and wrote its outputs before variant 2's dataset was read
@@ -389,7 +406,7 @@ class TestTrain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         loaded = load_run_config(str(cfg))
-        want = {key: default for key, (default, _, _) in SETTINGS.items()}
+        want = {key: default for key, (default, *_) in SETTINGS.items()}
         want["dataset"] = "data"
         assert [(k, type(v), v) for k, v in loaded.items()] == [
             (k, type(v), v) for k, v in want.items()]
@@ -411,6 +428,71 @@ class TestTrain:
         assert runs == [("q_b_bin1", {**base, "bitwidth.q_b_bin": "1"}),
                         ("q_b_bin8", {**base, "bitwidth.q_b_bin": "8"})]
         assert loaded == [base]
+
+
+# the SETTINGS keys that set an engine field, each with that field
+FIELDS = {key: row[3] for key, row in SETTINGS.items() if row[3]}
+DEFAULTS = {key: default for key, (default, *_) in SETTINGS.items()}
+
+
+def engine_fields(ccfg):
+    """A ContinualConfig as {field: value}, its BitwidthConfig's fields among them."""
+    fields = dataclasses.asdict(ccfg)
+    return {**fields.pop("bitwidth"), **fields}
+
+
+def engine_value(key, value):
+    """The engine's value for a config value of key: a bitwidth string as a width."""
+    if FIELDS[key] in BITWIDTHS:
+        return None if value == "float" else int(value)
+    return value
+
+
+def valid_values(key):
+    """Values the row of key accepts."""
+    _, ok, *_ = SETTINGS[key]
+    if FIELDS[key] in BITWIDTHS:
+        return st.sampled_from(["float", *map(str, BITWIDTHS[FIELDS[key]])])
+    return (st.integers(0, 2**70) | st.floats(5e-324, 1e308)).filter(ok)
+
+
+class TestSettingsTable:
+    """Each SETTINGS row that names a field holds the engine's default for
+    that field, and its key sets that field and no other."""
+
+    def test_rows_name_every_engine_field_once(self):
+        named = sorted(FIELDS.values())
+        # protocol.head_only sets b_r and train_graph_layers together
+        assert named == sorted(set(engine_fields(ContinualConfig())) - {"train_graph_layers"})
+
+    @pytest.mark.parametrize("key", sorted(FIELDS))
+    def test_default_is_the_engines(self, key):
+        assert engine_value(key, DEFAULTS[key]) == engine_fields(ContinualConfig())[FIELDS[key]]
+
+    def test_defaults_make_the_default_engine_config(self):
+        assert continual_config(DEFAULTS) == ContinualConfig()
+        assert (continual_config({**DEFAULTS, "protocol.head_only": True})
+                == dataclasses.replace(ContinualConfig(), b_r=0, train_graph_layers=False))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_key_sets_its_field_and_no_other(self, data):
+        key = data.draw(st.sampled_from(sorted(FIELDS)))
+        value = data.draw(valid_values(key))
+        before = engine_fields(continual_config(DEFAULTS))
+        after = engine_fields(continual_config({**DEFAULTS, key: value}))
+        assert after[FIELDS[key]] == engine_value(key, value)
+        assert {f for f in before if after[f] != before[f]} <= {FIELDS[key]}
+
+    @pytest.mark.parametrize("field", sorted(BITWIDTHS))
+    def test_bitwidth_row_takes_float_and_each_width_of_its_field(self, field, tmp_path):
+        _, ok, *_ = SETTINGS[f"bitwidth.{field}"]
+        widths = [str(b) for b in range(65)]
+        assert [s for s in ["float", *widths] if ok(s)] == ["float", *map(str, sorted(BITWIDTHS[field]))]
+        for s in ["float", *map(str, BITWIDTHS[field])]:
+            cfg = _config_at(tmp_path / "cfg.json", "data", "out", f"bitwidth.{field}", s)
+            got = getattr(continual_config(load_run_config(str(cfg))).bitwidth, field)
+            assert got == (None if s == "float" else int(s))
 
 
 class TestSharedPretraining:
@@ -682,19 +764,31 @@ class TestReport:
     def test_empty_dir(self, tmp_path):
         assert main(["report", "--metrics-dir", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("text", [
-        "experience,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,0.5,10,20,30\n",
-        "experience,test_accuracy,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,0.5,0.25\n",
-        "experience,test_accuracy,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,abc,0.5,10,20,30\n",
-    ], ids=["header-without-test-accuracy", "row-too-short", "accuracy-not-a-number"])
-    def test_malformed_csv_is_exit_1_before_any_output(self, text, trained_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("data", [
+        b"experience,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,0.5,10,20,30\n",
+        b"experience,test_accuracy,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,0.5,0.25\n",
+        b"experience,test_accuracy,mean_train_loss,fwd_macs,bwd_macs,replay_bits\n1,abc,0.5,10,20,30\n",
+        b"\xff\xfe",  # named no file
+    ], ids=["header-without-test-accuracy", "row-too-short", "accuracy-not-a-number", "not-utf-8"])
+    def test_malformed_csv_is_exit_1_before_any_output(self, data, trained_dir, tmp_path, capsys):
         (tmp_path / "metrics.csv").write_bytes((trained_dir / "metrics.csv").read_bytes())
         bad = tmp_path / "metrics_z.csv"  # sorts after the good file
-        bad.write_text(text)
+        bad.write_bytes(data)
         assert main(["report", "--metrics-dir", str(tmp_path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {bad}: ")
+
+    def test_metrics_file_that_is_a_directory_is_exit_1_before_any_output(self, trained_dir, tmp_path,
+                                                                          capsys):
+        # exited 2: "runtime error: [Errno 21] Is a directory"
+        (tmp_path / "metrics.csv").write_bytes((trained_dir / "metrics.csv").read_bytes())
+        bad = tmp_path / "metrics_x.csv"
+        bad.mkdir()
+        assert main(["report", "--metrics-dir", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "report.csv").exists()
+        assert err.startswith(f"error: cannot read metrics file {bad}: ")
 
 
 def _empty_dataset(path):

@@ -10,6 +10,7 @@ from binreplay import bitpack
 from binreplay import graph as graph_module
 from binreplay.bitpack import BinConvSpec, BitTensor, pack
 from binreplay.graph import (
+    BITWIDTHS,
     BitwidthConfig,
     Graph,
     GraphError,
@@ -389,6 +390,28 @@ class TestMacCount:
         assert mac_count(g, "forward") == 6 * 5 + 5 * 4 + 4 * 3
         assert mac_count(g, "forward", above_level=1) == 5 * 4 + 4 * 3
         assert mac_count(g, "backward") == 2 * (6 * 5 + 4 * 3)  # the binary layer is frozen
+
+    @pytest.mark.parametrize("bits", [BitwidthConfig.floating(), BitwidthConfig(8, 16, 4)],
+                             ids=["float", "8-16-4"])
+    def test_softmax_ce_head_runs_as_dense(self, bits, rng):
+        # the same bytes forward and backward, grid nodes and MACs as a dense head
+        xs = rng.normal(size=(5, 6))
+        params = {"w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
+        head = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+        runs = []
+        for kind in ("softmax_ce_head", "dense"):
+            g = Graph((6,))
+            g.add("dense", trainable=True, params=dict(params))
+            g.add("binarize")  # holds a grid only because a float GEMM reads it
+            g.add(kind, trainable=True, params=dict(head))
+            calibrate_activations(g, xs, bits.q_f)
+            out, cache = forward(g, xs, bits, mode="train")
+            pgrads, agrads = backward(g, cache, np.ones_like(out), bits, return_act_grads=True)
+            runs.append((out.tobytes(), grid_nodes(g), mac_count(g, "forward"), mac_count(g, "backward"),
+                         {i: {k: v.tobytes() for k, v in d.items()} for i, d in pgrads.items()},
+                         {i: v.tobytes() for i, v in agrads.items()}))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == [0, 1, 2]
 
     def test_strided_conv_macs(self):
         g = Graph((7, 7, 2))
@@ -800,11 +823,10 @@ class TestGraphStructure:
             infer_shapes(g)
 
     def test_bitwidth_validation(self):
-        with pytest.raises(GraphError):
-            BitwidthConfig(q_f=12)
-        with pytest.raises(GraphError):
-            BitwidthConfig(q_b_bin=3)
-        assert BitwidthConfig.parse_bits("float") is None
-        assert BitwidthConfig.parse_bits("16") == 16
-        bw = BitwidthConfig.from_strings("8", "16", "1")
-        assert (bw.q_f, bw.q_b_nonbin, bw.q_b_bin) == (8, 16, 1)
+        # each field takes None and exactly the widths BITWIDTHS lists for it
+        for field, bits in ((f, b) for f in BITWIDTHS for b in [None, *range(65)]):
+            if bits is None or bits in BITWIDTHS[field]:
+                assert getattr(BitwidthConfig(**{field: bits}), field) == bits
+            else:
+                with pytest.raises(GraphError, match=rf"^{field} must be in \("):
+                    BitwidthConfig(**{field: bits})
