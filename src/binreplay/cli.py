@@ -189,9 +189,10 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--shape must be H,W,C, each at least 1, got {args.shape!r}")
     if not 2 <= args.classes <= serialize.MAX_CLASSES:
         raise ConfigError(f"--classes must be in [2, {serialize.MAX_CLASSES}], got {args.classes}")
-    if args.samples_per_class < 3:
-        raise ConfigError(f"--samples-per-class must be >= 3 so that every class has a train "
-                          f"and a test row, got {args.samples_per_class}")
+    if not 3 <= args.samples_per_class <= serialize.MAX_ROWS // args.classes:
+        raise ConfigError(f"--samples-per-class must be >= 3 so that every class has a train and a "
+                          f"test row, and at most {serialize.MAX_ROWS // args.classes} so that "
+                          f"{args.classes} classes fit a dataset file, got {args.samples_per_class}")
     _io(_makedirs, args.out, "make --out directory")
     xs, ys = datasets.make_synthetic(args.classes, args.samples_per_class,
                                      shape=shape, seed=args.seed)

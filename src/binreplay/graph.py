@@ -155,19 +155,30 @@ class Graph:
 # quantization helpers
 
 
-def _snap(x: np.ndarray, scale: float, lo: int, hi: int) -> np.ndarray:
-    """Nearest point of the grid scale * [lo, hi]; out-of-range values saturate."""
-    return np.clip(np.rint(x / scale), lo, hi) * scale
+def _snap(x: np.ndarray, scale: float, lo: int, hi: int, codes: bool = False) -> np.ndarray:
+    """Nearest point of the grid scale * [lo, hi], or with codes its integer
+    as a float that keeps the sign of zero; out-of-range values saturate."""
+    q = np.divide(x, scale)
+    np.rint(q, out=q)
+    np.clip(q, lo, hi, out=q)
+    return q if codes else np.multiply(q, scale, out=q)
+
+
+def grad_codes(x: np.ndarray, bits: int | None) -> tuple[np.ndarray, float | None]:
+    """x on a dynamic symmetric per-tensor grid of bits: its codes and the
+    grid's one scale.  At float, or for an all-zero x, x itself and None."""
+    m = 0.0 if bits is None else max(-float(x.min(initial=0.0)), float(x.max(initial=0.0)))
+    if m == 0.0:
+        return x, None
+    scale = 2.0 * m / (2**bits - 1)
+    return _snap(x, scale, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, codes=True), scale
 
 
 def fake_quant(x: np.ndarray, bits: int | None) -> np.ndarray:
-    """Quantize-dequantize with a dynamic symmetric per-tensor scale."""
-    if bits is None:
-        return x
-    m = float(np.max(np.abs(x), initial=0.0))
-    if m == 0.0:
-        return x
-    return _snap(x, 2.0 * m / (2**bits - 1), -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+    """Quantize-dequantize with a dynamic symmetric per-tensor scale: the
+    float view of grad_codes."""
+    q, scale = grad_codes(x, bits)
+    return q if scale is None else np.multiply(q, scale, out=q)
 
 
 def snap_to_fixed_grid(x: np.ndarray, scale: float, bits: int, symmetric: bool = False) -> np.ndarray:
@@ -532,13 +543,9 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
 
 
 def _node_backward_bits(node: LayerNode, config: BitwidthConfig) -> int | None:
-    if KINDS[node.kind].binary:
-        if config.q_b_bin == 1:
-            # binary weights frozen at 1 bit; any propagated gradient keeps
-            # the non-binary backward precision
-            return config.q_b_nonbin
-        return config.q_b_bin
-    return config.q_b_nonbin
+    """q_b_bin for a binary kind, unless 1 bit freezes the binary weights:
+    then, as for every other kind, q_b_nonbin."""
+    return config.q_b_bin if KINDS[node.kind].binary and config.q_b_bin != 1 else config.q_b_nonbin
 
 
 def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
@@ -550,15 +557,18 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
         binary = KINDS[node.kind].weight_bits
         in_shape, operand = cache_entry
         spec, shape4, _ = _gemm_shapes(idx, node, in_shape)
+        g, scale = g if isinstance(g, tuple) else (g, None)  # with a scale, g holds codes (see backward)
         gmat = g.reshape(-1, spec.out_channels)
         w = node.weight_bits if binary else node.params["w"]
         if node.trainable and not (binary and config.q_b_bin == 1):  # 1 bit freezes weight bits
-            cols = bitpack.rows_pm1(operand, spec) if binary else operand
-            pgrads["latent" if binary else "w"] = (cols.T @ gmat).reshape(w.shape)
+            gw = (bitpack.rows_t_codes(operand, spec, gmat, scale) if scale is not None
+                  else (bitpack.rows_pm1(operand, spec) if binary else operand).T @ gmat)
+            pgrads["latent" if binary else "w"] = gw.reshape(w.shape)
             if not binary:
                 pgrads["b"] = gmat.sum(axis=0)
         if need_input_grad[0]:
             wmat = as_float(w).reshape(-1, spec.out_channels)
+            gmat = gmat if scale is None else gmat * scale  # the float view fake_quant gives
             gins[0] = bitpack.col2im(gmat @ wmat.T, spec, shape4).reshape(in_shape)
     elif node.kind == "binarize":
         if need_input_grad[0]:
@@ -603,24 +613,24 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
 
     Returns {node_id: {param_name: grad}} for trainable layers.  Every
     gradient tensor is quantized to the owning layer's backward bitwidth
-    right after it is produced.
+    right after it is produced: as grad_codes for a binary GEMM that one
+    slot reads, at up to bitpack.CODE_BITS bits, else as fake_quant.
     """
     floor = from_level if from_level is not None else -1
+    reads = [i for node in graph.nodes for i in node.inputs]  # one entry per input slot
     out_id = graph.output_id
-    grads: dict[int, np.ndarray] = {
-        out_id: fake_quant(np.asarray(grad_at_head, dtype=np.float64), config.q_b_nonbin)
-    }
+    grads: dict[int, object] = {out_id: fake_quant(np.asarray(grad_at_head, dtype=np.float64),
+                                                   config.q_b_nonbin)}
     param_grads: dict[int, dict] = {}
     for idx in range(out_id, floor, -1):
         node = graph.nodes[idx]
         g = grads.pop(idx, None)
         if g is None:
             continue
-        needs_cache = node.kind not in ("add",)
         entry = cache.get(idx)
         if isinstance(entry, _OnGrid):
             entry = entry.gather()
-        if needs_cache and entry is None:
+        if entry is None and node.kind != "add":
             raise GraphError(f"node {idx} ({node.name}): missing cache entry for backward")
         need = [(i > floor and i != -1) or return_act_grads for i in node.inputs]
         gins, pgrads = _backward_node(graph, idx, node, g, entry, config, need)
@@ -630,14 +640,13 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
         for slot, src in enumerate(node.inputs):
             if gins[slot] is None:
                 continue
-            gq = fake_quant(gins[slot], bits)
-            if src in grads:
-                grads[src] = grads[src] + gq
+            if (src > floor and reads.count(src) == 1 and KINDS[graph.nodes[src].kind].weight_bits
+                    and bits is not None and bits <= bitpack.CODE_BITS):
+                grads[src] = grad_codes(gins[slot], bits)
             else:
-                grads[src] = gq
-    if return_act_grads:
-        return param_grads, grads
-    return param_grads
+                gq = fake_quant(gins[slot], bits)
+                grads[src] = grads[src] + gq if src in grads else gq
+    return (param_grads, grads) if return_act_grads else param_grads
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,13 @@ def read_tensor(f):
 
 MAX_CLASSES = 2**16 - 1  # a dataset header holds its class count as a u16
 MAX_QUOTA = 2**32 - 1  # a replay-memory header holds its per-class quota as a u32
+MAX_ROWS = 2**32 - 1  # a dataset header holds its row count as a u32
 
 
 def write_dataset(path, inputs: np.ndarray, labels: np.ndarray, class_count: int) -> None:
     labels = np.asarray(labels, dtype=np.int64)
+    if len(inputs) > MAX_ROWS:
+        raise FormatError(f"{len(inputs)} rows do not fit the u32 header field")
     if len(inputs) != len(labels):
         raise FormatError(f"{len(inputs)} inputs but {len(labels)} labels")
     if not 0 <= class_count <= MAX_CLASSES:

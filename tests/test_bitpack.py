@@ -20,11 +20,13 @@ from binreplay.bitpack import (
     patches,
     popcount,
     rows_pm1,
+    rows_t_codes,
     stack,
     unstack,
     unpack,
     xnor_dot,
 )
+from binreplay.graph import BITWIDTHS
 from binreplay.quant import QuantParams, QuantizedTensor
 from helpers import naive_conv2d_pm1
 
@@ -265,3 +267,59 @@ class TestBinConv2d:
         spec = BinConvSpec(9, 9, 1, 0, 1, 1)
         with pytest.raises(BitShapeError):
             spec.out_hw(4, 4)
+
+
+# every width at most CODE_BITS that a gradient can be quantized to
+CODE_WIDTHS = sorted({b for widths in BITWIDTHS.values() for b in widths if b <= bitpack.CODE_BITS})
+
+
+class TestRowsTimesCodes:
+    """The binary weight gradient from packed rows and integer codes equals
+    the int64 oracle 2 * B01.T @ C - colsum(C), times the scale, bit for bit."""
+
+    SCALE = 0.37  # no power of two: the product is rounded once
+
+    @staticmethod
+    def _rows(rng, channels, stride, padding, count, ones=False):
+        """count packed patch rows of a 3x3 conv, and the same rows as 0/1."""
+        spec = BinConvSpec(3, 3, stride, padding, channels, 2)
+        oh, ow = spec.out_hw(9, 9)
+        n = -(-count // (oh * ow))
+        shape = (n, 9, 9, channels)
+        x = from01(np.ones(shape, dtype=np.uint8) if ones else rng.integers(0, 2, size=shape))
+        return spec, conv_rows(x, spec)[:count], patches(x.unpack01(), spec)[:count].astype(np.int64)
+
+    @staticmethod
+    def _codes(rng, bits, count, n):
+        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        codes = rng.integers(lo, hi, size=(count, n), endpoint=True)
+        codes[0], codes[-1] = lo, hi
+        return codes
+
+    def _check(self, spec, rows, b01, codes):
+        want = (2 * (b01.T @ codes) - codes.sum(axis=0)).astype(np.float64) * self.SCALE
+        got = rows_t_codes(rows, spec, codes.astype(np.float64), self.SCALE)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 511, 512, 513, 11520])
+    @pytest.mark.parametrize("channels", [1, 5, 64, 65])
+    def test_matches_the_int64_oracle(self, channels, count, rng):
+        for stride, padding in [(1, 0), (1, 1), (2, 0), (2, 1)]:
+            spec, rows, b01 = self._rows(rng, channels, stride, padding, count)
+            for bits in CODE_WIDTHS:
+                self._check(spec, rows, b01, self._codes(rng, bits, count, spec.out_channels))
+
+    @pytest.mark.parametrize("bits", CODE_WIDTHS)
+    def test_a_chunk_of_extreme_codes_is_exact(self, bits, rng):
+        # all bits 1 and every code at an end of the grid: a full chunk sums
+        # to 512 * -2**15 = -2**24 at 16 bits, the end of float32's integers
+        spec, rows, b01 = self._rows(rng, 8, 1, 0, 3 * bitpack.CODE_ROWS + 1, ones=True)
+        for code in (-(2 ** (bits - 1)), 2 ** (bits - 1) - 1):
+            self._check(spec, rows, b01, np.full((len(rows), spec.out_channels), code))
+
+    def test_is_the_pm1_product(self, rng):
+        spec, rows, _ = self._rows(rng, 5, 1, 1, 700)
+        codes = self._codes(rng, 16, 700, 2).astype(np.float64)
+        # below 2**53 the float64 +-1 product it replaces is exact as well
+        assert np.array_equal(rows_t_codes(rows, spec, codes, 1.0), rows_pm1(rows, spec).T @ codes)

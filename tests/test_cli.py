@@ -140,6 +140,14 @@ class TestSynth:
         assert ">= 3" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("classes,n", [(10, 10**12), (2, (2**32 - 1) // 2 + 1)])
+    def test_more_rows_than_a_dataset_file_holds_rejected(self, classes, n, tmp_path, capsys):
+        # the header's u32 row count: 10**12 per class once tried to allocate 10.2 PiB, exit 2
+        assert main(["synth", "--out", str(tmp_path / "d"), "--classes", str(classes),
+                     "--samples-per-class", str(n), "--shape", "12,12,1"]) == 1
+        assert "--samples-per-class must be" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_three_samples_per_class_fill_both_splits(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--classes", "3",
                      "--samples-per-class", "3", "--shape", "6,6,1"]) == 0

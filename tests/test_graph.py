@@ -18,6 +18,7 @@ from binreplay.graph import (
     backward,
     fake_quant,
     forward,
+    grad_codes,
     grid_nodes,
     infer_shapes,
     latent_grid_scale,
@@ -28,7 +29,8 @@ from binreplay.graph import (
     ste_backward,
     store_param,
 )
-from binreplay.learner import build_reference_model, calibrate_activations, initialize_bn_stats
+from binreplay.learner import (ContinualConfig, build_reference_model, calibrate_activations, freeze_backbone,
+                               initialize_bn_stats)
 from binreplay.quant import (QuantError, QuantParams, calibrate_range, dequantize, qmatmul, quant_params,
                              quantize)
 from helpers import (
@@ -199,6 +201,126 @@ class TestFakeQuant:
         out = fake_quant(x, 1)
         # 1-bit symmetric grid has levels {-1, 0} * scale
         assert set(np.round(out / (2 * 0.7), 6)) <= {0.0, -1.0}
+
+    @pytest.mark.parametrize("bits", [1, 4, 8, 16, 32])
+    def test_bytes_are_the_written_out_snap(self, bits, rng):
+        # tobytes, not array_equal, which holds -0.0 equal to +0.0
+        tiny = [-1e-12, -1e-300, -5e-324, -0.0, 0.0, 1e-12]
+        cases = [np.concatenate([rng.normal(size=300), tiny]), np.array([0.0, -2.5, -0.0]),
+                 np.array([[1e-3]]), np.zeros((2, 3)), np.array([-0.0])]
+        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        for x in cases:
+            before = x.tobytes()
+            got = fake_quant(x, bits)
+            assert x.tobytes() == before
+            codes, scale = grad_codes(x, bits)
+            if not np.abs(x).max():
+                assert got is x and codes is x and scale is None
+                continue
+            s = 2.0 * np.abs(x).max() / (2**bits - 1)
+            assert scale == s
+            assert got.tobytes() == (np.clip(np.rint(x / s), lo, hi) * s).tobytes()
+            assert np.array_equal(codes, np.rint(codes)) and lo <= codes.min() <= codes.max() <= hi
+            assert np.array_equal(codes * scale, got)
+        small = fake_quant(cases[0], bits)[-len(tiny):-2]
+        assert np.all((small == 0) & np.signbit(small))  # rounded to -0.0, as the formula gives
+
+
+class TestBinaryWeightGradientOnCodes:
+    """A binary GEMM's weight gradient comes from its packed rows and the codes
+    of its gradient when one slot reads it at up to 16 bits; otherwise from
+    the float64 +-1 patch matrix of bitpack.rows_pm1."""
+
+    @staticmethod
+    def _deployment_step(bw):
+        """The reference model's 80-row deployment step at bw: its graph, its
+        train-mode forward cache from the replay level and a head gradient."""
+        rng = np.random.default_rng(0)
+        cfg = ContinualConfig(bitwidth=bw)
+        g = build_reference_model((12, 12, 1), channels=32, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(64, 12, 12, 1))
+        initialize_bn_stats(g, xs)
+        calibrate_activations(g, xs, bw.q_f)
+        freeze_backbone(g, cfg)
+        latents = bitpack.from01(rng.integers(0, 2, size=(cfg.b_n + cfg.b_r, 12, 12, 32)))
+        out, cache = forward(g, latents, bw, mode="train", from_level=g.replay_level)
+        return g, cache, rng.normal(size=out.shape)
+
+    @staticmethod
+    def _count_rows_pm1(monkeypatch):
+        calls = []
+        rows_pm1 = bitpack.rows_pm1
+        monkeypatch.setattr(bitpack, "rows_pm1", lambda rows, spec: calls.append(len(rows)) or rows_pm1(rows, spec))
+        return calls
+
+    def test_deployment_backward_peak(self):
+        # block3_conv's float64 +-1 patch matrix, 11520 x 288, would take 26.5 MB alone
+        bw = BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)
+        g, cache, direction = self._deployment_step(bw)
+        tracemalloc.start()
+        try:
+            grads = backward(g, cache, direction, bw, from_level=g.replay_level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        conv = next(i for i, n in enumerate(g.nodes) if n.name == "block3_conv")
+        assert np.any(grads[conv]["latent"])
+
+    @pytest.mark.parametrize("bw,calls", [
+        (BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4), []),
+        (BitwidthConfig(q_f=8, q_b_nonbin=8, q_b_bin=16), []),
+        (BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32), [11520]),
+        (BitwidthConfig(q_f=8, q_b_nonbin=None, q_b_bin=4), [11520]),
+    ], ids=["8/16/4", "8/8/16", "32/32/32", "8/float/4"])
+    def test_deployment_step_decodes_the_rows_only_at_32_bits_or_float(self, bw, calls, monkeypatch):
+        g, cache, direction = self._deployment_step(bw)
+        counted = self._count_rows_pm1(monkeypatch)
+        backward(g, cache, direction, bw, from_level=g.replay_level)
+        assert counted == calls
+
+    def test_float_pretraining_step_decodes_each_binary_convs_rows(self, rng, monkeypatch):
+        g = build_reference_model((6, 6, 1), channels=4, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(3, 6, 6, 1))
+        initialize_bn_stats(g, xs)
+        for node in g.nodes:
+            node.trainable = bool(graph_module.KINDS[node.kind].trained)
+        out, cache = forward(g, xs, FLOAT_CFG, mode="train")
+        counted = self._count_rows_pm1(monkeypatch)
+        grads = backward(g, cache, rng.normal(size=out.shape), FLOAT_CFG)
+        assert counted == [3 * 36] * 3
+        assert sum("latent" in grads[i] for i in grads) == 3
+
+    def test_weight_gradient_is_the_exact_product_of_the_codes(self, rng):
+        # q_b_bin float leaves the latent gradient unsnapped: the integer
+        # product of the signs and the codes, times the scale, rounded once
+        bw = BitwidthConfig(q_f=None, q_b_nonbin=16, q_b_bin=None)
+        for cin, padding in [(None, None)] * 5 + [(9, 1), (65, 0)]:
+            g, x, spec, _ = random_binary_conv_case(rng, cin, padding)
+            g.add("prelu", params={"alpha": np.ones(spec.out_channels)})  # the identity: one reader
+            out, cache = forward(g, x, bw, mode="train")
+            direction = rng.normal(size=out.shape)
+            pgrads = backward(g, cache, direction, bw)
+            codes, scale = grad_codes(fake_quant(direction, 16), 16)
+            w_pm = g.nodes[0].weight_bits.unpack().astype(np.float64)
+            gw, _ = naive_binary_conv_grads(x, w_pm, codes, spec.stride, spec.padding)
+            assert pgrads[0]["latent"].tobytes() == (gw * scale).tobytes()
+
+    @pytest.mark.parametrize("readers,calls", [(1, []), (2, [4])])
+    def test_a_gradient_summed_from_two_readers_keeps_the_float_product(self, readers, calls, rng,
+                                                                        monkeypatch):
+        bw = BitwidthConfig(q_f=None, q_b_nonbin=16, q_b_bin=4)
+        g = Graph((8,))
+        g.add("binarize")
+        gemm = g.add("binary_dense", trainable=True, params={"latent": rng.uniform(-1.0, 1.0, size=(8, 3))})
+        ends = [g.add("prelu", inputs=gemm, params={"alpha": np.full(3, 0.25)}) for _ in range(readers)]
+        if readers == 2:
+            g.add("add", inputs=ends)
+        out, cache = forward(g, rng.normal(size=(4, 8)), bw, mode="train")
+        counted = self._count_rows_pm1(monkeypatch)
+        grads = backward(g, cache, rng.normal(size=out.shape), bw)
+        assert counted == calls
+        assert grads[gemm]["latent"].shape == (8, 3)
 
 
 class TestQuantizedBackwardFidelity:

@@ -251,6 +251,15 @@ class TestDatasetFormat:
             write_dataset(p, rng.normal(size=(n_inputs, 2, 2, 1)), labels, class_count)
         assert not p.exists()
 
+    def test_writer_rejects_more_rows_than_the_header_holds(self, tmp_path):
+        # 2**32 rows as a broadcast view, so nothing of their size is
+        # allocated; the row count is checked before the labels are read
+        p = tmp_path / "d.brds"
+        xs = np.broadcast_to(np.zeros((1, 1, 1, 1)), (2**32, 1, 1, 1))
+        with pytest.raises(FormatError, match="4294967296 rows do not fit"):
+            write_dataset(p, xs, [0], 1)
+        assert not p.exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, value, tmp_path, rng):
         xs = rng.normal(size=(3, 2, 2, 1))
