@@ -14,7 +14,7 @@ import numpy as np
 
 WORD_BITS = 64
 GEMM_BLOCK = 2048  # rows of the left operand per XNOR GEMM block
-CODE_ROWS, CODE_BITS = 512, 16  # rows_t_codes: 512 * 2**15 = 2**24, float32's last exact integer
+CODE_ROWS, CODE_BITS = 512, 16  # rows_t: 512 * 2**15 = 2**24, float32's last exact integer
 
 
 class BitShapeError(ValueError):
@@ -264,21 +264,16 @@ def _rows01(rows: np.ndarray, spec: BinConvSpec) -> np.ndarray:
     return bits.reshape(len(rows), taps * c)
 
 
-def rows_pm1(rows: np.ndarray, spec: BinConvSpec) -> np.ndarray:
-    """conv_rows words as the float64 +-1 (N*OH*OW, K) patch matrix, without
-    the pad bits: padded positions, 0 bits there, are -1 here as in the kernel."""
-    return _rows01(rows, spec) * 2.0 - 1.0
-
-
-def rows_t_codes(rows: np.ndarray, spec: BinConvSpec, codes: np.ndarray, scale: float) -> np.ndarray:
-    """rows_pm1(rows, spec).T @ codes * scale, rounded once, for integer codes of
-    at most CODE_BITS bits held as floats: per chunk of CODE_ROWS rows, float32
-    bits times float32 codes sum to integers within 2**24, exact in any order."""
-    codes32 = codes.astype(np.float32)
-    acc = np.zeros((spec.kernel_h * spec.kernel_w * spec.in_channels, codes.shape[1]))
+def rows_t(rows: np.ndarray, spec: BinConvSpec, g: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """(2 * B01 - 1).T @ g for the 0/1 patch matrix B01 of conv_rows words,
+    times scale once when given.  Per chunk of CODE_ROWS rows, B01 in g's
+    float type times g is added into float64: exact in any order for integer
+    codes of at most CODE_BITS bits held as float32, or of 32 bits as float64."""
+    acc = np.zeros((spec.kernel_h * spec.kernel_w * spec.in_channels, g.shape[1]))
     for i in range(0, len(rows), CODE_ROWS):
-        acc += _rows01(rows[i : i + CODE_ROWS], spec).astype(np.float32).T @ codes32[i : i + CODE_ROWS]
-    return (2 * acc - codes.sum(axis=0)) * scale
+        acc += _rows01(rows[i : i + CODE_ROWS], spec).astype(g.dtype).T @ g[i : i + CODE_ROWS]
+    acc = 2 * acc - g.sum(axis=0, dtype=np.float64)
+    return acc if scale is None else acc * scale
 
 
 def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray | None = None) -> np.ndarray:

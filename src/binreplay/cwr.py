@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import f32_precision
+
 
 class CWRError(ValueError):
     pass
@@ -85,8 +87,7 @@ def consolidate(head: CWRHead) -> None:
         head.cw[c] = (head.cw[c] * w_past + (head.tw[c] - mean_tw)) / (w_past + 1.0)
         head.past_counts[c] += head.cur_counts[c]
         head.seen.add(c)
-    # consolidated weights persist as f32 in checkpoints
-    head.cw = head.cw.astype(np.float32).astype(np.float64)
+    head.cw = f32_precision(head.cw)  # consolidated weights persist as f32 in checkpoints
 
 
 def predict(head: CWRHead, feature: np.ndarray) -> np.ndarray:

@@ -561,14 +561,13 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
         gmat = g.reshape(-1, spec.out_channels)
         w = node.weight_bits if binary else node.params["w"]
         if node.trainable and not (binary and config.q_b_bin == 1):  # 1 bit freezes weight bits
-            gw = (bitpack.rows_t_codes(operand, spec, gmat, scale) if scale is not None
-                  else (bitpack.rows_pm1(operand, spec) if binary else operand).T @ gmat)
+            gw = bitpack.rows_t(operand, spec, gmat, scale) if binary else operand.T @ gmat
             pgrads["latent" if binary else "w"] = gw.reshape(w.shape)
             if not binary:
                 pgrads["b"] = gmat.sum(axis=0)
         if need_input_grad[0]:
             wmat = as_float(w).reshape(-1, spec.out_channels)
-            gmat = gmat if scale is None else gmat * scale  # the float view fake_quant gives
+            gmat = gmat if scale is None else np.multiply(gmat, scale, dtype=np.float64)  # fake_quant's view
             gins[0] = bitpack.col2im(gmat @ wmat.T, spec, shape4).reshape(in_shape)
     elif node.kind == "binarize":
         if need_input_grad[0]:
@@ -613,8 +612,9 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
 
     Returns {node_id: {param_name: grad}} for trainable layers.  Every
     gradient tensor is quantized to the owning layer's backward bitwidth
-    right after it is produced: as grad_codes for a binary GEMM that one
-    slot reads, at up to bitpack.CODE_BITS bits, else as fake_quant.
+    right after it is produced: as grad_codes' pair for a binary GEMM that
+    one slot reads, codes of up to bitpack.CODE_BITS bits as float32 for
+    bitpack.rows_t, else as fake_quant.
     """
     floor = from_level if from_level is not None else -1
     reads = [i for node in graph.nodes for i in node.inputs]  # one entry per input slot
@@ -640,9 +640,10 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
         for slot, src in enumerate(node.inputs):
             if gins[slot] is None:
                 continue
-            if (src > floor and reads.count(src) == 1 and KINDS[graph.nodes[src].kind].weight_bits
-                    and bits is not None and bits <= bitpack.CODE_BITS):
-                grads[src] = grad_codes(gins[slot], bits)
+            if src > floor and reads.count(src) == 1 and KINDS[graph.nodes[src].kind].weight_bits:
+                codes, scale = grad_codes(gins[slot], bits)
+                narrow = scale is not None and bits <= bitpack.CODE_BITS
+                grads[src] = (codes.astype(np.float32) if narrow else codes, scale)
             else:
                 gq = fake_quant(gins[slot], bits)
                 grads[src] = grads[src] + gq if src in grads else gq

@@ -16,9 +16,6 @@ import numpy as np
 
 VALID_BITS = (8, 16, 32)
 
-# storage dtype per bitwidth, used by the file format
-STORAGE_DTYPE = {8: np.int8, 16: np.int16, 32: np.int32}
-
 
 def is_number(v) -> bool:
     """Whether v, read from a config or file, is an int or float (not a bool) that float64 holds."""

@@ -21,7 +21,7 @@ from . import cwr as cwr_mod
 from .bitpack import BitTensor
 from .graph import BITWIDTHS, BitwidthConfig, Graph, LayerNode, check_node, infer_shapes
 from .bitpack import BinConvSpec
-from .quant import QuantParams, QuantizedTensor, STORAGE_DTYPE, is_number
+from .quant import QuantParams, QuantizedTensor, is_number
 from .replay import LatentSample, ReplayMemory
 
 TENSOR_MAGIC = b"QTNS"
@@ -37,11 +37,12 @@ DTYPE_I32 = 3
 DTYPE_BITPACKED = 4
 
 _INT_TAGS = {8: DTYPE_I8, 16: DTYPE_I16, 32: DTYPE_I32}
+_SIGNED_DTYPE = {8: np.int8, 16: np.int16, 32: np.int32}
 _UNSIGNED_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 
 
 def _storage_dtype(bits: int, signed: bool) -> np.dtype:
-    base = STORAGE_DTYPE[bits] if signed else _UNSIGNED_DTYPE[bits]
+    base = _SIGNED_DTYPE[bits] if signed else _UNSIGNED_DTYPE[bits]
     return np.dtype(base).newbyteorder("<")
 
 

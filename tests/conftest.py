@@ -1,5 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI runs draw the same examples every time and print a reproduction blob on
+# failure, so a red CI run reproduces locally with CI=1; local runs stay random.
+# Recent hypothesis releases load a "ci" profile like this one by themselves;
+# this one keeps their other settings and holds on any release.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if "CI" in os.environ:
+    settings.load_profile("ci")
 
 # acceptance summary registry: test_acceptance fills this, the terminal
 # summary hook prints one line per criterion at the end of the run

@@ -48,6 +48,13 @@ def naive_binary_conv_grads(x_pm1, w_pm1, g, stride, padding):
     return gw, gx
 
 
+def assert_within_column_sums(got, want, g):
+    """got and want, (..., n), agree within 1e-12 * sum|g| of each of g's n
+    columns: the bound for float64 sums of +-1 times g in any order."""
+    bound = 1e-12 * np.abs(g).reshape(-1, g.shape[-1]).sum(axis=0)
+    assert np.all(np.abs(got - want) <= bound)
+
+
 def graph_loss(g, x, direction):
     """Scalar probe loss sum(output * direction) in float mode."""
     out, _ = forward(g, x, FLOAT_CFG, mode="infer")

@@ -19,8 +19,7 @@ from binreplay.bitpack import (
     pack,
     patches,
     popcount,
-    rows_pm1,
-    rows_t_codes,
+    rows_t,
     stack,
     unstack,
     unpack,
@@ -28,7 +27,7 @@ from binreplay.bitpack import (
 )
 from binreplay.graph import BITWIDTHS
 from binreplay.quant import QuantParams, QuantizedTensor
-from helpers import naive_conv2d_pm1
+from helpers import assert_within_column_sums, naive_conv2d_pm1
 
 
 class TestPackUnpack:
@@ -228,10 +227,11 @@ class TestBinConv2d:
         # K = 27, 45, 72: no multiple of 64, so each packed row ends in pad bits
         x = from01(rng.integers(0, 2, size=(2, 5, 4, channels)))
         spec = BinConvSpec(3, 3, 1, padding, channels, 2)
-        got = rows_pm1(conv_rows(x, spec), spec)
+        rows = conv_rows(x, spec)
+        got = rows_t(rows, spec, np.eye(len(rows)))
         want = 2.0 * patches(x.unpack01(), spec) - 1
         assert got.dtype == np.float64
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want.T)
 
     @pytest.mark.parametrize("channels", [1, 5, 8, 9, 63, 64, 65])
     def test_conv_rows_hold_each_pixels_channels_in_whole_bytes(self, channels, rng):
@@ -251,7 +251,7 @@ class TestBinConv2d:
                     want[r, t * width : t * width + channels] = x01[b, i, j]
         got = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
         assert np.array_equal(got, want)
-        pm1 = rows_pm1(rows, spec)
+        pm1 = rows_t(rows, spec, np.eye(len(rows))).T
         assert pm1.dtype == np.float64
         assert np.array_equal(pm1, 2.0 * want.reshape(len(rows), -1)[:, : 9 * width]
                               .reshape(len(rows), 9, width)[:, :, :channels].reshape(len(rows), -1) - 1)
@@ -269,13 +269,15 @@ class TestBinConv2d:
             spec.out_hw(4, 4)
 
 
-# every width at most CODE_BITS that a gradient can be quantized to
-CODE_WIDTHS = sorted({b for widths in BITWIDTHS.values() for b in widths if b <= bitpack.CODE_BITS})
+# every width a gradient can be quantized to: codes of up to CODE_BITS bits
+# reach rows_t as float32, wider ones as float64
+CODE_WIDTHS = sorted({b for widths in BITWIDTHS.values() for b in widths})
 
 
 class TestRowsTimesCodes:
-    """The binary weight gradient from packed rows and integer codes equals
-    the int64 oracle 2 * B01.T @ C - colsum(C), times the scale, bit for bit."""
+    """The binary weight gradient from packed rows: on integer codes it equals
+    the int64 oracle 2 * B01.T @ C - colsum(C), times the scale, bit for bit;
+    on a float gradient the +-1 patch product, to float64 rounding."""
 
     SCALE = 0.37  # no power of two: the product is rounded once
 
@@ -296,9 +298,10 @@ class TestRowsTimesCodes:
         codes[0], codes[-1] = lo, hi
         return codes
 
-    def _check(self, spec, rows, b01, codes):
+    def _check(self, spec, rows, b01, codes, bits):
         want = (2 * (b01.T @ codes) - codes.sum(axis=0)).astype(np.float64) * self.SCALE
-        got = rows_t_codes(rows, spec, codes.astype(np.float64), self.SCALE)
+        dtype = np.float32 if bits <= bitpack.CODE_BITS else np.float64
+        got = rows_t(rows, spec, codes.astype(dtype), self.SCALE)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
@@ -308,7 +311,7 @@ class TestRowsTimesCodes:
         for stride, padding in [(1, 0), (1, 1), (2, 0), (2, 1)]:
             spec, rows, b01 = self._rows(rng, channels, stride, padding, count)
             for bits in CODE_WIDTHS:
-                self._check(spec, rows, b01, self._codes(rng, bits, count, spec.out_channels))
+                self._check(spec, rows, b01, self._codes(rng, bits, count, spec.out_channels), bits)
 
     @pytest.mark.parametrize("bits", CODE_WIDTHS)
     def test_a_chunk_of_extreme_codes_is_exact(self, bits, rng):
@@ -316,10 +319,15 @@ class TestRowsTimesCodes:
         # to 512 * -2**15 = -2**24 at 16 bits, the end of float32's integers
         spec, rows, b01 = self._rows(rng, 8, 1, 0, 3 * bitpack.CODE_ROWS + 1, ones=True)
         for code in (-(2 ** (bits - 1)), 2 ** (bits - 1) - 1):
-            self._check(spec, rows, b01, np.full((len(rows), spec.out_channels), code))
+            self._check(spec, rows, b01, np.full((len(rows), spec.out_channels), code), bits)
 
     def test_is_the_pm1_product(self, rng):
-        spec, rows, _ = self._rows(rng, 5, 1, 1, 700)
-        codes = self._codes(rng, 16, 700, 2).astype(np.float64)
-        # below 2**53 the float64 +-1 product it replaces is exact as well
-        assert np.array_equal(rows_t_codes(rows, spec, codes, 1.0), rows_pm1(rows, spec).T @ codes)
+        # on a float gradient, float64 chunks sum in another order than one
+        # product: within 1e-12 * sum|g| per column
+        for channels, count in [(1, 1), (1, 11520), (65, 1), (65, 513), (65, 11520)]:
+            spec, rows, b01 = self._rows(rng, channels, 2, 1, count)
+            g = rng.normal(size=(count, spec.out_channels)) * 10.0 ** rng.integers(-3, 4, size=(count, 1))
+            got = rows_t(rows, spec, g)
+            assert got.dtype == np.float64
+            assert_within_column_sums(got, (2.0 * b01 - 1).T @ g, g)
+            assert rows_t(rows, spec, g, self.SCALE).tobytes() == (got * self.SCALE).tobytes()

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binreplay import bitpack
 from binreplay import graph as graph_module
@@ -35,6 +37,7 @@ from binreplay.quant import (QuantError, QuantParams, calibrate_range, dequantiz
                              quantize)
 from helpers import (
     FLOAT_CFG,
+    assert_within_column_sums,
     check_layer_gradients,
     make_layer_case,
     naive_binary_conv_grads,
@@ -227,9 +230,9 @@ class TestFakeQuant:
 
 
 class TestBinaryWeightGradientOnCodes:
-    """A binary GEMM's weight gradient comes from its packed rows and the codes
-    of its gradient when one slot reads it at up to 16 bits; otherwise from
-    the float64 +-1 patch matrix of bitpack.rows_pm1."""
+    """Every binary GEMM's weight gradient is bitpack.rows_t of its packed
+    rows: on the codes of its gradient when one slot reads it at a width,
+    else on the float gradient.  Neither builds the float64 +-1 patch matrix."""
 
     @staticmethod
     def _deployment_step(bw):
@@ -247,48 +250,49 @@ class TestBinaryWeightGradientOnCodes:
         return g, cache, rng.normal(size=out.shape)
 
     @staticmethod
-    def _count_rows_pm1(monkeypatch):
+    def _count_decoded_rows(monkeypatch):
         calls = []
-        rows_pm1 = bitpack.rows_pm1
-        monkeypatch.setattr(bitpack, "rows_pm1", lambda rows, spec: calls.append(len(rows)) or rows_pm1(rows, spec))
+        rows01 = bitpack._rows01
+        monkeypatch.setattr(bitpack, "_rows01", lambda rows, spec: calls.append(len(rows)) or rows01(rows, spec))
         return calls
 
     def test_deployment_backward_peak(self):
         # block3_conv's float64 +-1 patch matrix, 11520 x 288, would take 26.5 MB alone
-        bw = BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)
-        g, cache, direction = self._deployment_step(bw)
-        tracemalloc.start()
-        try:
-            grads = backward(g, cache, direction, bw, from_level=g.replay_level)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16e6
-        conv = next(i for i, n in enumerate(g.nodes) if n.name == "block3_conv")
-        assert np.any(grads[conv]["latent"])
+        for bw in [BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4),
+                   BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32),
+                   BitwidthConfig(q_f=8, q_b_nonbin=None, q_b_bin=4)]:
+            g, cache, direction = self._deployment_step(bw)
+            tracemalloc.start()
+            try:
+                grads = backward(g, cache, direction, bw, from_level=g.replay_level)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16e6, bw
+            conv = next(i for i, n in enumerate(g.nodes) if n.name == "block3_conv")
+            assert np.any(grads[conv]["latent"])
 
-    @pytest.mark.parametrize("bw,calls", [
-        (BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4), []),
-        (BitwidthConfig(q_f=8, q_b_nonbin=8, q_b_bin=16), []),
-        (BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32), [11520]),
-        (BitwidthConfig(q_f=8, q_b_nonbin=None, q_b_bin=4), [11520]),
-    ], ids=["8/16/4", "8/8/16", "32/32/32", "8/float/4"])
-    def test_deployment_step_decodes_the_rows_only_at_32_bits_or_float(self, bw, calls, monkeypatch):
-        g, cache, direction = self._deployment_step(bw)
-        counted = self._count_rows_pm1(monkeypatch)
-        backward(g, cache, direction, bw, from_level=g.replay_level)
-        assert counted == calls
+    def test_deployment_step_decodes_the_rows_in_chunks(self, monkeypatch):
+        counted = self._count_decoded_rows(monkeypatch)
+        for bw in [BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4),
+                   BitwidthConfig(q_f=8, q_b_nonbin=8, q_b_bin=16),
+                   BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32),
+                   BitwidthConfig(q_f=8, q_b_nonbin=None, q_b_bin=4)]:
+            g, cache, direction = self._deployment_step(bw)
+            counted.clear()
+            backward(g, cache, direction, bw, from_level=g.replay_level)
+            assert sum(counted) == 11520 and max(counted) <= bitpack.CODE_ROWS, bw
 
-    def test_float_pretraining_step_decodes_each_binary_convs_rows(self, rng, monkeypatch):
-        g = build_reference_model((6, 6, 1), channels=4, seed=0)
-        xs = rng.uniform(-1.0, 1.0, size=(3, 6, 6, 1))
+    def test_float_pretraining_step_decodes_each_binary_convs_rows_in_chunks(self, rng, monkeypatch):
+        g = build_reference_model((12, 12, 1), channels=4, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(5, 12, 12, 1))
         initialize_bn_stats(g, xs)
         for node in g.nodes:
             node.trainable = bool(graph_module.KINDS[node.kind].trained)
         out, cache = forward(g, xs, FLOAT_CFG, mode="train")
-        counted = self._count_rows_pm1(monkeypatch)
+        counted = self._count_decoded_rows(monkeypatch)
         grads = backward(g, cache, rng.normal(size=out.shape), FLOAT_CFG)
-        assert counted == [3 * 36] * 3
+        assert sum(counted) == 3 * 5 * 144 and max(counted) <= bitpack.CODE_ROWS
         assert sum("latent" in grads[i] for i in grads) == 3
 
     def test_weight_gradient_is_the_exact_product_of_the_codes(self, rng):
@@ -306,21 +310,67 @@ class TestBinaryWeightGradientOnCodes:
             gw, _ = naive_binary_conv_grads(x, w_pm, codes, spec.stride, spec.padding)
             assert pgrads[0]["latent"].tobytes() == (gw * scale).tobytes()
 
-    @pytest.mark.parametrize("readers,calls", [(1, []), (2, [4])])
-    def test_a_gradient_summed_from_two_readers_keeps_the_float_product(self, readers, calls, rng,
-                                                                        monkeypatch):
-        bw = BitwidthConfig(q_f=None, q_b_nonbin=16, q_b_bin=4)
+    def test_a_gradient_summed_from_two_readers_keeps_the_float_product(self, rng):
+        bw = BitwidthConfig(q_f=None, q_b_nonbin=16, q_b_bin=None)
         g = Graph((8,))
-        g.add("binarize")
         gemm = g.add("binary_dense", trainable=True, params={"latent": rng.uniform(-1.0, 1.0, size=(8, 3))})
-        ends = [g.add("prelu", inputs=gemm, params={"alpha": np.full(3, 0.25)}) for _ in range(readers)]
+        ends = [g.add("prelu", inputs=gemm, params={"alpha": np.ones(3)}) for _ in range(2)]
+        g.add("add", inputs=ends)
+        x = rng.choice([-1.0, 1.0], size=(4, 8))
+        out, cache = forward(g, x, bw, mode="train")
+        direction = rng.normal(size=out.shape)
+        grads = backward(g, cache, direction, bw)
+        # each reader's gradient is snapped where it is made, then they are summed
+        summed = 2 * fake_quant(fake_quant(fake_quant(direction, 16), 16), 16)
+        assert_within_column_sums(grads[gemm]["latent"], x.T @ summed, summed)
+
+
+class TestRandomBinaryGemmGraphs:
+    """A binary GEMM under one or two readers, drawn at random, against the
+    loop oracle: with one reader at a width the latent gradient is the exact
+    integer product of the signs and the codes, times the scale; a float or
+    summed gradient gives the +-1 product within float64 rounding."""
+
+    @given(conv=st.booleans(), cin=st.sampled_from([1, 7, 8, 9, 63, 64, 65]), cout=st.integers(1, 3),
+           n=st.integers(1, 2), h=st.integers(3, 7), stride=st.integers(1, 2), padding=st.integers(0, 1),
+           readers=st.integers(1, 2), bits=st.sampled_from([None, *BITWIDTHS["q_b_nonbin"]]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_latent_gradient_matches_the_loop_oracle(self, conv, cin, cout, n, h, stride, padding,
+                                                     readers, bits, seed):
+        rng = np.random.default_rng(seed)
+        bw = BitwidthConfig(q_f=None, q_b_nonbin=bits, q_b_bin=None)  # the latent gradient stays unsnapped
+        if not conv:  # a dense layer is a 1x1 conv of 1x1 images
+            stride, padding = 1, 0
+        k = 3 if conv else 1
+        spec = BinConvSpec(k, k, stride, padding, cin, cout)
+        in_shape = (h, h, cin) if conv else (cin,)
+        latent = rng.uniform(-1.0, 1.0, size=(k, k, cin, cout) if conv else (cin, cout))
+        g = Graph(in_shape)
+        if conv:
+            gemm = g.add("binary_conv2d", trainable=True, spec=spec, params={"latent": latent})
+        else:
+            gemm = g.add("binary_dense", trainable=True, params={"latent": latent})
+        ends = [g.add("prelu", inputs=gemm, params={"alpha": np.ones(cout)}) for _ in range(readers)]
         if readers == 2:
             g.add("add", inputs=ends)
-        out, cache = forward(g, rng.normal(size=(4, 8)), bw, mode="train")
-        counted = self._count_rows_pm1(monkeypatch)
-        grads = backward(g, cache, rng.normal(size=out.shape), bw)
-        assert counted == calls
-        assert grads[gemm]["latent"].shape == (8, 3)
+        x = rng.choice([-1.0, 1.0], size=(n, *in_shape))
+        out, cache = forward(g, x, bw, mode="train")
+        direction = rng.normal(size=out.shape)
+        got = backward(g, cache, direction, bw)[gemm]["latent"]
+
+        def oracle(grad):
+            x4, g4 = (x, grad) if conv else (x.reshape(n, 1, 1, cin), grad.reshape(n, 1, 1, cout))
+            w_pm = g.nodes[gemm].weight_bits.unpack().reshape(k, k, cin, cout).astype(np.float64)
+            return naive_binary_conv_grads(x4, w_pm, g4, stride, padding)[0].reshape(latent.shape)
+
+        gq = fake_quant(direction, bits)
+        if readers == 1 and bits is not None:
+            codes, scale = grad_codes(gq, bits)
+            assert got.tobytes() == (oracle(codes) * scale).tobytes()
+        else:
+            summed = gq if readers == 1 else 2 * fake_quant(fake_quant(gq, bits), bits)
+            assert_within_column_sums(got, oracle(summed), summed)
 
 
 class TestQuantizedBackwardFidelity:
