@@ -266,13 +266,16 @@ def _rows01(rows: np.ndarray, spec: BinConvSpec) -> np.ndarray:
 
 def rows_t(rows: np.ndarray, spec: BinConvSpec, g: np.ndarray, scale: float | None = None) -> np.ndarray:
     """(2 * B01 - 1).T @ g for the 0/1 patch matrix B01 of conv_rows words,
-    times scale once when given.  Per chunk of CODE_ROWS rows, B01 in g's
-    float type times g is added into float64: exact in any order for integer
+    times scale once when given.  Per chunk of CODE_ROWS rows, B01 and ones in
+    g's float type times g are added into float64: exact in any order for integer
     codes of at most CODE_BITS bits held as float32, or of 32 bits as float64."""
     acc = np.zeros((spec.kernel_h * spec.kernel_w * spec.in_channels, g.shape[1]))
+    colsum = np.zeros(g.shape[1])
     for i in range(0, len(rows), CODE_ROWS):
-        acc += _rows01(rows[i : i + CODE_ROWS], spec).astype(g.dtype).T @ g[i : i + CODE_ROWS]
-    acc = 2 * acc - g.sum(axis=0, dtype=np.float64)
+        chunk = g[i : i + CODE_ROWS]
+        acc += _rows01(rows[i : i + CODE_ROWS], spec).astype(g.dtype).T @ chunk
+        colsum += np.ones(len(chunk), dtype=g.dtype) @ chunk
+    acc = 2 * acc - colsum
     return acc if scale is None else acc * scale
 
 

@@ -56,6 +56,7 @@ BINARY_KINDS = tuple(k for k, row in KINDS.items() if row.weight_bits)
 # layers that run as one patches-by-weights product: a dense layer is a 1x1 conv
 GEMM_KINDS = ("dense", "conv2d", "softmax_ce_head", *BINARY_KINDS)
 GATHER_ROWS = 2048  # positions per block of a table gather
+_CHANNELS: dict[int, np.ndarray] = {}  # channel count -> the channel of each flat position of a block
 
 
 class GraphError(ValueError):
@@ -155,30 +156,33 @@ class Graph:
 # quantization helpers
 
 
-def _snap(x: np.ndarray, scale: float, lo: int, hi: int, codes: bool = False) -> np.ndarray:
+def _snap(x: np.ndarray, scale: float, lo: int, hi: int, codes: bool = False, out=None) -> np.ndarray:
     """Nearest point of the grid scale * [lo, hi], or with codes its integer
     as a float that keeps the sign of zero; out-of-range values saturate."""
-    q = np.divide(x, scale)
+    q = np.divide(x, scale, out=out)
     np.rint(q, out=q)
     np.clip(q, lo, hi, out=q)
     return q if codes else np.multiply(q, scale, out=q)
 
 
-def grad_codes(x: np.ndarray, bits: int | None) -> tuple[np.ndarray, float | None]:
-    """x on a dynamic symmetric per-tensor grid of bits: its codes and the
-    grid's one scale.  At float, or for an all-zero x, x itself and None."""
-    m = 0.0 if bits is None else max(-float(x.min(initial=0.0)), float(x.max(initial=0.0)))
+def grad_codes(x: np.ndarray, bits: int | None, in_place: bool = False,
+               codes: bool = True) -> tuple[np.ndarray, float | None]:
+    """x on a dynamic symmetric per-tensor grid of bits: its codes (the grid's values if not codes) and the
+    grid's one scale; at float, or for an all-zero x, x itself and None.  A broadcast view is snapped on
+    the values it holds and stays broadcast; in_place snaps x in its own memory."""
+    held = x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)] if 0 in x.strides else x
+    m = 0.0 if bits is None else max(-float(held.min(initial=0.0)), float(held.max(initial=0.0)))
     if m == 0.0:
         return x, None
     scale = 2.0 * m / (2**bits - 1)
-    return _snap(x, scale, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, codes=True), scale
+    q = _snap(held, scale, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, codes, held if in_place else None)
+    return (q if q.shape == x.shape else np.broadcast_to(q, x.shape)), scale
 
 
-def fake_quant(x: np.ndarray, bits: int | None) -> np.ndarray:
+def fake_quant(x: np.ndarray, bits: int | None, in_place: bool = False) -> np.ndarray:
     """Quantize-dequantize with a dynamic symmetric per-tensor scale: the
     float view of grad_codes."""
-    q, scale = grad_codes(x, bits)
-    return q if scale is None else np.multiply(q, scale, out=q)
+    return grad_codes(x, bits, in_place, codes=False)[0]
 
 
 def snap_to_fixed_grid(x: np.ndarray, scale: float, bits: int, symmetric: bool = False) -> np.ndarray:
@@ -245,9 +249,14 @@ def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bi
 
 def ste_backward(g_out: np.ndarray, cached_input: np.ndarray, clip_threshold: float = 1.0) -> np.ndarray:
     """Straight-through gradient of sign: identity inside the clip region."""
-    if g_out.shape != cached_input.shape:
-        raise GraphError(f"shape mismatch: {g_out.shape} vs {cached_input.shape}")
-    return g_out * (np.abs(cached_input) <= clip_threshold)
+    return _pass_inside(g_out, np.abs(cached_input) <= clip_threshold)
+
+
+def _pass_inside(g: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """g where inside holds, else a zero of g's sign: the STE once its clip region is read."""
+    if g.shape != inside.shape:
+        raise GraphError(f"shape mismatch: {g.shape} vs {inside.shape}")
+    return g * inside
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5):
@@ -257,15 +266,6 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5):
     inv_std = 1.0 / np.sqrt(running_var + eps)
     x_hat = (x - running_mean) * inv_std
     return gamma * x_hat + beta, (x_hat, inv_std)
-
-
-def batchnorm_backward(g, gamma, cache):
-    x_hat, inv_std = cache
-    axes = tuple(range(g.ndim - 1))
-    g_gamma = np.sum(g * x_hat, axis=axes)
-    g_beta = np.sum(g, axis=axes)
-    g_in = g * gamma * inv_std
-    return g_in, g_gamma, g_beta
 
 
 def softmax_ce(logits: np.ndarray, one_hot: np.ndarray) -> tuple[float, np.ndarray]:
@@ -441,37 +441,34 @@ class _Rows:
     code: np.ndarray
     rows: int
 
-    def read(self, table):
-        """table's value, or packed sign, at each element: a flat np.take per
-        block of GATHER_ROWS positions, so no index array of the whole
-        output is built."""
-        shift = (self.rows // table.shape[0]).bit_length() - 1
-        bits = isinstance(table, BitTensor)
-        src = table.unpack01() if bits else table
-        c = src.shape[1]
-        out = np.empty(self.code.shape, dtype=src.dtype)
-        codes, outs, channel = self.code.reshape(-1, c), out.reshape(-1, c), np.arange(c)
-        for i in range(0, len(codes), GATHER_ROWS):
-            block = codes[i : i + GATHER_ROWS]
+    def read(self, *tables):
+        """Each table's value, or packed sign, at each element, the tables all as long as the
+        first: a flat np.take per block of GATHER_ROWS positions from one index that every
+        table shares, so no index array of the whole output is built."""
+        shift = (self.rows // tables[0].shape[0]).bit_length() - 1
+        srcs = [t.unpack01() if isinstance(t, BitTensor) else t for t in tables]
+        c = srcs[0].shape[1]
+        outs = [np.empty(self.code.shape, dtype=src.dtype) for src in srcs]
+        codes, step = self.code.reshape(-1), GATHER_ROWS * c
+        if c not in _CHANNELS:  # made once per channel count: a fresh one per read faults its pages in
+            _CHANNELS[c] = np.tile(np.arange(c, dtype=np.intp), GATHER_ROWS)
+        channel = _CHANNELS[c]
+        for i in range(0, len(codes), step):
+            block = codes[i : i + step]
             flat = np.multiply(block >> shift if shift else block, c, dtype=np.intp)
-            flat += channel
-            np.take(src, flat, out=outs[i : i + GATHER_ROWS], mode="clip")  # "raise" copies through a buffer
-        return bitpack.from01(out) if bits else out
+            flat += channel[: len(block)]
+            for src, out in zip(srcs, outs):  # "raise" copies through a buffer
+                np.take(src, flat, out=out.reshape(-1)[i : i + step], mode="clip")
+        return [bitpack.from01(out) if isinstance(t, BitTensor) else out for t, out in zip(tables, outs)]
 
 
 @dataclass(frozen=True)
 class _OnGrid:
     """A chain node's backward cache: the cache its code left on the table
-    grid, read at each element's row when backward needs it."""
+    grid, whose (rows, C) tables backward reads through rows."""
 
     rows: _Rows
     cache: object
-
-    def gather(self):
-        def read(a):  # a (rows, C) table; a per-channel array stays as it is
-            return self.rows.read(a) if isinstance(a, np.ndarray) and a.ndim == 2 else a
-
-        return tuple(map(read, self.cache)) if isinstance(self.cache, tuple) else read(self.cache)
 
 
 def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
@@ -512,7 +509,7 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
         shown = collect is not None or idx == stop_level
         if idx in tabled:
             table, c, rows, last = tabled.pop(idx)
-            y = rows.read(table) if shown or idx == last else None
+            y = rows.read(table)[0] if shown or idx == last else None
             if c is not None:
                 c = _OnGrid(rows, c)
         else:
@@ -549,9 +546,14 @@ def _node_backward_bits(node: LayerNode, config: BitwidthConfig) -> int | None:
 
 
 def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
-    """Returns (input grads aligned with node.inputs, param grads)."""
+    """Returns (input grads aligned with node.inputs, param grads).  A per-channel
+    kind derives what it multiplies by from its cache and reads only that at each
+    element: on a chain, from its _OnGrid's (rows, C) tables through the chain's _Rows."""
     pgrads = {}
     gins = [None] * len(node.inputs)
+    read = lambda *tables: tables  # noqa: E731  off a chain, the cache holds every element
+    if isinstance(cache_entry, _OnGrid):
+        read, cache_entry = cache_entry.rows.read, cache_entry.cache
 
     if node.kind in GEMM_KINDS:
         binary = KINDS[node.kind].weight_bits
@@ -571,14 +573,16 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
             gins[0] = bitpack.col2im(gmat @ wmat.T, spec, shape4).reshape(in_shape)
     elif node.kind == "binarize":
         if need_input_grad[0]:
-            gins[0] = ste_backward(g, cache_entry, node.attrs.get("clip", 1.0))
+            gins[0] = _pass_inside(g, *read(np.abs(cache_entry) <= node.attrs.get("clip", 1.0)))
     elif node.kind == "batchnorm":
-        g_in, g_gamma, g_beta = batchnorm_backward(g, node.params["gamma"], cache_entry)
-        if node.trainable:
-            pgrads["gamma"] = g_gamma
-            pgrads["beta"] = g_beta
+        x_hat, inv_std = cache_entry
+        if node.trainable:  # g.copy(): numpy sums a broadcast g in another order than its copy
+            axes = tuple(range(g.ndim - 1))
+            pgrads["gamma"] = np.sum(g * read(x_hat)[0], axis=axes)
+            pgrads["beta"] = np.sum(g.copy() if 0 in g.strides else g, axis=axes)
         if need_input_grad[0]:
-            gins[0] = g_in
+            gins[0] = np.multiply(g, node.params["gamma"])
+            gins[0] *= inv_std
     elif node.kind == "add":
         for slot in range(2):
             if need_input_grad[slot]:
@@ -590,17 +594,17 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
             if need_input_grad[slot]:
                 gins[slot] = g[..., offs[slot] : offs[slot + 1]]
     elif node.kind == "prelu":
-        x = cache_entry
-        alpha = node.params["alpha"]
+        x = cache_entry  # the slope and, when trained, x where x < 0: read at one index
+        slope, *neg = read(np.where(x >= 0, 1.0, node.params["alpha"]),
+                           *([x * (x < 0)] if node.trainable else []))
         if node.trainable:
-            axes = tuple(range(g.ndim - 1))
-            pgrads["alpha"] = np.sum(g * x * (x < 0), axis=axes)
+            pgrads["alpha"] = np.sum(np.multiply(neg[0], g, out=neg[0]), axis=tuple(range(g.ndim - 1)))
         if need_input_grad[0]:
-            gins[0] = g * np.where(x >= 0, 1.0, alpha)
+            gins[0] = np.multiply(slope, g, out=slope)
     elif node.kind == "global_avg_pool":
         n, h, wd, c = cache_entry
-        if need_input_grad[0]:
-            gins[0] = np.broadcast_to(g[:, None, None, :] / (h * wd), (n, h, wd, c)).copy()
+        if need_input_grad[0]:  # a read-only view of the n * c values
+            gins[0] = np.broadcast_to(g[:, None, None, :] / (h * wd), (n, h, wd, c))
     else:  # pragma: no cover
         raise GraphError(f"node {idx}: unhandled kind {node.kind}")
     return gins, pgrads
@@ -614,7 +618,9 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
     gradient tensor is quantized to the owning layer's backward bitwidth
     right after it is produced: as grad_codes' pair for a binary GEMM that
     one slot reads, codes of up to bitpack.CODE_BITS bits as float32 for
-    bitpack.rows_t, else as fake_quant.
+    bitpack.rows_t, else as fake_quant.  An input gradient that its node made
+    afresh is snapped in its own memory; an add's pass-through g and a view,
+    such as global_avg_pool's broadcast, are snapped into new memory.
     """
     floor = from_level if from_level is not None else -1
     reads = [i for node in graph.nodes for i in node.inputs]  # one entry per input slot
@@ -628,8 +634,6 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
         if g is None:
             continue
         entry = cache.get(idx)
-        if isinstance(entry, _OnGrid):
-            entry = entry.gather()
         if entry is None and node.kind != "add":
             raise GraphError(f"node {idx} ({node.name}): missing cache entry for backward")
         need = [(i > floor and i != -1) or return_act_grads for i in node.inputs]
@@ -640,12 +644,13 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
         for slot, src in enumerate(node.inputs):
             if gins[slot] is None:
                 continue
+            own = gins[slot] is not g and gins[slot].base is None  # made afresh by this node
             if src > floor and reads.count(src) == 1 and KINDS[graph.nodes[src].kind].weight_bits:
-                codes, scale = grad_codes(gins[slot], bits)
+                codes, scale = grad_codes(gins[slot], bits, own)
                 narrow = scale is not None and bits <= bitpack.CODE_BITS
                 grads[src] = (codes.astype(np.float32) if narrow else codes, scale)
             else:
-                gq = fake_quant(gins[slot], bits)
+                gq = fake_quant(gins[slot], bits, own)
                 grads[src] = grads[src] + gq if src in grads else gq
     return (param_grads, grads) if return_act_grads else param_grads
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from binreplay import graph as G
 from binreplay.bitpack import BinConvSpec, pack
 from binreplay.graph import BitwidthConfig, Graph, backward, forward
 
@@ -53,6 +54,32 @@ def assert_within_column_sums(got, want, g):
     columns: the bound for float64 sums of +-1 times g in any order."""
     bound = 1e-12 * np.abs(g).reshape(-1, g.shape[-1]).sum(axis=0)
     assert np.all(np.abs(got - want) <= bound)
+
+
+def materialized(entry):
+    """A train cache entry as a node-by-node forward leaves it: each (rows, C)
+    table of a chain node's entry read at every element."""
+    if not isinstance(entry, G._OnGrid):
+        return entry
+
+    def read(a):  # a per-channel array stays as it is
+        return entry.rows.read(a)[0] if isinstance(a, np.ndarray) and a.ndim == 2 else a
+
+    return tuple(map(read, entry.cache)) if isinstance(entry.cache, tuple) else read(entry.cache)
+
+
+def textbook_backward(node, g, cache):
+    """(input gradient, parameter gradients) of a prelu, batchnorm or
+    binarize node, written out on its materialized cache and a materialized g."""
+    g, axes, p = np.ascontiguousarray(g), tuple(range(g.ndim - 1)), node.params
+    if node.kind == "prelu":
+        x = cache
+        return g * np.where(x >= 0, 1.0, p["alpha"]), {"alpha": np.sum(g * x * (x < 0), axis=axes)}
+    if node.kind == "batchnorm":
+        x_hat, inv_std = cache
+        return (g * p["gamma"]) * inv_std, {"gamma": np.sum(g * x_hat, axis=axes), "beta": np.sum(g, axis=axes)}
+    assert node.kind == "binarize"
+    return g * (np.abs(cache) <= node.attrs.get("clip", 1.0)), {}
 
 
 def graph_loss(g, x, direction):

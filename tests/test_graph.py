@@ -257,10 +257,12 @@ class TestBinaryWeightGradientOnCodes:
         return calls
 
     def test_deployment_backward_peak(self):
-        # block3_conv's float64 +-1 patch matrix, 11520 x 288, would take 26.5 MB alone
-        for bw in [BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4),
-                   BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32),
-                   BitwidthConfig(q_f=8, q_b_nonbin=None, q_b_bin=4)]:
+        # block3_conv's float64 +-1 patch matrix, 11520 x 288, would take 26.5 MB
+        # alone, and the chain's gathered caches and fresh snaps of 2.95 MB each
+        # put the peak at 14.8 MB (11.9 MB at float)
+        for bw, bound in [(BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4), 12.5e6),
+                          (BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32), 12.5e6),
+                          (BitwidthConfig(q_f=8, q_b_nonbin=None, q_b_bin=4), 9.5e6)]:
             g, cache, direction = self._deployment_step(bw)
             tracemalloc.start()
             try:
@@ -268,7 +270,7 @@ class TestBinaryWeightGradientOnCodes:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 16e6, bw
+            assert peak <= bound, bw
             conv = next(i for i, n in enumerate(g.nodes) if n.name == "block3_conv")
             assert np.any(grads[conv]["latent"])
 
@@ -371,6 +373,83 @@ class TestRandomBinaryGemmGraphs:
         else:
             summed = gq if readers == 1 else 2 * fake_quant(fake_quant(gq, bits), bits)
             assert_within_column_sums(got, oracle(summed), summed)
+
+
+class TestInPlaceSnaps:
+    """backward snaps an input gradient in place only where its node made it
+    afresh: what the caller hands in, an add's two branches and the gradients
+    it returns share no memory that a snap writes."""
+
+    @staticmethod
+    def _prelu_pair(rng):
+        """Two trained prelus of the input, summed by an add."""
+        g = Graph((6,))
+        ends = [g.add("prelu", inputs=-1, trainable=True, params={"alpha": a})
+                for a in (rng.uniform(0.1, 0.5, size=6), np.array([0.0, 1.0, -0.5, 0.25, 2.0, 0.0]))]
+        g.add("add", inputs=ends)
+        return g, rng.normal(size=(5, 6))
+
+    def test_grad_at_head_is_left_as_it_is(self, rng):
+        g, x = self._prelu_pair(rng)
+        steps = [(g, x, bw) for bw in (FLOAT_CFG, BitwidthConfig(q_f=None, q_b_nonbin=8, q_b_bin=8))]
+        ref = build_reference_model((6, 6, 1), channels=4, seed=0)
+        steps.append((ref, rng.normal(size=(3, 6, 6, 1)), FLOAT_CFG))
+        for graph, xs, bw in steps:
+            for node in graph.nodes:
+                node.trainable = bool(graph_module.KINDS[node.kind].trained)
+            out, cache = forward(graph, xs, bw, mode="train")
+            head = rng.normal(size=out.shape)
+            before = head.tobytes()
+            backward(graph, cache, head, bw, return_act_grads=True)
+            assert head.tobytes() == before
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_an_add_hands_both_branches_the_copying_snap(self, bits, rng):
+        bw = BitwidthConfig(q_f=None, q_b_nonbin=bits, q_b_bin=bits)
+        g, x = self._prelu_pair(rng)
+        out, cache = forward(g, x, bw, mode="train")
+        direction = rng.normal(size=out.shape)
+        pgrads, agrads = backward(g, cache, direction, bw, return_act_grads=True)
+        branch = fake_quant(fake_quant(direction, bits), bits)  # each slot snaps its own copy
+        gin = 0.0
+        for idx in (0, 1):
+            alpha = g.nodes[idx].params["alpha"]
+            want = fake_quant(np.sum(branch * x * (x < 0), axis=0), bits)
+            assert pgrads[idx]["alpha"].tobytes() == want.tobytes()
+            gin = gin + fake_quant(branch * np.where(x >= 0, 1.0, alpha), bits)
+        assert agrads[-1].tobytes() == gin.tobytes()
+
+    @pytest.mark.parametrize("bw", [FLOAT_CFG, BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)])
+    def test_returned_gradients_survive_a_second_backward(self, bw, rng):
+        pooled = Graph((3, 3, 2))
+        pooled.add("global_avg_pool")
+        ref = build_reference_model((6, 6, 1), channels=4, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(3, 6, 6, 1))
+        initialize_bn_stats(ref, xs)
+        for graph, x in [(pooled, rng.normal(size=(4, 3, 3, 2))), (ref, xs)]:
+            for node in graph.nodes:
+                node.trainable = bool(graph_module.KINDS[node.kind].trained)
+            if bw.q_f is not None:
+                calibrate_activations(graph, x, bw.q_f)
+            out, cache = forward(graph, x, bw, mode="train")
+            direction = rng.normal(size=out.shape)
+            first = backward(graph, cache, direction, bw, return_act_grads=True)[1]
+            kept = {i: v.tobytes() for i, v in first.items()}
+            backward(graph, cache, direction, bw, return_act_grads=True)
+            assert {i: v.tobytes() for i, v in first.items()} == kept
+
+    @pytest.mark.parametrize("bits", [None, 8, 16])
+    def test_a_pooled_input_gradient_comes_back_as_a_read_only_broadcast(self, bits, rng):
+        bw = BitwidthConfig(q_f=None, q_b_nonbin=bits, q_b_bin=bits)
+        g = Graph((3, 3, 2))
+        g.add("global_avg_pool")
+        x = rng.normal(size=(4, 3, 3, 2))
+        out, cache = forward(g, x, bw, mode="train")
+        direction = rng.normal(size=out.shape)
+        got = backward(g, cache, direction, bw, return_act_grads=True)[1][-1]
+        pooled = np.broadcast_to(fake_quant(direction, bits)[:, None, None, :] / 9, x.shape).copy()
+        assert got.shape == x.shape and got.tobytes() == fake_quant(pooled, bits).tobytes()
+        assert got.strides[1:3] == (0, 0) and not got.flags.writeable  # the 4 x 2 values, held once
 
 
 class TestQuantizedBackwardFidelity:

@@ -15,6 +15,7 @@ from binreplay.bitpack import BinConvSpec, BitTensor
 from binreplay.graph import BitwidthConfig, Graph, backward, forward
 from binreplay.learner import ContinualConfig, build_reference_model, calibrate_activations, freeze_backbone
 from binreplay.learner import initialize_bn_stats
+from helpers import materialized, textbook_backward
 
 GATE_BITS = {
     "8/16/4": BitwidthConfig(8, 16, 4),
@@ -116,8 +117,7 @@ def check_against_node_by_node(g, x, cfg, rng):
     out, cache = forward(g, x, cfg, mode="train")
     assert sorted(cache) == sorted(want_cache)
     for idx, entry in cache.items():
-        rebuilt = entry.gather() if isinstance(entry, G._OnGrid) else entry
-        assert_same_bytes(rebuilt, want_cache[idx], f"cache of node {idx} ({g.nodes[idx].kind})")
+        assert_same_bytes(materialized(entry), want_cache[idx], f"cache of node {idx} ({g.nodes[idx].kind})")
     direction = rng.normal(size=G.as_float(out).shape)
     got_p, got_a = backward(g, cache, direction, cfg, return_act_grads=True)
     want_p, want_a = backward(g, want_cache, direction, cfg, return_act_grads=True)
@@ -162,6 +162,100 @@ class TestTablesMatchNodeByNode:
         g = chain_graph(rng, c, True, ["batchnorm", "prelu"], "binarize", True)
         x = np.concatenate([-G.as_float(g.nodes[1].weight_bits)[:, :3].T, rng.normal(size=(3, c))])
         check_against_node_by_node(g, x, GATE_BITS["8/16/4"], rng)
+
+
+def _record_backward_nodes(monkeypatch):
+    """Each _backward_node call as (node id, node, its g, its cache entry, its
+    input gradients, its parameter gradients), copied before backward snaps
+    them."""
+    seen = []
+    run = G._backward_node
+
+    def spy(graph, idx, node, g, entry, *args):
+        gins, pgrads = run(graph, idx, node, g, entry, *args)
+        seen.append((idx, node, g, entry, [None if a is None else a.copy() for a in gins],
+                     {k: v.copy() for k, v in pgrads.items()}))
+        return gins, pgrads
+
+    monkeypatch.setattr(G, "_backward_node", spy)
+    return seen
+
+
+def check_per_channel_against_textbook(seen):
+    """Every prelu, batchnorm and binarize call in seen against
+    textbook_backward on its materialized cache; returns how many."""
+    checked = 0
+    for idx, node, g, entry, gins, pgrads in seen:
+        if node.kind not in ("prelu", "batchnorm", "binarize"):
+            continue
+        want_in, want_p = textbook_backward(node, g, materialized(entry))
+        assert_same_bytes(gins[0], want_in, f"input gradient of node {idx} ({node.kind})")
+        assert sorted(pgrads) == (sorted(want_p) if node.trainable else [])
+        for name, v in pgrads.items():
+            assert_same_bytes(v, want_p[name], f"node {idx} {name} gradient")
+        checked += 1
+    return checked
+
+
+class TestPerChannelBackwardIsTheTextbookFormula:
+    """A per-channel kind's backward, on a chain's tables or off a chain, and
+    a pooled gradient, the same bytes as the formulas written out on
+    materialized caches and gradients."""
+
+    WIDTHS = [*G.BITWIDTHS["q_b_nonbin"], None]
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @given(case=chains())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_random_chain(self, bits, case):
+        # float forward keeps -0.0 in the tables; alpha draws 0, and the
+        # batchnorm parameters signed zeros
+        rng = np.random.default_rng(case.pop("seed"))
+        g = chain_graph(rng, **case)
+        cfg = BitwidthConfig(q_f=None, q_b_nonbin=bits, q_b_bin=bits)
+        out, cache = forward(g, rng.normal(size=(3, *g.input_shape)), cfg, mode="train")
+        direction = rng.normal(size=G.as_float(out).shape)
+        zeros = rng.random(direction.shape) < 0.2
+        direction[zeros] = np.copysign(0.0, rng.normal(size=zeros.sum()))
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _record_backward_nodes(mp)
+            backward(g, cache, direction, cfg, return_act_grads=True)
+        assert check_per_channel_against_textbook(seen) == sum(
+            n.kind in ("prelu", "batchnorm", "binarize") for n in g.nodes)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @pytest.mark.parametrize("kind", ["prelu", "batchnorm", "binarize", "conv2d", "binary_conv2d"])
+    @pytest.mark.parametrize("shape", [(3, 4, 4, 5), (87, 10, 10, 1)])
+    def test_a_pooled_gradient_is_its_snapped_broadcast(self, shape, kind, bits, rng, monkeypatch):
+        # at one channel and 8700 positions, numpy sums a broadcast in
+        # another order than its copy
+        n, h, w, c = shape
+        spec = BinConvSpec(3, 3, 1, 1, c, c)
+        params = {"prelu": {"alpha": np.resize([0.25, 0.0, -1.0, 0.25, 2.0], c)},
+                  "batchnorm": batchnorm_params(rng, c, 9 * c),
+                  "binarize": {},
+                  "conv2d": {"w": rng.normal(size=(3, 3, c, c)), "b": rng.normal(size=c)},
+                  "binary_conv2d": {"latent": rng.uniform(-1.0, 1.0, size=(3, 3, c, c))}}[kind]
+        g = Graph((h, w, c))
+        g.add(kind, trainable=bool(params), params=params, **({"spec": spec} if "conv" in kind else {}))
+        g.add("global_avg_pool")
+        cfg = BitwidthConfig(q_f=None, q_b_nonbin=bits, q_b_bin=bits)
+        x = rng.normal(size=shape)
+        out, cache = forward(g, x, cfg, mode="train")
+        direction = rng.normal(size=out.shape) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        seen = _record_backward_nodes(monkeypatch)
+        backward(g, cache, direction, cfg, return_act_grads=True)
+        (got,) = [s[2] for s in seen if s[0] == 0]
+        pooled = np.broadcast_to(G.fake_quant(direction, bits)[:, None, None, :] / (h * w), shape).copy()
+        if kind == "binary_conv2d":  # its one reader hands it grad_codes' pair
+            codes, scale = G.grad_codes(pooled, bits)
+            narrow = scale is not None and bits <= bitpack.CODE_BITS
+            assert got[1] == scale
+            assert_same_bytes(got[0], codes.astype(np.float32) if narrow else codes, "codes")
+        else:
+            assert_same_bytes(got, G.fake_quant(pooled, bits), "pooled gradient")
+            assert got.strides[1:3] == (0, 0) and not got.flags.writeable  # still the n * c values
+        check_per_channel_against_textbook(seen)
 
 
 def _chains_tabulated(monkeypatch):
