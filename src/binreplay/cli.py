@@ -193,10 +193,10 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--samples-per-class must be >= 3 so that every class has a train and a "
                           f"test row, and at most {serialize.MAX_ROWS // args.classes} so that "
                           f"{args.classes} classes fit a dataset file, got {args.samples_per_class}")
-    _io(_makedirs, args.out, "make --out directory")
     xs, ys = datasets.make_synthetic(args.classes, args.samples_per_class,
                                      shape=shape, seed=args.seed)
     (tr_x, tr_y), (te_x, te_y) = datasets.stratified_split(xs, ys, seed=args.seed)
+    _io(_makedirs, args.out, "make --out directory")  # once there is data: a failed synth leaves none
     serialize.write_dataset(os.path.join(args.out, "train.brds"), tr_x, tr_y, args.classes)
     serialize.write_dataset(os.path.join(args.out, "test.brds"), te_x, te_y, args.classes)
     print(f"wrote {len(tr_x)} train / {len(te_x)} test samples of shape {shape} to {args.out}")

@@ -221,12 +221,12 @@ def _grid(graph: Graph, src: int, bits: int) -> QuantParams:
     return p
 
 
-def _snap_activation(y: np.ndarray, p: QuantParams) -> np.ndarray:
-    """dequantize(quantize(y, p)), byte for byte, without the integer tensor."""
+def _snap_activation(y: np.ndarray, p: QuantParams, out=None) -> np.ndarray:
+    """dequantize(quantize(y, p)), byte for byte, without the integer tensor; into out, which may be y."""
     if np.isnan(y).any():
         raise QuantError(f"NaN activation cannot be snapped to the {p.bits}-bit grid")
-    # + 0.0 turns -0.0 into the +0.0 that the integer round trip gives
-    return _snap(y, p.scale, p.qmin - p.zero_point, p.qmax - p.zero_point) + 0.0
+    q = _snap(y, p.scale, p.qmin - p.zero_point, p.qmax - p.zero_point, out=out)
+    return np.add(q, 0.0, out=q)  # -0.0 + 0.0 is the +0.0 that the integer round trip gives
 
 
 def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bits: int) -> np.ndarray:
@@ -238,9 +238,9 @@ def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bi
         return dequantize(qmatmul(xq, wq))
     # wider operands could overflow any integer accumulator: multiply as
     # float64, exact while the sum stays below 2**53 (16-bit operands do)
-    acc = ((xq.data - xq.params.zero_point).astype(np.float64)
-           @ (wq.data - wq.params.zero_point).astype(np.float64))
-    return acc * (xq.params.scale * wq.params.scale)
+    acc = (np.subtract(xq.data, xq.params.zero_point, dtype=np.float64)
+           @ np.subtract(wq.data, wq.params.zero_point, dtype=np.float64))
+    return np.multiply(acc, xq.params.scale * wq.params.scale, out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,7 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
                 y = operand @ wmat
             else:
                 y = _quantized_gemm(operand, _grid(graph, node.inputs[0], bits), wmat, bits)
-            y = y + node.params["b"]
+            y += node.params["b"]
         y = y.reshape(out_shape)
         cache = (x.shape, operand)
     elif node.kind == "binarize":
@@ -366,8 +366,8 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
     else:  # pragma: no cover
         raise GraphError(f"node {idx}: unhandled kind {node.kind}")
 
-    if bits is not None and not KINDS[node.kind].binary:
-        y = _snap_activation(y, _grid(graph, idx, bits))
+    if bits is not None and not KINDS[node.kind].binary:  # y is this node's own fresh array
+        y = _snap_activation(y, _grid(graph, idx, bits), out=y)
     return y, (cache if want_cache else None)
 
 

@@ -121,14 +121,18 @@ def quant_params(lo: float, hi: float, bits: int, signed: bool) -> QuantParams:
 
 def quantize(x: np.ndarray, p: QuantParams) -> QuantizedTensor:
     """Map float values onto the integer grid; out-of-range values saturate."""
-    x = np.asarray(x, dtype=np.float64)
-    q = np.rint(x / p.scale) + p.zero_point
-    q = np.clip(q, p.qmin, p.qmax)
+    q = np.array(x, dtype=np.float64)  # the one float64 buffer: scaled, rounded, shifted, clipped in place
+    q /= p.scale
+    np.rint(q, out=q)
+    q += p.zero_point
+    np.clip(q, p.qmin, p.qmax, out=q)
     return QuantizedTensor(data=q.astype(np.int64), params=p)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
-    return (q.data - q.params.zero_point) * q.params.scale
+    out = np.subtract(q.data, q.params.zero_point, dtype=np.float64)  # exact: codes fit 2**53
+    out *= q.params.scale
+    return out
 
 
 def _fixed_point_multiplier(ratio: float) -> tuple[int, int]:
@@ -178,14 +182,17 @@ def qmatmul(a: QuantizedTensor, b: QuantizedTensor) -> QuantizedTensor:
     """Integer matrix product with 32-bit accumulation.
 
     Output is a signed 32-bit tensor whose scale is the product of the input
-    scales; callers requantize to whatever grid they need.
+    scales; callers requantize to whatever grid they need.  The headroom check
+    holds every partial sum below 2**31, so one float64 BLAS product of the
+    centred codes is exact in any summation order, and equals the int64 one.
     """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise QuantError("qmatmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise QuantError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     check_matmul_headroom(a.shape[1], a.params, b.params)
-    acc = (a.data - a.params.zero_point) @ (b.data - b.params.zero_point)
+    acc = (np.subtract(a.data, a.params.zero_point, dtype=np.float64)
+           @ np.subtract(b.data, b.params.zero_point, dtype=np.float64)).astype(np.int64)
     out_params = QuantParams(
         bits=32, scale=a.params.scale * b.params.scale, zero_point=0, signed=True
     )

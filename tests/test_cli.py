@@ -148,6 +148,17 @@ class TestSynth:
         assert "--samples-per-class must be" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_failed_generation_leaves_no_out(self, tmp_path, monkeypatch, capsys):
+        # --out was made before the rows were drawn, so a failed synth left it behind, empty
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.19 TiB")
+
+        monkeypatch.setattr(cli.datasets, "make_synthetic", out_of_memory)
+        assert main(["synth", "--out", str(tmp_path / "d"), "--classes", "10",
+                     "--samples-per-class", "400000000", "--shape", "12,12,1"]) == 2
+        assert "4.19 TiB" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_three_samples_per_class_fill_both_splits(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--classes", "3",
                      "--samples-per-class", "3", "--shape", "6,6,1"]) == 0

@@ -33,7 +33,7 @@ from binreplay.graph import (
 )
 from binreplay.learner import (ContinualConfig, build_reference_model, calibrate_activations, freeze_backbone,
                                initialize_bn_stats)
-from binreplay.quant import (QuantError, QuantParams, calibrate_range, dequantize, qmatmul, quant_params,
+from binreplay.quant import (QuantError, QuantParams, calibrate_range, dequantize, quant_params,
                              quantize)
 from helpers import (
     FLOAT_CFG,
@@ -729,28 +729,47 @@ class TestForwardModes:
         with pytest.raises(GraphError, match="binary_dense_0"):
             forward(g, np.zeros((2, 7)), FLOAT_CFG)
 
-    @pytest.mark.parametrize("bits", [8, 16])
-    @pytest.mark.parametrize("kind", ["dense", "softmax_ce_head"])
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    @pytest.mark.parametrize("kind", ["dense", "softmax_ce_head", "conv2d"])
     def test_quantized_dense_matches_oracle(self, kind, bits, rng):
-        # 8 bits goes through qmatmul's 32-bit accumulator, 16 bits through
-        # the int64 product; the input and output grids span x and y
+        # the codes' product is exact at 8 bits (qmatmul's 32-bit accumulator)
+        # and at 16 bits (a float64 product below 2**53), so it is the int64
+        # one; at 32 bits it is the float64 product of the same patch rows.
+        # The input and output grids span x and y
         for _ in range(5):
-            fin, fout, batch = (int(v) for v in rng.integers(1, 40, size=3))
-            w, b = rng.normal(size=(fin, fout)), rng.normal(size=fout)
-            g = Graph((fin,))
-            g.add(kind, params={"w": w, "b": b})
-            x = rng.normal(size=(batch, fin))
+            if kind == "conv2d":
+                cin, cout, h, stride = (int(v) for v in rng.integers(1, [5, 5, 5, 3]))
+                spec = BinConvSpec(3, 3, stride, 1, cin, cout)
+                w, b = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
+                g = Graph((h + 2, h + 2, cin))
+                g.add(kind, params={"w": w, "b": b}, spec=spec)
+                x = rng.normal(size=(int(rng.integers(1, 4)), h + 2, h + 2, cin))
+            else:
+                fin, fout, batch = (int(v) for v in rng.integers(1, 40, size=3))
+                w, b = rng.normal(size=(fin, fout)), rng.normal(size=fout)
+                g = Graph((fin,))
+                g.add(kind, params={"w": w, "b": b})
+                x = rng.normal(size=(batch, fin))
             xq = quantize(x, quant_params(*calibrate_range([x]), bits, signed=False))
             wq = quantize(w, quant_params(*calibrate_range([w]), bits, signed=True))
-            if bits == 8:
-                y = dequantize(qmatmul(xq, wq)) + b
+            rows = xq.data - xq.params.zero_point
+            if kind == "conv2d":  # patch rows in (kh, kw, c) order; a pad is 0.0, code zero_point
+                padded = np.pad(rows, ((0, 0), (1, 1), (1, 1), (0, 0)))
+                oh = (padded.shape[1] - 3) // stride + 1
+                taps = [padded[:, i : i + stride * oh : stride, j : j + stride * oh : stride]
+                        for i in range(3) for j in range(3)]
+                rows = np.stack(taps, axis=3).reshape(-1, 9 * cin)
+            wrows = wq.data.reshape(rows.shape[1], -1)
+            if bits < 32:
+                acc = (rows @ wrows).astype(np.float64)
             else:
-                y = ((xq.data - xq.params.zero_point) @ wq.data) * (xq.params.scale * wq.params.scale) + b
+                acc = rows.astype(np.float64) @ wrows.astype(np.float64)
+            y = acc * (xq.params.scale * wq.params.scale) + b
             g.input_qparams = xq.params
             g.nodes[0].out_qparams = quant_params(*calibrate_range([y]), bits, signed=False)
             want = dequantize(quantize(y, g.nodes[0].out_qparams))
             out, _ = forward(g, x, BitwidthConfig(q_f=bits), mode="infer")
-            assert out.shape == (batch, fout)
+            assert out.shape == (len(x), *infer_shapes(g)[0])
             assert out.tobytes() == want.tobytes()
 
     def test_32_bit_conv_does_not_wrap(self):
@@ -879,6 +898,50 @@ class TestActivationSnap:
         got = _snap_activation(y, p)
         assert got.tobytes() == dequantize(quantize(y, p)).tobytes()
         assert not np.any(np.signbit(got) & (got == 0))  # no -0.0 survives
+
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_in_place_snaps_alias_nothing(self, bits, mode, rng, monkeypatch):
+        # each node snaps its own fresh output in place: the caller's input stays
+        # as it is, and every collected output holds the copying snap's bytes
+        cases = [make_layer_case(kind, rng)[:2] for kind in SMOOTH_KINDS]
+        ref = build_reference_model((6, 6, 1), channels=4, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(8, 6, 6, 1))
+        initialize_bn_stats(ref, xs)
+        cfg = BitwidthConfig(q_f=bits)
+        snap = graph_module._snap_activation
+        for g, x in [*cases, (ref, xs)]:
+            calibrate_activations(g, x, bits)
+            before, got = x.tobytes(), {}
+            forward(g, x, cfg, mode=mode, collect=got)
+            assert x.tobytes() == before
+            with monkeypatch.context() as m:
+                m.setattr(graph_module, "_snap_activation", lambda y, p, out=None: snap(y, p))
+                want = {}
+                forward(g, x, cfg, mode=mode, collect=want)
+            raw = lambda acts: {i: (v.unpack01() if isinstance(v, BitTensor) else v).tobytes()  # noqa: E731
+                                for i, v in acts.items()}
+            assert raw(got) == raw(want)
+
+    def test_infer_forward_peak(self):
+        # the stem's (36864, 32) output takes 9.4 MB, and each array built
+        # around it counts: with an int64 accumulator, dequantize's int64
+        # difference and a copying bias add and snap, the peak read 33.99 MB
+        # at 8 bits, 24.48 MB at 16 and 32, and 21.60 MB at float
+        rng = np.random.default_rng(0)
+        xs = rng.uniform(-1.0, 1.0, size=(256, 12, 12, 1))
+        for bits, bound in [(8, 26e6), (16, 19e6), (32, 19e6), (None, 15e6)]:
+            g = build_reference_model((12, 12, 1), channels=32, seed=0)
+            initialize_bn_stats(g, xs)
+            calibrate_activations(g, xs, bits)
+            cfg = BitwidthConfig(q_f=bits) if bits else FLOAT_CFG
+            tracemalloc.start()
+            try:
+                forward(g, xs, cfg, mode="infer")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (bits, peak)
 
     @staticmethod
     def _calibrated(rng):

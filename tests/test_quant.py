@@ -118,6 +118,26 @@ class TestRoundTrip:
         q = quantize(np.array([0.5, 1.5, 2.5, -0.5]), p)
         assert q.data.tolist() == [0, 2, 2, 0]
 
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_bytes_are_the_written_out_formulas(self, bits, signed, rng):
+        # quantize and dequantize work in one float64 buffer each, in place; on
+        # the power-of-two grid the half steps are exact and round to even
+        for p in (quant_params(-1.5, 2.0, bits, signed=signed),
+                  QuantParams(bits, 2.0**-4, 0 if signed else 2 ** (bits - 1), signed)):
+            s, z = p.scale, p.zero_point
+            x = np.concatenate([rng.uniform(-3.0, 3.0, size=500), (np.arange(-8, 9) + 0.5) * s,
+                                [0.0, -0.0, -5e-324, -s / 2, s / 2, 1e12, -1e12, np.inf, -np.inf]])
+            before = x.tobytes()
+            q = quantize(x, p)
+            assert x.tobytes() == before
+            want = np.clip(np.rint(x / s) + z, p.qmin, p.qmax).astype(np.int64)
+            assert q.data.tobytes() == want.tobytes()
+            assert q.data.min() == p.qmin and q.data.max() == p.qmax  # saturated at both ends
+            back = dequantize(q)
+            assert back.tobytes() == ((q.data - z) * s).tobytes()
+            assert not np.any(np.signbit(back) & (back == 0))  # -0.0 comes back as +0.0
+
     @given(st.floats(-100, 100), st.floats(-100, 100))
     @settings(max_examples=200, deadline=None)
     def test_quantize_monotone(self, a, b):
@@ -175,9 +195,29 @@ class TestQMatmul:
             pb = quant_params(-1.0, 1.0, 8, signed=True)
             qa, qb = quantize(a, pa), quantize(b, pb)
             out = qmatmul(qa, qb)
+            # a float64 BLAS product, exact below 2**53: the int64 product's bytes
+            assert out.data.dtype == np.int64
+            assert out.data.tobytes() == ((qa.data - pa.zero_point) @ qb.data).tobytes()
             want = dequantize(qa) @ dequantize(qb)
             assert out.params.bits == 32 and out.params.signed
             np.testing.assert_allclose(dequantize(out), want, rtol=0, atol=1e-12)
+
+    def test_bytes_at_the_headroom_edge(self):
+        # unsigned 8 bits with zero point 0 times signed 8 bits: 65793 * 255 * 128 < 2**31,
+        # the largest inner dim check_matmul_headroom accepts, every code at qmin or qmax
+        pa = QuantParams(bits=8, scale=1.0, zero_point=0, signed=False)
+        pb = QuantParams(bits=8, scale=1.0, zero_point=0, signed=True)
+        k = 65793
+        with pytest.raises(OverflowRiskError):
+            check_matmul_headroom(k + 1, pa, pb)
+        a = np.repeat([[pa.qmax], [pa.qmin], [pa.qmax]], k, axis=1)
+        a[2, ::2] = pa.qmin
+        b = np.repeat([[pb.qmin, pb.qmax]], k, axis=0)
+        qa, qb = QuantizedTensor(a, pa), QuantizedTensor(b, pb)
+        out = qmatmul(qa, qb)
+        want = a @ b
+        assert want[0].tolist() == [-k * 255 * 128, k * 255 * 127]
+        assert out.data.dtype == np.int64 and out.data.tobytes() == want.tobytes()
 
     def test_accumulator_headroom_guard(self):
         pa = quant_params(-1.0, 1.0, 16, signed=True)
