@@ -193,12 +193,19 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--samples-per-class must be >= 3 so that every class has a train and a "
                           f"test row, and at most {serialize.MAX_ROWS // args.classes} so that "
                           f"{args.classes} classes fit a dataset file, got {args.samples_per_class}")
+    # before anything is generated: --out and both output paths checked, nothing made
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"cannot make --out directory {args.out}: it is not a directory")
+    paths = [os.path.join(args.out, name) for name in ("train.brds", "test.brds")]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
     xs, ys = datasets.make_synthetic(args.classes, args.samples_per_class,
                                      shape=shape, seed=args.seed)
     (tr_x, tr_y), (te_x, te_y) = datasets.stratified_split(xs, ys, seed=args.seed)
     _io(_makedirs, args.out, "make --out directory")  # once there is data: a failed synth leaves none
-    serialize.write_dataset(os.path.join(args.out, "train.brds"), tr_x, tr_y, args.classes)
-    serialize.write_dataset(os.path.join(args.out, "test.brds"), te_x, te_y, args.classes)
+    serialize.write_dataset(paths[0], tr_x, tr_y, args.classes)
+    serialize.write_dataset(paths[1], te_x, te_y, args.classes)
     print(f"wrote {len(tr_x)} train / {len(te_x)} test samples of shape {shape} to {args.out}")
     return 0
 

@@ -4,8 +4,9 @@ Forward precision is controlled by q_f (binary layers are always 1-bit),
 backward precision by q_b, split between binary layers (q_b_bin) and
 everything else (q_b_nonbin).  A bitwidth of None means float arithmetic.
 
-Gradients are quantized to the owning layer's backward bitwidth immediately
-after they are computed, with a dynamic per-tensor symmetric scale.
+Every gradient is snapped once, where it is made, at the backward bitwidth of
+the node that made it, onto a dynamic per-tensor restricted symmetric grid that
+a second snap leaves alone, and it travels with that grid's scale.
 """
 
 from __future__ import annotations
@@ -156,33 +157,33 @@ class Graph:
 # quantization helpers
 
 
-def _snap(x: np.ndarray, scale: float, lo: int, hi: int, codes: bool = False, out=None) -> np.ndarray:
-    """Nearest point of the grid scale * [lo, hi], or with codes its integer
-    as a float that keeps the sign of zero; out-of-range values saturate."""
+def _snap(x: np.ndarray, scale: float, lo: int, hi: int, out=None) -> np.ndarray:
+    """Nearest point of the grid scale * [lo, hi], into out (which may be x); out-of-range values saturate."""
     q = np.divide(x, scale, out=out)
     np.rint(q, out=q)
     np.clip(q, lo, hi, out=q)
-    return q if codes else np.multiply(q, scale, out=q)
+    return np.multiply(q, scale, out=q)
 
 
-def grad_codes(x: np.ndarray, bits: int | None, in_place: bool = False,
-               codes: bool = True) -> tuple[np.ndarray, float | None]:
-    """x on a dynamic symmetric per-tensor grid of bits: its codes (the grid's values if not codes) and the
-    grid's one scale; at float, or for an all-zero x, x itself and None.  A broadcast view is snapped on
-    the values it holds and stays broadcast; in_place snaps x in its own memory."""
+def grad_codes(x: np.ndarray, bits: int | None, in_place: bool = False) -> tuple[np.ndarray, float | None]:
+    """x on a dynamic symmetric per-tensor grid of bits, which a second snap leaves alone: its values, integer
+    codes in +-(2**(bits-1) - 1) times the scale, and that one scale; at float, or for an all-zero x, x and None.
+    A broadcast is snapped on the values it holds and stays broadcast; in_place snaps any other x in its memory."""
+    if bits is not None and bits < 2:
+        raise GraphError(f"a gradient grid needs at least 2 bits, got {bits}")
     held = x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)] if 0 in x.strides else x
     m = 0.0 if bits is None else max(-float(held.min(initial=0.0)), float(held.max(initial=0.0)))
     if m == 0.0:
         return x, None
-    scale = 2.0 * m / (2**bits - 1)
-    q = _snap(held, scale, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, codes, held if in_place else None)
+    hi = 2 ** (bits - 1) - 1
+    scale = m / hi
+    q = _snap(held, scale, -hi, hi, held if in_place and held is x else None)
     return (q if q.shape == x.shape else np.broadcast_to(q, x.shape)), scale
 
 
-def fake_quant(x: np.ndarray, bits: int | None, in_place: bool = False) -> np.ndarray:
-    """Quantize-dequantize with a dynamic symmetric per-tensor scale: the
-    float view of grad_codes."""
-    return grad_codes(x, bits, in_place, codes=False)[0]
+def fake_quant(x: np.ndarray, bits: int | None) -> np.ndarray:
+    """Quantize-dequantize with a dynamic symmetric per-tensor scale: the values of grad_codes."""
+    return grad_codes(x, bits)[0]
 
 
 def snap_to_fixed_grid(x: np.ndarray, scale: float, bits: int, symmetric: bool = False) -> np.ndarray:
@@ -248,15 +249,10 @@ def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bi
 
 
 def ste_backward(g_out: np.ndarray, cached_input: np.ndarray, clip_threshold: float = 1.0) -> np.ndarray:
-    """Straight-through gradient of sign: identity inside the clip region."""
-    return _pass_inside(g_out, np.abs(cached_input) <= clip_threshold)
-
-
-def _pass_inside(g: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """g where inside holds, else a zero of g's sign: the STE once its clip region is read."""
-    if g.shape != inside.shape:
-        raise GraphError(f"shape mismatch: {g.shape} vs {inside.shape}")
-    return g * inside
+    """Straight-through gradient of sign: identity inside the clip region, else a zero of g_out's sign."""
+    if g_out.shape != cached_input.shape:
+        raise GraphError(f"shape mismatch: {g_out.shape} vs {cached_input.shape}")
+    return g_out * (np.abs(cached_input) <= clip_threshold)
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5):
@@ -545,12 +541,13 @@ def _node_backward_bits(node: LayerNode, config: BitwidthConfig) -> int | None:
     return config.q_b_bin if KINDS[node.kind].binary and config.q_b_bin != 1 else config.q_b_nonbin
 
 
-def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
-    """Returns (input grads aligned with node.inputs, param grads).  A per-channel
-    kind derives what it multiplies by from its cache and reads only that at each
-    element: on a chain, from its _OnGrid's (rows, C) tables through the chain's _Rows."""
+def _backward_node(graph, idx, node, pair, cache_entry, config, need_input_grad):
+    """Returns (input grads aligned with node.inputs, param grads) from the (values, scale) pair of the
+    node's output gradient.  A per-channel kind derives what it multiplies by from its cache and reads
+    only that at each element: on a chain, from its _OnGrid's (rows, C) tables through the chain's _Rows."""
     pgrads = {}
     gins = [None] * len(node.inputs)
+    g, scale = pair
     read = lambda *tables: tables  # noqa: E731  off a chain, the cache holds every element
     if isinstance(cache_entry, _OnGrid):
         read, cache_entry = cache_entry.rows.read, cache_entry.cache
@@ -559,21 +556,24 @@ def _backward_node(graph, idx, node, g, cache_entry, config, need_input_grad):
         binary = KINDS[node.kind].weight_bits
         in_shape, operand = cache_entry
         spec, shape4, _ = _gemm_shapes(idx, node, in_shape)
-        g, scale = g if isinstance(g, tuple) else (g, None)  # with a scale, g holds codes (see backward)
         gmat = g.reshape(-1, spec.out_channels)
         w = node.weight_bits if binary else node.params["w"]
         if node.trainable and not (binary and config.q_b_bin == 1):  # 1 bit freezes weight bits
-            gw = bitpack.rows_t(operand, spec, gmat, scale) if binary else operand.T @ gmat
+            codes = gmat
+            if binary and scale is not None:  # the codes: below 2**31 g / scale is within 2**-21 of each
+                wide = max(-float(gmat.min()), float(gmat.max())) > scale * 2 ** (bitpack.CODE_BITS - 1)  # see rows_t
+                codes = np.divide(gmat, scale, out=np.empty(gmat.shape, np.float64 if wide else np.float32))
+                np.rint(codes, out=codes)
+            gw = bitpack.rows_t(operand, spec, codes, scale) if binary else operand.T @ gmat
             pgrads["latent" if binary else "w"] = gw.reshape(w.shape)
             if not binary:
                 pgrads["b"] = gmat.sum(axis=0)
         if need_input_grad[0]:
             wmat = as_float(w).reshape(-1, spec.out_channels)
-            gmat = gmat if scale is None else np.multiply(gmat, scale, dtype=np.float64)  # fake_quant's view
             gins[0] = bitpack.col2im(gmat @ wmat.T, spec, shape4).reshape(in_shape)
     elif node.kind == "binarize":
         if need_input_grad[0]:
-            gins[0] = _pass_inside(g, *read(np.abs(cache_entry) <= node.attrs.get("clip", 1.0)))
+            gins[0] = g * read(np.abs(cache_entry) <= node.attrs.get("clip", 1.0))[0]  # ste_backward
     elif node.kind == "batchnorm":
         x_hat, inv_std = cache_entry
         if node.trainable:  # g.copy(): numpy sums a broadcast g in another order than its copy
@@ -614,19 +614,17 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
              from_level: int | None = None, return_act_grads: bool = False):
     """Backpropagate from the output node down to (but excluding) from_level.
 
-    Returns {node_id: {param_name: grad}} for trainable layers.  Every
-    gradient tensor is quantized to the owning layer's backward bitwidth
-    right after it is produced: as grad_codes' pair for a binary GEMM that
-    one slot reads, codes of up to bitpack.CODE_BITS bits as float32 for
-    bitpack.rows_t, else as fake_quant.  An input gradient that its node made
-    afresh is snapped in its own memory; an add's pass-through g and a view,
-    such as global_avg_pool's broadcast, are snapped into new memory.
+    Returns {node_id: {param_name: grad}} for trainable layers, each snapped by
+    fake_quant at its layer's backward bitwidth; with return_act_grads, also the
+    values of each input gradient reached.  Every gradient travels as one
+    grad_codes (values, scale) pair, snapped once where it is made, at its
+    maker's bitwidth: an add or a concat hands on its pair or a slice of it,
+    other nodes' fresh input gradients are snapped in their own memory, and two
+    readers' gradients are summed afresh and snapped once.
     """
     floor = from_level if from_level is not None else -1
-    reads = [i for node in graph.nodes for i in node.inputs]  # one entry per input slot
     out_id = graph.output_id
-    grads: dict[int, object] = {out_id: fake_quant(np.asarray(grad_at_head, dtype=np.float64),
-                                                   config.q_b_nonbin)}
+    grads = {out_id: grad_codes(np.asarray(grad_at_head, dtype=np.float64), config.q_b_nonbin)}
     param_grads: dict[int, dict] = {}
     for idx in range(out_id, floor, -1):
         node = graph.nodes[idx]
@@ -641,18 +639,12 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
         bits = _node_backward_bits(node, config)
         if pgrads:
             param_grads[idx] = {k: fake_quant(v, bits) for k, v in pgrads.items()}
-        for slot, src in enumerate(node.inputs):
-            if gins[slot] is None:
-                continue
-            own = gins[slot] is not g and gins[slot].base is None  # made afresh by this node
-            if src > floor and reads.count(src) == 1 and KINDS[graph.nodes[src].kind].weight_bits:
-                codes, scale = grad_codes(gins[slot], bits, own)
-                narrow = scale is not None and bits <= bitpack.CODE_BITS
-                grads[src] = (codes.astype(np.float32) if narrow else codes, scale)
-            else:
-                gq = fake_quant(gins[slot], bits, own)
-                grads[src] = grads[src] + gq if src in grads else gq
-    return (param_grads, grads) if return_act_grads else param_grads
+        for src, gin in zip(node.inputs, gins):
+            if gin is not None and src in grads:  # a second reader: the sum is made afresh
+                grads[src] = grad_codes(np.add(grads[src][0], gin), bits, in_place=True)
+            elif gin is not None:  # an add's or a concat's gin is g's values, or a slice of them
+                grads[src] = (gin, g[1]) if node.kind in ("add", "concat") else grad_codes(gin, bits, in_place=True)
+    return (param_grads, {i: values for i, (values, _) in grads.items()}) if return_act_grads else param_grads
 
 
 # ---------------------------------------------------------------------------

@@ -116,13 +116,29 @@ class TestSynth:
             assert "--shape must be" in capsys.readouterr().err
             assert not (tmp_path / "d").exists()
 
-    def test_out_naming_a_file_rejected(self, tmp_path, capsys):
-        # os.makedirs raised FileExistsError after the dataset was built: exit 2
+    @pytest.mark.parametrize("taken", ["out", "train.brds", "test.brds"])
+    def test_taken_output_refused_before_generation(self, taken, tmp_path, monkeypatch, capsys):
+        # os.makedirs once raised FileExistsError after the dataset was built
+        # (exit 2); then an --out naming a file was refused only after the
+        # whole dataset was generated, and a split path naming a directory
+        # failed in the writer
+        def generated(*args, **kwargs):
+            raise AssertionError("make_synthetic ran")
+
+        monkeypatch.setattr(cli.datasets, "make_synthetic", generated)
         out = tmp_path / "d"
-        out.write_text("kept")
-        assert main(["synth", "--out", str(out), "--shape", "6,6,1"]) == 1
-        assert f"cannot make --out directory {out}" in capsys.readouterr().err
-        assert out.read_text() == "kept"
+        if taken == "out":
+            out.write_text("kept")
+            want = f"cannot make --out directory {out}: it is not a directory"
+        else:
+            (out / taken).mkdir(parents=True)
+            want = f"cannot write {out / taken}: it is a directory"
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["synth", "--out", str(out), "--classes", "3", "--samples-per-class", "5",
+                     "--shape", "6,6,1"]) == 1
+        assert want in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert taken != "out" or out.read_text() == "kept"
 
     @pytest.mark.parametrize("n", [1, 2**16])
     def test_class_count_rejected(self, n, tmp_path, capsys):

@@ -195,44 +195,59 @@ class TestFakeQuant:
 
     def test_error_bounded_by_half_step(self, rng):
         x = rng.normal(size=1000)
-        for bits in (4, 8, 16):
-            scale = 2.0 * np.abs(x).max() / (2**bits - 1)
+        for bits in (4, 8, 16, 32):
+            scale = np.abs(x).max() / (2 ** (bits - 1) - 1)
             assert np.abs(fake_quant(x, bits) - x).max() <= scale / 2 + 1e-12
 
-    def test_one_bit_collapses_to_sign_scale(self, rng):
-        x = np.array([0.3, -0.7, 0.1])
-        out = fake_quant(x, 1)
-        # 1-bit symmetric grid has levels {-1, 0} * scale
-        assert set(np.round(out / (2 * 0.7), 6)) <= {0.0, -1.0}
+    def test_one_bit_raises(self):
+        # the restricted grid has no nonzero code at 1 bit
+        for x in (np.array([0.3, -0.7, 0.1]), np.zeros(3)):
+            with pytest.raises(GraphError, match="at least 2 bits"):
+                fake_quant(x, 1)
 
-    @pytest.mark.parametrize("bits", [1, 4, 8, 16, 32])
+    @pytest.mark.parametrize("bits", [4, 8, 16, 32])
     def test_bytes_are_the_written_out_snap(self, bits, rng):
         # tobytes, not array_equal, which holds -0.0 equal to +0.0
         tiny = [-1e-12, -1e-300, -5e-324, -0.0, 0.0, 1e-12]
         cases = [np.concatenate([rng.normal(size=300), tiny]), np.array([0.0, -2.5, -0.0]),
-                 np.array([[1e-3]]), np.zeros((2, 3)), np.array([-0.0])]
-        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+                 np.array([2.5, -2.5, 1.25]), np.array([[1e-3]]), np.zeros((2, 3)), np.array([-0.0])]
+        hi = 2 ** (bits - 1) - 1
         for x in cases:
             before = x.tobytes()
             got = fake_quant(x, bits)
             assert x.tobytes() == before
-            codes, scale = grad_codes(x, bits)
+            values, scale = grad_codes(x, bits)
             if not np.abs(x).max():
-                assert got is x and codes is x and scale is None
+                assert got is x and values is x and scale is None
                 continue
-            s = 2.0 * np.abs(x).max() / (2**bits - 1)
+            s = np.abs(x).max() / hi
             assert scale == s
-            assert got.tobytes() == (np.clip(np.rint(x / s), lo, hi) * s).tobytes()
-            assert np.array_equal(codes, np.rint(codes)) and lo <= codes.min() <= codes.max() <= hi
-            assert np.array_equal(codes * scale, got)
+            assert got.tobytes() == values.tobytes() == (np.clip(np.rint(x / s), -hi, hi) * s).tobytes()
+            codes = np.rint(values / scale)
+            assert (codes * scale).tobytes() == values.tobytes() and -hi <= codes.min() <= codes.max() <= hi
+            assert np.abs(codes).max() == hi  # the largest element sits at the end of the grid, either sign
         small = fake_quant(cases[0], bits)[-len(tiny):-2]
         assert np.all((small == 0) & np.signbit(small))  # rounded to -0.0, as the formula gives
+
+    @given(x=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+           bits=st.sampled_from(sorted({*BITWIDTHS["q_b_nonbin"], *BITWIDTHS["q_b_bin"]} - {1})),
+           magnitude=st.integers(-250, 250))
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_a_second_snap_leaves_a_snapped_tensor_alone(self, x, bits, magnitude):
+        # down to a largest magnitude of 1e-270, m / (2**(bits-1) - 1) is a
+        # normal float
+        x = np.array(x) * 10.0**magnitude
+        x[np.abs(x) < 1e-270] = 0.0
+        once = grad_codes(x, bits)
+        twice = grad_codes(once[0], bits)
+        assert twice[0].tobytes() == once[0].tobytes() and twice[1] == once[1]
+        assert fake_quant(fake_quant(x, bits), bits).tobytes() == fake_quant(x, bits).tobytes()
 
 
 class TestBinaryWeightGradientOnCodes:
     """Every binary GEMM's weight gradient is bitpack.rows_t of its packed
-    rows: on the codes of its gradient when one slot reads it at a width,
-    else on the float gradient.  Neither builds the float64 +-1 patch matrix."""
+    rows: on the integer codes of its gradient's pair at a width, else on the
+    float gradient.  Neither builds the float64 +-1 patch matrix."""
 
     @staticmethod
     def _deployment_step(bw):
@@ -258,10 +273,12 @@ class TestBinaryWeightGradientOnCodes:
 
     def test_deployment_backward_peak(self):
         # block3_conv's float64 +-1 patch matrix, 11520 x 288, would take 26.5 MB
-        # alone, and the chain's gathered caches and fresh snaps of 2.95 MB each
-        # put the peak at 14.8 MB (11.9 MB at float)
-        for bw, bound in [(BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4), 12.5e6),
-                          (BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32), 12.5e6),
+        # alone; the chain's gathered caches and fresh snaps of 2.95 MB each put
+        # the peak at 14.8 MB (11.9 MB at float), and residual_add's copying
+        # re-snap of its pass-through gradient at 10.1 MB at every width
+        for bw, bound in [(BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4), 8.0e6),
+                          (BitwidthConfig(q_f=8, q_b_nonbin=8, q_b_bin=4), 8.0e6),
+                          (BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32), 8.0e6),
                           (BitwidthConfig(q_f=8, q_b_nonbin=None, q_b_bin=4), 9.5e6)]:
             g, cache, direction = self._deployment_step(bw)
             tracemalloc.start()
@@ -285,6 +302,26 @@ class TestBinaryWeightGradientOnCodes:
             backward(g, cache, direction, bw, from_level=g.replay_level)
             assert sum(counted) == 11520 and max(counted) <= bitpack.CODE_ROWS, bw
 
+    def test_codes_go_to_rows_t_as_float32_when_they_fit(self, monkeypatch):
+        # block3_bn snaps block3_conv's gradient at q_b_nonbin, so its codes fit
+        # float32 at q_b_bin 32 too; 32-bit codes go as float64, a float
+        # gradient as it is
+        seen, rows_t = [], bitpack.rows_t
+
+        def spy(rows, spec, g, scale=None):
+            seen.append((g.dtype, scale is None or np.array_equal(g, np.rint(g))))
+            return rows_t(rows, spec, g, scale)
+
+        monkeypatch.setattr(bitpack, "rows_t", spy)
+        for bw, dtype in [(BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4), np.float32),
+                          (BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=32), np.float32),
+                          (BitwidthConfig(q_f=32, q_b_nonbin=32, q_b_bin=32), np.float64),
+                          (BitwidthConfig(q_f=8, q_b_nonbin=None, q_b_bin=4), np.float64)]:
+            g, cache, direction = self._deployment_step(bw)
+            seen.clear()
+            backward(g, cache, direction, bw, from_level=g.replay_level)
+            assert seen == [(dtype, True)], bw
+
     def test_float_pretraining_step_decodes_each_binary_convs_rows_in_chunks(self, rng, monkeypatch):
         g = build_reference_model((12, 12, 1), channels=4, seed=0)
         xs = rng.uniform(-1.0, 1.0, size=(5, 12, 12, 1))
@@ -307,12 +344,12 @@ class TestBinaryWeightGradientOnCodes:
             out, cache = forward(g, x, bw, mode="train")
             direction = rng.normal(size=out.shape)
             pgrads = backward(g, cache, direction, bw)
-            codes, scale = grad_codes(fake_quant(direction, 16), 16)
+            values, scale = grad_codes(fake_quant(direction, 16), 16)
             w_pm = g.nodes[0].weight_bits.unpack().astype(np.float64)
-            gw, _ = naive_binary_conv_grads(x, w_pm, codes, spec.stride, spec.padding)
+            gw, _ = naive_binary_conv_grads(x, w_pm, np.rint(values / scale), spec.stride, spec.padding)
             assert pgrads[0]["latent"].tobytes() == (gw * scale).tobytes()
 
-    def test_a_gradient_summed_from_two_readers_keeps_the_float_product(self, rng):
+    def test_a_gradient_summed_from_two_readers_is_snapped_once(self, rng):
         bw = BitwidthConfig(q_f=None, q_b_nonbin=16, q_b_bin=None)
         g = Graph((8,))
         gemm = g.add("binary_dense", trainable=True, params={"latent": rng.uniform(-1.0, 1.0, size=(8, 3))})
@@ -322,16 +359,17 @@ class TestBinaryWeightGradientOnCodes:
         out, cache = forward(g, x, bw, mode="train")
         direction = rng.normal(size=out.shape)
         grads = backward(g, cache, direction, bw)
-        # each reader's gradient is snapped where it is made, then they are summed
-        summed = 2 * fake_quant(fake_quant(fake_quant(direction, 16), 16), 16)
-        assert_within_column_sums(grads[gemm]["latent"], x.T @ summed, summed)
+        # each identity prelu's snap leaves the add's pair alone, and their sum
+        # is snapped once: the latent gradient is the exact product of its codes
+        values, scale = grad_codes(2 * fake_quant(direction, 16), 16)
+        assert grads[gemm]["latent"].tobytes() == ((x.T @ np.rint(values / scale)) * scale).tobytes()
 
 
 class TestRandomBinaryGemmGraphs:
     """A binary GEMM under one or two readers, drawn at random, against the
-    loop oracle: with one reader at a width the latent gradient is the exact
-    integer product of the signs and the codes, times the scale; a float or
-    summed gradient gives the +-1 product within float64 rounding."""
+    loop oracle: at a width the latent gradient is the exact integer product
+    of the signs and the codes of its gradient's pair, times the scale; a
+    float gradient gives the +-1 product within float64 rounding."""
 
     @given(conv=st.booleans(), cin=st.sampled_from([1, 7, 8, 9, 63, 64, 65]), cout=st.integers(1, 3),
            n=st.integers(1, 2), h=st.integers(3, 7), stride=st.integers(1, 2), padding=st.integers(0, 1),
@@ -366,13 +404,12 @@ class TestRandomBinaryGemmGraphs:
             w_pm = g.nodes[gemm].weight_bits.unpack().reshape(k, k, cin, cout).astype(np.float64)
             return naive_binary_conv_grads(x4, w_pm, g4, stride, padding)[0].reshape(latent.shape)
 
-        gq = fake_quant(direction, bits)
-        if readers == 1 and bits is not None:
-            codes, scale = grad_codes(gq, bits)
-            assert got.tobytes() == (oracle(codes) * scale).tobytes()
-        else:
-            summed = gq if readers == 1 else 2 * fake_quant(fake_quant(gq, bits), bits)
+        summed = readers * fake_quant(direction, bits)  # each identity prelu's snap leaves it alone
+        if bits is None:
             assert_within_column_sums(got, oracle(summed), summed)
+        else:  # the sum of two readers snapped once
+            values, scale = grad_codes(summed, bits)
+            assert got.tobytes() == (oracle(np.rint(values / scale)) * scale).tobytes()
 
 
 class TestInPlaceSnaps:
@@ -404,20 +441,31 @@ class TestInPlaceSnaps:
             assert head.tobytes() == before
 
     @pytest.mark.parametrize("bits", [8, 16])
-    def test_an_add_hands_both_branches_the_copying_snap(self, bits, rng):
+    def test_an_add_hands_both_branches_the_one_snapped_pair(self, bits, rng, monkeypatch):
         bw = BitwidthConfig(q_f=None, q_b_nonbin=bits, q_b_bin=bits)
         g, x = self._prelu_pair(rng)
         out, cache = forward(g, x, bw, mode="train")
         direction = rng.normal(size=out.shape)
+        handed, run = {}, graph_module._backward_node
+
+        def spy(graph, idx, node, pair, *args):
+            handed[idx] = pair
+            return run(graph, idx, node, pair, *args)
+
+        monkeypatch.setattr(graph_module, "_backward_node", spy)
         pgrads, agrads = backward(g, cache, direction, bw, return_act_grads=True)
-        branch = fake_quant(fake_quant(direction, bits), bits)  # each slot snaps its own copy
-        gin = 0.0
+        # the head's pair: its values neither copied nor snapped again
+        assert handed[0][0] is handed[1][0] is handed[2][0] and handed[0][1] == handed[2][1]
+        branch = fake_quant(direction, bits)  # the head's snap, which the add hands on as it is
+        gins = []
         for idx in (0, 1):
             alpha = g.nodes[idx].params["alpha"]
             want = fake_quant(np.sum(branch * x * (x < 0), axis=0), bits)
             assert pgrads[idx]["alpha"].tobytes() == want.tobytes()
-            gin = gin + fake_quant(branch * np.where(x >= 0, 1.0, alpha), bits)
-        assert agrads[-1].tobytes() == gin.tobytes()
+            gins.append(branch * np.where(x >= 0, 1.0, alpha))
+        # prelu 1 runs first and snaps its input gradient; prelu 0's is summed
+        # into it, and the sum snapped once
+        assert agrads[-1].tobytes() == fake_quant(fake_quant(gins[1], bits) + gins[0], bits).tobytes()
 
     @pytest.mark.parametrize("bw", [FLOAT_CFG, BitwidthConfig(q_f=8, q_b_nonbin=16, q_b_bin=4)])
     def test_returned_gradients_survive_a_second_backward(self, bw, rng):

@@ -165,15 +165,15 @@ class TestTablesMatchNodeByNode:
 
 
 def _record_backward_nodes(monkeypatch):
-    """Each _backward_node call as (node id, node, its g, its cache entry, its
-    input gradients, its parameter gradients), copied before backward snaps
-    them."""
+    """Each _backward_node call as (node id, node, the values of its g's pair,
+    its cache entry, its input gradients, its parameter gradients), copied
+    before backward snaps them."""
     seen = []
     run = G._backward_node
 
     def spy(graph, idx, node, g, entry, *args):
         gins, pgrads = run(graph, idx, node, g, entry, *args)
-        seen.append((idx, node, g, entry, [None if a is None else a.copy() for a in gins],
+        seen.append((idx, node, g[0], entry, [None if a is None else a.copy() for a in gins],
                      {k: v.copy() for k, v in pgrads.items()}))
         return gins, pgrads
 
@@ -247,14 +247,8 @@ class TestPerChannelBackwardIsTheTextbookFormula:
         backward(g, cache, direction, cfg, return_act_grads=True)
         (got,) = [s[2] for s in seen if s[0] == 0]
         pooled = np.broadcast_to(G.fake_quant(direction, bits)[:, None, None, :] / (h * w), shape).copy()
-        if kind == "binary_conv2d":  # its one reader hands it grad_codes' pair
-            codes, scale = G.grad_codes(pooled, bits)
-            narrow = scale is not None and bits <= bitpack.CODE_BITS
-            assert got[1] == scale
-            assert_same_bytes(got[0], codes.astype(np.float32) if narrow else codes, "codes")
-        else:
-            assert_same_bytes(got, G.fake_quant(pooled, bits), "pooled gradient")
-            assert got.strides[1:3] == (0, 0) and not got.flags.writeable  # still the n * c values
+        assert_same_bytes(got, G.fake_quant(pooled, bits), "pooled gradient")
+        assert got.strides[1:3] == (0, 0) and not got.flags.writeable  # still the n * c values
         check_per_channel_against_textbook(seen)
 
 
