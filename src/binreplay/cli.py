@@ -194,8 +194,12 @@ def cmd_synth(args) -> int:
                           f"test row, and at most {serialize.MAX_ROWS // args.classes} so that "
                           f"{args.classes} classes fit a dataset file, got {args.samples_per_class}")
     # before anything is generated: --out and both output paths checked, nothing made
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ConfigError(f"cannot make --out directory {args.out}: it is not a directory")
+    near = os.path.abspath(args.out)  # the nearest of --out and its ancestors that exists
+    while not os.path.exists(near):
+        near = os.path.dirname(near)
+    if not os.path.isdir(near):
+        what = "it" if near == os.path.abspath(args.out) else near
+        raise ConfigError(f"cannot make --out directory {args.out}: {what} is not a directory")
     paths = [os.path.join(args.out, name) for name in ("train.brds", "test.brds")]
     for path in paths:
         if os.path.isdir(path):

@@ -167,8 +167,10 @@ def _snap(x: np.ndarray, scale: float, lo: int, hi: int, out=None) -> np.ndarray
 
 def grad_codes(x: np.ndarray, bits: int | None, in_place: bool = False) -> tuple[np.ndarray, float | None]:
     """x on a dynamic symmetric per-tensor grid of bits, which a second snap leaves alone: its values, integer
-    codes in +-(2**(bits-1) - 1) times the scale, and that one scale; at float, or for an all-zero x, x and None.
-    A broadcast is snapped on the values it holds and stays broadcast; in_place snaps any other x in its memory."""
+    codes in +-(2**(bits-1) - 1) times the scale, and that one scale; at float, or for an all-zero x, x and None,
+    and zeros and None where the scale is subnormal or 0, too coarse a number for a grid that a second snap
+    leaves alone.  A broadcast is snapped on the values it holds and stays broadcast; in_place snaps any
+    other x in its memory."""
     if bits is not None and bits < 2:
         raise GraphError(f"a gradient grid needs at least 2 bits, got {bits}")
     held = x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)] if 0 in x.strides else x
@@ -177,6 +179,8 @@ def grad_codes(x: np.ndarray, bits: int | None, in_place: bool = False) -> tuple
         return x, None
     hi = 2 ** (bits - 1) - 1
     scale = m / hi
+    if scale < np.finfo(np.float64).tiny:
+        return np.zeros(x.shape), None
     q = _snap(held, scale, -hi, hi, held if in_place and held is x else None)
     return (q if q.shape == x.shape else np.broadcast_to(q, x.shape)), scale
 
@@ -230,18 +234,38 @@ def _snap_activation(y: np.ndarray, p: QuantParams, out=None) -> np.ndarray:
     return np.add(q, 0.0, out=q)  # -0.0 + 0.0 is the +0.0 that the integer round trip gives
 
 
-def _quantized_gemm(x2d: np.ndarray, in_params: QuantParams, w2d: np.ndarray, bits: int) -> np.ndarray:
-    lo, hi = calibrate_range([w2d])
-    wp = quant_params(lo, hi, bits, signed=True)
-    xq = quantize(x2d, in_params)
-    wq = quantize(w2d, wp)
-    if bits == 8:  # qmatmul holds 8-bit operands to its 32-bit accumulator contract
-        return dequantize(qmatmul(xq, wq))
-    # wider operands could overflow any integer accumulator: multiply as
-    # float64, exact while the sum stays below 2**53 (16-bit operands do)
-    acc = (np.subtract(xq.data, xq.params.zero_point, dtype=np.float64)
-           @ np.subtract(wq.data, wq.params.zero_point, dtype=np.float64))
-    return np.multiply(acc, xq.params.scale * wq.params.scale, out=acc)
+def _blocks(n: int, per: int) -> list[tuple[slice, slice]]:
+    """n samples of per rows each as blocks of whole samples, each at most about bitpack.GEMM_BLOCK rows and
+    within one sample of the others: (samples, rows) slice pairs.  No block ends in a short tail, which a
+    BLAS may sum in another order than the same rows of a longer product."""
+    count = max(1, -(-n // max(1, bitpack.GEMM_BLOCK // per)))
+    edges = [n * i // count for i in range(count + 1)]
+    return [(slice(a, b), slice(a * per, b * per)) for a, b in zip(edges, edges[1:])]
+
+
+def _quantized_gemm(parts, rows: int, in_params: QuantParams, w2d: np.ndarray, bits: int) -> np.ndarray:
+    """Patch rows times w2d, both on bits-bit grids, dequantized into one (rows, C) array: the weights
+    are quantized once, and the patches per block that parts yields as (row slice, patch rows).  An 8- or
+    16-bit block's product is an exact integer sum, so each block is multiplied alone; a 32-bit one is
+    not, so its codes are gathered and multiplied as one product, summed as the whole batch's is."""
+    wq = quantize(w2d, quant_params(*calibrate_range([w2d]), bits, signed=True))
+    wide = bits > 8  # wider operands could overflow any integer accumulator: their codes multiply as float64
+    wcodes = np.subtract(wq.data, wq.params.zero_point, dtype=np.float64) if wide else None
+    y = np.empty((rows, w2d.shape[1]))
+    codes = np.empty((rows, w2d.shape[0])) if bits == 32 else None
+    for block, patches in parts:
+        xq = quantize(patches, in_params)
+        if not wide:  # qmatmul holds 8-bit operands to its 32-bit accumulator contract
+            y[block] = dequantize(qmatmul(xq, wq))
+        elif codes is not None:
+            np.subtract(xq.data, in_params.zero_point, dtype=np.float64, out=codes[block])
+        else:  # exact: sums of 16-bit products stay below 2**53
+            np.matmul(np.subtract(xq.data, in_params.zero_point, dtype=np.float64), wcodes, out=y[block])
+    if codes is not None:
+        np.matmul(codes, wcodes, out=y)
+    if wide:
+        y *= in_params.scale * wq.params.scale
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +332,14 @@ def _gemm_shapes(idx, node, in_shape):
 
 
 def _forward_node(graph, idx, node, ins, config, want_cache):
+    """Node idx's output from its inputs ins, and its backward cache when want_cache.
+
+    A GEMM node works on _blocks of whole samples.  A quantized product is
+    built, quantized and multiplied per block, from patches made per block in
+    infer mode; train mode makes the patches once, as the weight gradient reads
+    them whole.  The output is one (rows, C) array that the bias add and the
+    activation snap then work on in place.
+    """
     bits = config.q_f
     x = ins[0] if ins else None
     cache = None
@@ -319,13 +351,16 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
             operand = bitpack.conv_rows(x4, spec)
             wb = node.weight_bits.reshape((spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels))
             y = bitpack.bin_conv2d(x4, wb, spec, operand)  # exact int32 counts
-        else:
-            operand = bitpack.patches(x.reshape(shape4), spec)
-            wmat = node.params["w"].reshape(-1, spec.out_channels)
+        else:  # the float im2col: whole when train mode caches it or a float product reads it, else per block
+            x4, wmat = x.reshape(shape4), node.params["w"].reshape(-1, spec.out_channels)
+            operand = bitpack.patches(x4, spec) if want_cache or bits is None else None
             if bits is None:
                 y = operand @ wmat
             else:
-                y = _quantized_gemm(operand, _grid(graph, node.inputs[0], bits), wmat, bits)
+                blocks = _blocks(len(x4), math.prod(out_shape[1:-1]))
+                parts = ((rows, bitpack.patches(x4[samples], spec) if operand is None else operand[rows])
+                         for samples, rows in blocks)
+                y = _quantized_gemm(parts, blocks[-1][1].stop, _grid(graph, node.inputs[0], bits), wmat, bits)
             y += node.params["b"]
         y = y.reshape(out_shape)
         cache = (x.shape, operand)
@@ -475,10 +510,12 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     nodes above from_level only.  from_level feeds x in as the output of
     that node (used to resume from stored latent activations).
 
-    A sign's output stays a packed BitTensor, which a binary GEMM reads as
-    it is and every other kind through as_float.  x may be one (the replay
-    batch at from_level), and the output is one when the node returned is a
-    sign.  Each activation is dropped after its last reader.
+    A GEMM node works on blocks of whole samples, about bitpack.GEMM_BLOCK
+    rows each (_forward_node).  A sign's output stays a packed BitTensor,
+    which a binary GEMM reads as it is and every other kind through
+    as_float.  x may be one (the replay batch at from_level), and the output
+    is one when the node returned is a sign.  Each activation is dropped
+    after its last reader.
 
     A binary GEMM's output is an exact count, so the chain of per-channel
     nodes after it (_chain) is a function of each channel's count and the
@@ -555,7 +592,7 @@ def _backward_node(graph, idx, node, pair, cache_entry, config, need_input_grad)
     if node.kind in GEMM_KINDS:
         binary = KINDS[node.kind].weight_bits
         in_shape, operand = cache_entry
-        spec, shape4, _ = _gemm_shapes(idx, node, in_shape)
+        spec, shape4, out_shape = _gemm_shapes(idx, node, in_shape)
         gmat = g.reshape(-1, spec.out_channels)
         w = node.weight_bits if binary else node.params["w"]
         if node.trainable and not (binary and config.q_b_bin == 1):  # 1 bit freezes weight bits
@@ -568,9 +605,14 @@ def _backward_node(graph, idx, node, pair, cache_entry, config, need_input_grad)
             pgrads["latent" if binary else "w"] = gw.reshape(w.shape)
             if not binary:
                 pgrads["b"] = gmat.sum(axis=0)
-        if need_input_grad[0]:
-            wmat = as_float(w).reshape(-1, spec.out_channels)
-            gins[0] = bitpack.col2im(gmat @ wmat.T, spec, shape4).reshape(in_shape)
+        if need_input_grad[0]:  # col2im of the patch gradient, built per block of whole samples
+            wt = as_float(w).reshape(-1, spec.out_channels).T
+            gin = np.empty(shape4)
+            narrow = wt.shape[1] <= wt.shape[0]  # then the whole patch gradient takes no more memory than gmat
+            blocks = [(slice(None), slice(None))] if narrow else _blocks(len(gin), math.prod(out_shape[1:-1]))
+            for samples, rows in blocks:
+                gin[samples] = bitpack.col2im(gmat[rows] @ wt, spec, gin[samples].shape)
+            gins[0] = gin.reshape(in_shape)
     elif node.kind == "binarize":
         if need_input_grad[0]:
             gins[0] = g * read(np.abs(cache_entry) <= node.attrs.get("clip", 1.0))[0]  # ste_backward

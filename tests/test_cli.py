@@ -116,12 +116,12 @@ class TestSynth:
             assert "--shape must be" in capsys.readouterr().err
             assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("taken", ["out", "train.brds", "test.brds"])
+    @pytest.mark.parametrize("taken", ["out", "below a file", "train.brds", "test.brds"])
     def test_taken_output_refused_before_generation(self, taken, tmp_path, monkeypatch, capsys):
         # os.makedirs once raised FileExistsError after the dataset was built
-        # (exit 2); then an --out naming a file was refused only after the
-        # whole dataset was generated, and a split path naming a directory
-        # failed in the writer
+        # (exit 2); then an --out naming a file, or a path below one, was
+        # refused only after the whole dataset was generated, and a split
+        # path naming a directory failed in the writer
         def generated(*args, **kwargs):
             raise AssertionError("make_synthetic ran")
 
@@ -130,6 +130,10 @@ class TestSynth:
         if taken == "out":
             out.write_text("kept")
             want = f"cannot make --out directory {out}: it is not a directory"
+        elif taken == "below a file":
+            out.write_text("kept")
+            out, file = out / "sub", out
+            want = f"cannot make --out directory {out}: {file} is not a directory"
         else:
             (out / taken).mkdir(parents=True)
             want = f"cannot write {out / taken}: it is a directory"
@@ -138,7 +142,7 @@ class TestSynth:
                      "--shape", "6,6,1"]) == 1
         assert want in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
-        assert taken != "out" or out.read_text() == "kept"
+        assert (tmp_path / "d").is_dir() or (tmp_path / "d").read_text() == "kept"
 
     @pytest.mark.parametrize("n", [1, 2**16])
     def test_class_count_rejected(self, n, tmp_path, capsys):
