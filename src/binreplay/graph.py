@@ -522,7 +522,9 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     bits of the packed signs it adds: forward tabulates the chain once and
     gathers the chain's output, and each node's cache, from the tables.  The
     output of a node inside the chain is gathered from its own table only
-    when it is stop_level or collect asks for it.
+    when it is stop_level or collect asks for it.  collect[idx] gets node
+    idx's output before any later node runs; a binary GEMM's, before its
+    chain is tabulated.
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
@@ -540,6 +542,7 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     for idx in range(level + 1, len(graph.nodes)):
         node = graph.nodes[idx]
         shown = collect is not None or idx == stop_level
+        chain = None
         if idx in tabled:
             table, c, rows, last = tabled.pop(idx)
             y = rows.read(table)[0] if shown or idx == last else None
@@ -551,18 +554,20 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
             y, c = _forward_node(graph, idx, node, ins, config, want_cache)
             if packed:  # the exact counts: tabulated, or read as floats
                 chain = _chain(graph, idx, readers, acts, y.shape)
-                if chain:
-                    stages, rows = _tabulate(graph, idx, chain, y, acts, config, want_cache)
-                    tabled.update({i: (*stages[i], rows, chain[-1]) for i in chain})
+                counts = y if chain else None
                 y = y.astype(np.float64) if shown or not chain else None
+        if collect is not None:  # before the chain's tables read what collect may set (initialize_bn_stats)
+            collect[idx] = y
+        if chain:
+            stages, rows = _tabulate(graph, idx, chain, counts, acts, config, want_cache)
+            tabled.update({i: (*stages[i], rows, chain[-1]) for i in chain})
+            counts = stages = None  # freed: tabled holds what the chain reads
         for i in set(node.inputs):
             if readers[i][-1] == idx:
                 del acts[i]
         acts[idx] = y
         if want_cache and c is not None:
             cache[idx] = c
-        if collect is not None:
-            collect[idx] = y
         if stop_level is not None and idx == stop_level:
             return y, cache
     return acts[graph.output_id], cache
@@ -699,7 +704,8 @@ def store_param(node: LayerNode, name: str, value: np.ndarray, config: BitwidthC
     A binary layer's latent is clipped to [-1, 1], snapped to the q_b_bin
     grid and re-binarized into weight_bits.  Any other parameter snaps to a
     fixed q_b_nonbin grid, pinned by the first store from the value the node
-    held before it.  Both persist at f32 precision.
+    held before it.  Both persist at f32 precision, every zero as +0.0, the
+    value that a checkpoint's code 0 reads back as.
     """
     if node.kind in BINARY_KINDS:
         value = np.clip(value, -1.0, 1.0)
@@ -710,7 +716,8 @@ def store_param(node: LayerNode, name: str, value: np.ndarray, config: BitwidthC
         if name not in node.param_scales:
             node.param_scales[name] = param_grid_scale(node.params.get(name, value), config.q_b_nonbin)
         value = snap_to_fixed_grid(value, node.param_scales[name], config.q_b_nonbin)
-    node.params[name] = f32_precision(value)
+    value = f32_precision(value)
+    node.params[name] = np.add(value, 0.0, out=value)  # -0.0 + 0.0 is +0.0
     if node.kind in BINARY_KINDS:
         node.weight_bits = bitpack.binarize(node.params[name])
 

@@ -166,17 +166,39 @@ def build_reference_model(input_shape=(12, 12, 1), channels: int = 32, seed: int
     return g
 
 
+class _Statistics:
+    """A forward collect= target that sets the running statistics of each
+    batchnorm from its input, which forward hands over before the batchnorm
+    runs, and holds no activation."""
+
+    def __init__(self, g: Graph):
+        self.readers: dict[int, list] = {}
+        for node in g.nodes:
+            if node.kind == "batchnorm":
+                self.readers.setdefault(node.inputs[0], []).append(node)
+
+    def __setitem__(self, idx, y):
+        if idx in self.readers:
+            x = G.as_float(y)
+            axes = tuple(range(x.ndim - 1))
+            mean = G.f32_precision(x.mean(axis=axes))
+            var = G.f32_precision(np.maximum(x.var(axis=axes), 1e-3))
+            for node in self.readers[idx]:
+                node.params["running_mean"], node.params["running_var"] = mean.copy(), var.copy()
+
+
 def initialize_bn_stats(g: Graph, xs: np.ndarray) -> None:
-    """Set each batchnorm's frozen running statistics from a float pass."""
-    fcfg = BitwidthConfig.floating()
-    for node in g.nodes:
-        if node.kind != "batchnorm":
-            continue
-        src = node.inputs[0]
-        x = G.as_float(xs if src == -1 else forward(g, xs, fcfg, mode="infer", stop_level=src)[0])
-        axes = tuple(range(x.ndim - 1))
-        node.params["running_mean"] = G.f32_precision(x.mean(axis=axes))
-        node.params["running_var"] = G.f32_precision(np.maximum(x.var(axis=axes), 1e-3))
+    """Set each batchnorm's frozen running statistics from its input, in one
+    float pass on the reference model.  A batchnorm that reads another
+    per-channel node may sit deep in a binary GEMM's chain, whose tables are
+    built when the GEMM runs, before forward reaches its input: each such
+    batchnorm takes one more pass, which builds its table on the statistics
+    that the pass before set."""
+    stats = _Statistics(g)
+    stats[-1] = xs
+    inside = {i for i, n in enumerate(g.nodes) if G.KINDS[n.kind].per_channel and n.kind != "binarize"}
+    for _ in range(1 + sum(n.kind == "batchnorm" and n.inputs[0] in inside for n in g.nodes)):
+        forward(g, xs, BitwidthConfig.floating(), mode="infer", collect=stats)
 
 
 class _Ranges(dict):
@@ -207,17 +229,17 @@ def calibrate_activations(g: Graph, xs: np.ndarray, q_f: int | None) -> None:
 
 def freeze_backbone(g: Graph, cfg: ContinualConfig) -> None:
     """Freeze layers at or below the replay level; store the parameters above
-    it in their on-device form."""
+    it in their on-device form.  A binary layer whose weight bits do not
+    train (frozen, or q_b_bin = 1) keeps its weight bits alone."""
     for idx, node in enumerate(g.nodes):
         trained = G.KINDS[node.kind].trained
         node.trainable = cfg.train_graph_layers and bool(trained) and idx > g.replay_level
+        if node.kind in G.BINARY_KINDS and not (node.trainable and cfg.bitwidth.q_b_bin != 1):
+            node.params.pop("latent", None)
         if not node.trainable:
             continue
-        if node.kind in G.BINARY_KINDS and cfg.bitwidth.q_b_bin == 1:
-            # frozen binary weights: the latent copy is dropped entirely
-            node.params.pop("latent", None)
         for pname in trained:
-            if pname in node.params:  # a frozen binary layer holds no latent
+            if pname in node.params:  # no latent at q_b_bin = 1
                 G.store_param(node, pname, node.params[pname], cfg.bitwidth)
 
 

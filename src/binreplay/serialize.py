@@ -2,33 +2,44 @@
 
 Every file and every tensor record in it is framed the same way: a 4-byte
 magic, the format-version byte, then little-endian header fields.  A file
-holds nothing after its last record.  Writes go through a temp file in the
-target directory followed by an atomic rename.
+holds nothing after its last record, except that a version-2 checkpoint or
+replay memory ends in the CRC32 of every byte before it.  Writes go through a
+temp file in the target directory followed by an atomic rename.
+
+Version 2 stores state at the width the device computes with: a parameter
+that store_param holds on a grid of at most 16 bits is a record of its i8 or
+i16 codes, and each class of a replay memory is one bitpacked record of all
+its latents.  Version-1 files still load.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import struct
 import tempfile
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import cwr as cwr_mod
-from .bitpack import BitTensor
-from .graph import BITWIDTHS, BitwidthConfig, Graph, LayerNode, check_node, infer_shapes
-from .bitpack import BinConvSpec
-from .quant import QuantParams, QuantizedTensor, is_number
+from . import bitpack
+from .bitpack import BinConvSpec, BitTensor
+from .graph import (BINARY_KINDS, BITWIDTHS, BitwidthConfig, Graph, LayerNode, check_node, f32_precision,
+                    infer_shapes, latent_grid_scale)
+from .quant import QuantParams, QuantizedTensor, dequantize, is_number
 from .replay import LatentSample, ReplayMemory
 
 TENSOR_MAGIC = b"QTNS"
 DATASET_MAGIC = b"BRDS"
 CHECKPOINT_MAGIC = b"BRCK"
 REPLAY_MAGIC = b"BRRM"
-FORMAT_VERSION = 1
+# the version each record is written at; a reader takes any version up to it
+VERSIONS = {TENSOR_MAGIC: 1, DATASET_MAGIC: 1, CHECKPOINT_MAGIC: 2, REPLAY_MAGIC: 2}
+CRC = struct.Struct("<I")  # the trailer of a version-2 file
 
 DTYPE_F32 = 0
 DTYPE_I8 = 1
@@ -66,9 +77,19 @@ def atomic_write(path):
         raise
 
 
+@contextmanager
+def _summed_write(path):
+    """atomic_write of the bytes written to the buffer yielded, then their CRC32."""
+    buf = io.BytesIO()
+    yield buf
+    with atomic_write(path) as f:
+        f.write(buf.getbuffer())
+        f.write(CRC.pack(zlib.crc32(buf.getbuffer())))
+
+
 def _header(magic: bytes, fmt: str, *fields) -> bytes:
     """A record's magic and format-version byte, then its header fields."""
-    return magic + struct.pack("<B" + fmt, FORMAT_VERSION, *fields)
+    return magic + struct.pack("<B" + fmt, VERSIONS[magic], *fields)
 
 
 _RECORD_NAMES = {TENSOR_MAGIC: "tensor", DATASET_MAGIC: "dataset",
@@ -77,12 +98,23 @@ _RECORD_NAMES = {TENSOR_MAGIC: "tensor", DATASET_MAGIC: "dataset",
 
 class _Reader:
     """Fields and records of an open file, each read checked against the
-    bytes the file has left (measured once, when the reader is made)."""
+    bytes the file has left (measured once, when the reader is made).  In a
+    summed format, a file whose version byte is not 1 ends in a CRC32 trailer:
+    it is checked first, and left out of the bytes the file has left."""
 
-    def __init__(self, f):
+    def __init__(self, f, summed: bool = False):
         self.f = f
         pos = f.tell()
         self.left = f.seek(0, os.SEEK_END) - pos
+        f.seek(pos)
+        if summed and f.read(5)[4:] not in (b"", b"\x01"):  # a version-2 file: check its trailer first
+            self.left -= CRC.size
+            f.seek(pos)
+            crc = 0
+            for n in range(0, self.left, 1 << 20):
+                crc = zlib.crc32(f.read(min(1 << 20, self.left - n)), crc)
+            if f.read(CRC.size) != CRC.pack(crc):
+                raise FormatError("the CRC32 trailer does not match the file's bytes")
         f.seek(pos)
 
     def take(self, n: int, what: str) -> bytes:
@@ -100,26 +132,27 @@ class _Reader:
         return s.unpack(self.take(s.size, fmt))
 
     def header(self, magic: bytes, fmt: str) -> list:
-        """The header fields after magic and the format version, both checked."""
+        """The format version and the header fields after it, magic and version checked."""
         name = _RECORD_NAMES[magic]
         got = self.unpack("4s")[0]
         if got != magic:
             raise FormatError(f"bad {name} magic {got!r}")
         version, *fields = self.unpack("B" + fmt)
-        if version != FORMAT_VERSION:
+        if not 1 <= version <= VERSIONS[magic]:
             raise FormatError(f"unsupported {name} format version {version}")
-        return fields
+        return [version, *fields]
 
 
 @contextmanager
-def _reading(f, path=None):
-    """A _Reader over f.  A value read from f that fails any check, here or
+def _reading(f, path=None, summed: bool = False):
+    """A _Reader over f, which checks a summed format's CRC32 trailer before
+    anything else is read.  A value read from f that fails any check, here or
     in the type it builds (QuantParams, BitwidthConfig, ReplayMemory, json,
     numpy ...), is a FormatError, naming the file at path if one is given;
     that file must end where the last record read from it does.  json
     raises RecursionError on a descriptor nested too deep."""
-    r = _Reader(f)
     try:
+        r = _Reader(f, summed)
         yield r
         if path is not None and r.left:
             raise FormatError(f"{r.left} bytes after the last record")
@@ -144,7 +177,7 @@ def write_tensor(f, t) -> None:
 
 
 def _read_record(r: _Reader):
-    tag, rank = r.header(TENSOR_MAGIC, "BB")
+    _, tag, rank = r.header(TENSOR_MAGIC, "BB")
     shape = r.unpack(f"{rank}I")
     count = math.prod(shape)
     what = f"tensor record of shape {shape}"
@@ -178,11 +211,21 @@ def _check_finite(x: np.ndarray, what: str) -> None:
 _KIND_NAMES = {np.ndarray: "float", BitTensor: "bitpacked"}
 
 
-def _read_as(r: _Reader, kind: type, what: str, shape: tuple | None = None):
+def _decoded(t: QuantizedTensor) -> np.ndarray:
+    """The f32-precision values of a parameter's codes, as store_param holds them;
+    one past float32's range reads as infinite, which _check_finite refuses."""
+    with np.errstate(over="ignore"):
+        return f32_precision(dequantize(t))
+
+
+def _read_as(r: _Reader, kind: type, what: str, shape: tuple | None = None, codes: bool = False):
     """A tensor record that must decode to kind (np.ndarray for a finite
     float record, BitTensor for a bitpacked one), and have shape if one is
-    given."""
+    given; with codes, a float may also be the record of its codes, as
+    _param_record writes it."""
     t = _read_record(r)
+    if codes and isinstance(t, QuantizedTensor) and t.params.signed and t.params.bits <= 16:
+        t = _decoded(t)
     if not isinstance(t, kind) or shape is not None and t.shape != shape:
         raise FormatError(f"{what} is not a {_KIND_NAMES[kind]} tensor"
                           + ("" if shape is None else f" of shape {shape}"))
@@ -227,7 +270,7 @@ def write_dataset(path, inputs: np.ndarray, labels: np.ndarray, class_count: int
 
 def read_dataset(path):
     with open(path, "rb") as f, _reading(f, path) as r:
-        count, rank = r.header(DATASET_MAGIC, "IB")
+        _, count, rank = r.header(DATASET_MAGIC, "IB")
         shape = r.unpack(f"{rank}I")
         (class_count,) = r.unpack("H")
         # each sample is an f32 tensor record and a u16 label: check the
@@ -251,18 +294,20 @@ def read_dataset(path):
 
 
 def write_replay_memory(path, mem: ReplayMemory) -> None:
-    with atomic_write(path) as f:
+    with _summed_write(path) as f:
         f.write(_header(REPLAY_MAGIC, "III", mem.quota, mem.max_classes, len(mem.per_class)))
         for c in mem.classes:
             bucket = mem.per_class[c]
             f.write(struct.pack("<IQI", c, mem.seen_counts.get(c, 0), len(bucket)))
-            for s in bucket:
-                write_tensor(f, s.activation)
+            if bucket:  # one record of shape (count, *latent shape)
+                write_tensor(f, bitpack.stack([s.activation for s in bucket]))
 
 
 def read_replay_memory(path) -> ReplayMemory:
-    with open(path, "rb") as f, _reading(f, path) as r:
-        quota, max_classes, n_classes = r.header(REPLAY_MAGIC, "III")
+    """A replay memory of either version: version 1 holds one record per
+    latent, version 2 one per class."""
+    with open(path, "rb") as f, _reading(f, path, summed=True) as r:
+        version, quota, max_classes, n_classes = r.header(REPLAY_MAGIC, "III")
         mem = ReplayMemory(quota=quota, max_classes=max_classes)
         shape = None  # every latent has the first one's shape
         for _ in range(n_classes):
@@ -272,12 +317,19 @@ def read_replay_memory(path) -> ReplayMemory:
             if n > min(quota, seen):
                 raise FormatError(f"class {c} holds {n} latents: more than the quota {quota} "
                                   f"or its seen count {seen}")
+            latents = []
+            if version == 1:
+                for _ in range(n):
+                    latents.append(_read_as(r, BitTensor, f"class {c} latent", shape))
+                    shape = latents[-1].shape
+            elif n:
+                stacked = _read_as(r, BitTensor, f"class {c} latents")
+                if stacked.shape[:1] != (n,) or shape not in (None, stacked.shape[1:]):
+                    raise FormatError(f"class {c} latents have shape {stacked.shape}: not {n} "
+                                      f"latents of the memory's shape {shape}")
+                latents, shape = bitpack.unstack(stacked), stacked.shape[1:]
             mem.seen_counts[c] = seen
-            mem.per_class[c] = []
-            for _ in range(n):
-                latent = _read_as(r, BitTensor, f"class {c} latent", shape)
-                shape = latent.shape
-                mem.per_class[c].append(LatentSample(activation=latent, label=c))
+            mem.per_class[c] = [LatentSample(activation=a, label=c) for a in latents]
     return mem
 
 
@@ -380,6 +432,27 @@ def graph_descriptor(graph: Graph, bitwidth: BitwidthConfig) -> dict:
     }
 
 
+def _param_record(node: LayerNode, name: str, bitwidth: BitwidthConfig):
+    """A parameter as the record of its codes, on the grid store_param holds
+    it on, if that grid has at most 16 bits and the codes give back its bytes;
+    else as it is, a float.  32-bit codes are not held: an f32 cannot give
+    back the code of a 32-bit grid."""
+    value = np.asarray(node.params[name], dtype=np.float64)
+    binary = node.kind in BINARY_KINDS
+    bits = bitwidth.q_b_bin if binary else bitwidth.q_b_nonbin
+    if bits is None or bits > 16:
+        return value
+    scale = latent_grid_scale(bits) if binary else node.param_scales.get(name, 0.0)
+    if not scale > 0:  # no grid pinned (a read checkpoint may hold any number)
+        return value
+    p = QuantParams(bits=8 if bits <= 8 else 16, scale=scale, zero_point=0, signed=True)
+    codes = np.rint(value / scale)
+    if not (p.qmin <= codes.min(initial=0) and codes.max(initial=0) <= p.qmax):
+        return value
+    t = QuantizedTensor(codes.astype(np.int64), p)
+    return t if _decoded(t).tobytes() == value.tobytes() else value
+
+
 def write_checkpoint(path, graph: Graph, bitwidth: BitwidthConfig, head) -> None:
     desc = graph_descriptor(graph, bitwidth)
     desc["head"] = {
@@ -389,12 +462,12 @@ def write_checkpoint(path, graph: Graph, bitwidth: BitwidthConfig, head) -> None
         "seen": sorted(head.seen),
     }
     blob = json.dumps(desc, sort_keys=True).encode()
-    with atomic_write(path) as f:
+    with _summed_write(path) as f:
         f.write(_header(CHECKPOINT_MAGIC, "I", len(blob)) + blob)
         for i, node in enumerate(graph.nodes):
             for pname in sorted(node.params):
                 _check_finite(node.params[pname], f"node {i} param {pname}")
-                write_tensor(f, node.params[pname])
+                write_tensor(f, _param_record(node, pname, bitwidth))
             if node.weight_bits is not None:
                 write_tensor(f, node.weight_bits)
         _check_finite(head.cw, "head cw")
@@ -402,8 +475,10 @@ def write_checkpoint(path, graph: Graph, bitwidth: BitwidthConfig, head) -> None
 
 
 def read_checkpoint(path):
-    with open(path, "rb") as f, _reading(f, path) as r:
-        (blen,) = r.header(CHECKPOINT_MAGIC, "I")
+    """A checkpoint of either version; a version-2 parameter may be the
+    record of its codes."""
+    with open(path, "rb") as f, _reading(f, path, summed=True) as r:
+        version, blen = r.header(CHECKPOINT_MAGIC, "I")
         desc = _fields(json.loads(r.take(blen, "descriptor")), _DESCRIPTOR, "descriptor")
         graph = Graph(tuple(desc["input_shape"]))
         n_nodes = len(desc["nodes"])
@@ -424,7 +499,7 @@ def read_checkpoint(path):
                              param_scales=dict(nd["param_scales"]),
                              out_qparams=_qparams_from_json(nd["out_qparams"], f"node {i} out_qparams"))
             for pname in nd["param_names"]:
-                node.params[pname] = _read_as(r, np.ndarray, f"node {i} param {pname}")
+                node.params[pname] = _read_as(r, np.ndarray, f"node {i} param {pname}", codes=version > 1)
             if nd["has_weight_bits"]:
                 node.weight_bits = _read_as(r, BitTensor, f"node {i} weight bits")
             check_node(i, node)

@@ -1,5 +1,8 @@
 """Shared oracles and gradient-check machinery for the test suite."""
 
+import struct
+import zlib
+
 import numpy as np
 
 from binreplay import graph as G
@@ -7,6 +10,12 @@ from binreplay.bitpack import BinConvSpec, pack
 from binreplay.graph import BitwidthConfig, Graph, backward, forward
 
 FLOAT_CFG = BitwidthConfig.floating()
+
+
+def summed(body: bytes) -> bytes:
+    """A version-2 checkpoint or replay-memory file: body, then the CRC32 of
+    body, so a test that edits a file's body reaches the checks behind it."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def naive_conv2d_pm1(x, w, stride, padding):

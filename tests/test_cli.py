@@ -17,6 +17,7 @@ from binreplay.bitpack import pack
 from binreplay.cli import SETTINGS, continual_config, load_run_config, main
 from binreplay.graph import BITWIDTHS, BitwidthConfig
 from binreplay.learner import ContinualConfig
+from helpers import summed
 
 
 # every kind of JSON value, with numbers at and past float64's range
@@ -735,25 +736,30 @@ class TestEval:
         assert "not a finite number above 0" in capsys.readouterr().err
 
     def test_tensor_shape_beyond_file_length(self, trained_dir, dataset_dir, tmp_path, capsys):
-        data = bytearray((trained_dir / "checkpoint.brck").read_bytes())
+        data = bytearray((trained_dir / "checkpoint.brck").read_bytes()[:-4])  # less its CRC32 trailer
         (blen,) = struct.unpack("<I", data[5:9])
         # the first tensor record (stem_conv's bias): magic, 3 bytes, then its shape
         data[9 + blen + 7 : 9 + blen + 11] = struct.pack("<I", 2**32 - 1)
         bad = tmp_path / "bad.brck"
-        bad.write_bytes(bytes(data))
+        bad.write_bytes(summed(bytes(data)))
         with pytest.raises(serialize.FormatError, match="claims"):
             serialize.read_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
         assert "claims" in capsys.readouterr().err
 
     def test_trailing_bytes(self, trained_dir, dataset_dir, tmp_path, capsys):
+        # after the CRC32 trailer they break the sum; before a trailer that sums
+        # them, they are left over after the last record
+        data = (trained_dir / "checkpoint.brck").read_bytes()
         bad = tmp_path / "bad.brck"
-        bad.write_bytes((trained_dir / "checkpoint.brck").read_bytes() + b"garbage")
-        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
-        assert "7 bytes after the last record" in capsys.readouterr().err
+        for image, error in [(data + b"garbage", "CRC32 trailer does not match"),
+                             (summed(data[:-4] + b"garbage"), "7 bytes after the last record")]:
+            bad.write_bytes(image)
+            assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
+            assert error in capsys.readouterr().err
 
     def test_param_record_of_the_wrong_kind(self, trained_dir, dataset_dir, tmp_path, capsys):
-        data = (trained_dir / "checkpoint.brck").read_bytes()
+        data = (trained_dir / "checkpoint.brck").read_bytes()[:-4]  # less its CRC32 trailer
         (blen,) = struct.unpack("<I", data[5:9])
         first = io.BytesIO(data)
         first.seek(9 + blen)
@@ -761,7 +767,7 @@ class TestEval:
         bits = io.BytesIO()
         serialize.write_tensor(bits, pack(np.ones(bias.shape, dtype=np.int8)))
         bad = tmp_path / "bad.brck"
-        bad.write_bytes(data[:9 + blen] + bits.getvalue() + data[first.tell():])
+        bad.write_bytes(summed(data[:9 + blen] + bits.getvalue() + data[first.tell():]))
         assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir)]) == 1
         assert "node 0 param b is not a float tensor" in capsys.readouterr().err
 

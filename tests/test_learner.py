@@ -1,10 +1,13 @@
 """Continual-learning protocol: NC stream, freezing, minibatch rules, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from binreplay import bitpack, cwr, datasets, learner, replay
-from binreplay.graph import BitwidthConfig, Graph, f32_precision, forward, infer_shapes, latent_grid_scale
+from binreplay.graph import (BINARY_KINDS, BitwidthConfig, Graph, as_float, check_node, f32_precision, forward,
+                             infer_shapes, latent_grid_scale)
 from binreplay.learner import (
     ContinualConfig,
     ProtocolError,
@@ -136,6 +139,85 @@ class TestReferenceModel:
             assert node.params["running_mean"].tobytes() == f32_precision(x.mean(axis=0)).tobytes()
             want_var = f32_precision(np.maximum(x.var(axis=0), 1e-3))
             assert node.params["running_var"].tobytes() == want_var.tobytes()
+
+    @staticmethod
+    def _per_batchnorm(g, xs):
+        """The statistics oracle: one float pass per batchnorm, up to its input."""
+        for node in g.nodes:
+            if node.kind == "batchnorm":
+                x = as_float(forward(g, xs, BitwidthConfig.floating(), stop_level=node.inputs[0])[0])
+                axes = tuple(range(x.ndim - 1))
+                node.params["running_mean"] = f32_precision(x.mean(axis=axes))
+                node.params["running_var"] = f32_precision(np.maximum(x.var(axis=axes), 1e-3))
+
+    @staticmethod
+    def _stats(g):
+        return [n.params[k].tobytes() for n in g.nodes for k in ("running_mean", "running_var") if k in n.params]
+
+    def test_bn_stats_in_one_pass(self, monkeypatch):
+        # experience 0's 160 rows: one pass makes three binary GEMM calls where
+        # a pass per batchnorm, up to its input, made six; the statistics keep
+        # that pass's bytes, and its tracemalloc peak does not rise
+        xs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(160, 12, 12, 1))
+
+        def peak(init):
+            g = build_reference_model((12, 12, 1), channels=32, seed=1)
+            tracemalloc.start()
+            try:
+                init(g, xs)
+                return g, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (want, want_peak), (got, got_peak) = peak(self._per_batchnorm), peak(learner.initialize_bn_stats)
+        assert self._stats(got) == self._stats(want)
+        assert got_peak <= want_peak, (got_peak, want_peak)
+        calls = []
+        run = bitpack.bin_conv2d
+        monkeypatch.setattr(bitpack, "bin_conv2d", lambda *a: calls.append(1) or run(*a))
+        learner.initialize_bn_stats(build_reference_model((12, 12, 1), channels=32, seed=1), xs)
+        assert len(calls) == 3
+
+    def test_bn_stats_deep_in_a_chain(self, rng):
+        # the first batchnorm reads a prelu inside a binary GEMM's chain, so its
+        # table is built before its statistics are set; the second batchnorm
+        # reads a GEMM whose input is the first one's sign
+        c = 4
+
+        def build():
+            g = Graph((6, 6, c))
+            g.add("binarize")
+            for k in range(2):
+                g.add("binary_conv2d", spec=bitpack.BinConvSpec(3, 3, 1, 1, c, c),
+                      params={"latent": np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, 3, c, c))})
+                if k == 0:
+                    g.add("prelu", params={"alpha": np.full(c, 0.25)})
+                g.add("batchnorm", params={"gamma": np.ones(c), "beta": np.zeros(c),
+                                           "running_mean": np.zeros(c), "running_var": np.ones(c)})
+                g.add("binarize")
+            return g
+
+        xs = rng.normal(size=(8, 6, 6, c))
+        want, got = build(), build()
+        self._per_batchnorm(want, xs)
+        learner.initialize_bn_stats(got, xs)
+        assert self._stats(got) == self._stats(want)
+
+    @pytest.mark.parametrize("q_b_bin,head_only,holding", [
+        (4, False, ["block3_conv"]), (None, False, ["block3_conv"]), (1, False, []), (4, True, []),
+    ], ids=["4-bit", "float", "1-bit", "head-only"])
+    def test_freeze_drops_the_latents_that_do_not_train(self, q_b_bin, head_only, holding):
+        # frozen binary layers, and every binary layer at q_b_bin = 1, keep
+        # their weight bits alone
+        g = build_reference_model(input_shape=(6, 6, 1), channels=4, seed=0)
+        bits = {n.name: n.weight_bits for n in g.nodes}
+        cfg = small_config(bitwidth=BitwidthConfig(q_b_bin=q_b_bin), train_graph_layers=not head_only)
+        learner.freeze_backbone(g, cfg)
+        assert [n.name for n in g.nodes if "latent" in n.params] == holding
+        for idx, node in enumerate(g.nodes):
+            check_node(idx, node)
+            if node.kind in BINARY_KINDS and node.name not in holding:
+                assert node.params == {} and node.weight_bits == bits[node.name]
 
     def test_freeze_stores_params_above_the_replay_level(self):
         g = build_reference_model(input_shape=(6, 6, 1), channels=4, seed=0)
@@ -345,6 +427,8 @@ class TestSharedPretraining:
             assert shared == observed(lambda: learner.run_protocol(cfg, trx, try_, tex, tey, 4))
         assert pre.rng.bit_generator.state == rng_state
         assert param_bytes(pre.graph) == params
+        # the shared pretraining keeps the latents that each deployment's freeze drops
+        assert all("latent" in n.params for n in pre.graph.nodes if n.kind in BINARY_KINDS)
 
 
 class TestMinibatchComposition:

@@ -8,6 +8,8 @@ import json
 import math
 import operator
 import os
+import pathlib
+import shutil
 import struct
 
 import numpy as np
@@ -15,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binreplay import cwr, datasets, learner, serialize
-from binreplay.bitpack import BinConvSpec, pack
+from binreplay import bitpack, cwr, datasets, learner, serialize
+from binreplay.bitpack import BinConvSpec, BitTensor, pack
 from binreplay.cli import main
-from binreplay.graph import KINDS, BitwidthConfig, Graph
+from binreplay.graph import BINARY_KINDS, BITWIDTHS, KINDS, BitwidthConfig, Graph
 from binreplay.learner import ContinualConfig
 from binreplay.quant import QuantizedTensor, QuantParams, quant_params, quantize
 from binreplay.replay import LatentSample, ReplayMemory, update_after_experience
@@ -34,6 +36,7 @@ from binreplay.serialize import (
     write_replay_memory,
     write_tensor,
 )
+from helpers import summed
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +107,12 @@ def small_tensor_records() -> bytes:
 
 WRITERS = {"d.brds": write_small_dataset, "m.brrm": write_small_replay_memory,
            "c.brck": write_small_checkpoint}
-READERS = {"d.brds": read_dataset, "m.brrm": read_replay_memory, "c.brck": read_checkpoint}
+# the same replay memory and checkpoint as written by the version-1 writers,
+# kept as files: a version-2 reader still loads them
+V1_FILES = pathlib.Path(__file__).parent / "data" / "v1"
+READERS = {"d.brds": read_dataset, "m.brrm": read_replay_memory, "c.brck": read_checkpoint,
+           "v1/m.brrm": read_replay_memory, "v1/c.brck": read_checkpoint}
+SUMMED = ("m.brrm", "c.brck")  # the version-2 files, which end in a CRC32 trailer
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +120,18 @@ def small_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("small")
     for name, write in WRITERS.items():
         write(d / name)
+    shutil.copytree(V1_FILES, d / "v1")
     return d
+
+
+def body(name: str, data: bytes) -> bytes:
+    """A small file's bytes before its CRC32 trailer, if it has one."""
+    return data[:-4] if name in SUMMED else data
+
+
+def rebuilt(name: str, data: bytes) -> bytes:
+    """A small file's edited body, with the trailer its version ends in."""
+    return summed(data) if name in SUMMED else data
 
 
 def descriptor_end(data: bytes) -> int:
@@ -334,12 +353,19 @@ class TestDatasetFormat:
             read_dataset(p)
 
 
-def replay_image(quota, max_classes, classes) -> bytes:
-    """A .brrm file: classes lists (class id, seen count, latents)."""
-    out = b"BRRM" + struct.pack("<BIII", 1, quota, max_classes, len(classes))
+def replay_image(quota, max_classes, classes, version=2) -> bytes:
+    """A .brrm file: classes lists (class id, seen count, latents).  At
+    version 1 each latent is a record; at version 2 a class's latents are
+    stacked into one record, and a CRC32 trailer ends the file."""
+    out = b"BRRM" + struct.pack("<BIII", version, quota, max_classes, len(classes))
     for c, seen, latents in classes:
-        out += struct.pack("<IQI", c, seen, len(latents)) + b"".join(map(tensor_bytes, latents))
-    return out
+        out += struct.pack("<IQI", c, seen, len(latents))
+        if version == 1:
+            out += b"".join(map(tensor_bytes, latents))
+        elif latents:
+            packed = isinstance(latents[0], BitTensor)
+            out += tensor_bytes(bitpack.stack(latents) if packed else np.stack(latents))
+    return out if version == 1 else summed(out)
 
 
 class TestReplayMemoryFormat:
@@ -366,12 +392,16 @@ class TestReplayMemoryFormat:
         with pytest.raises(FormatError):
             read_replay_memory(p)
 
-    def test_tensor_shape_beyond_file_length_rejected_before_allocation(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_tensor_shape_beyond_file_length_rejected_before_allocation(self, version, tmp_path):
         # one class holding one latent whose record claims 2**32 - 1 bits
+        # (at version 2, a record of one such latent)
         p = tmp_path / "m.brrm"
-        p.write_bytes(b"BRRM" + struct.pack("<BIIIIQI", 1, 4, 5, 1, 0, 1, 1)
-                      + b"QTNS" + struct.pack("<BBBIQ", 1, serialize.DTYPE_BITPACKED, 1,
-                                              2**32 - 1, 2**32 - 1))
+        shape = (2**32 - 1,) if version == 1 else (1, 2**32 - 1)
+        image = (b"BRRM" + struct.pack("<BIIIIQI", version, 4, 5, 1, 0, 1, 1)
+                 + b"QTNS" + struct.pack(f"<BBB{len(shape)}IQ", 1, serialize.DTYPE_BITPACKED,
+                                         len(shape), *shape, 2**32 - 1))
+        p.write_bytes(image if version == 1 else summed(image))
         with pytest.raises(FormatError, match="claims"):
             read_replay_memory(p)
 
@@ -385,38 +415,107 @@ class TestReplayMemoryFormat:
         (0, []),
     ], ids=["class-above-max-classes", "class-twice", "bucket-above-quota", "bucket-above-seen",
             "mixed-latent-shapes", "float-latent", "quota-0"])
-    def test_malformed_memory_rejected(self, quota, classes, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_malformed_memory_rejected(self, quota, classes, version, tmp_path):
         p = tmp_path / "m.brrm"
-        p.write_bytes(replay_image(quota, 3, classes))
+        p.write_bytes(replay_image(quota, 3, classes, version))
         with pytest.raises(FormatError):
             read_replay_memory(p)
 
-    def test_memory_image_round_trips(self, tmp_path):
-        # the builder above writes what write_replay_memory does
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_class_record_of_another_count_rejected(self, count, tmp_path):
+        # the class header lists 2 latents, and its one record stacks count
+        image = replay_image(4, 3, [(0, 5, [signs(2, 3, 4)] * count)])[:-4]
+        at = 17 + 12  # after the file header, the class id and seen count: its latent count
         p = tmp_path / "m.brrm"
-        p.write_bytes(replay_image(2, 3, [(0, 5, [signs(2, 3, 4)] * 2), (2, 1, [signs(2, 3, 4, shift=1)])]))
+        p.write_bytes(summed(image[:at] + struct.pack("<I", 2) + image[at + 4:]))
+        with pytest.raises(FormatError, match="latents have shape"):
+            read_replay_memory(p)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_memory_image_round_trips(self, version, tmp_path):
+        # replay_image writes what write_replay_memory does at version 2,
+        # and a version-1 image reads back as the same memory
+        p = tmp_path / "m.brrm"
+        p.write_bytes(replay_image(2, 3, [(0, 5, [signs(2, 3, 4)] * 2), (2, 1, [signs(2, 3, 4, shift=1)])],
+                                   version))
         mem = read_replay_memory(p)
         write_replay_memory(tmp_path / "again.brrm", mem)
-        assert (tmp_path / "again.brrm").read_bytes() == p.read_bytes()
+        assert (tmp_path / "again.brrm").read_bytes() == replay_image(
+            2, 3, [(c, mem.seen_counts[c], [s.activation for s in mem.per_class[c]]) for c in mem.classes])
+        if version == 2:
+            assert (tmp_path / "again.brrm").read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("shape", [(3, 3, 5), (12, 12, 5), (2, 32)], ids=["45-bit", "720-bit", "64-bit"])
+    def test_one_record_per_class(self, shape, tmp_path, rng):
+        # a channels-5 latent ends in pad bits: a class's latents are repacked
+        # into one record without them, and read back one by one
+        mem = ReplayMemory(quota=7, max_classes=4)
+        update_after_experience(mem, [LatentSample(pack(rng.choice([-1, 1], size=shape)), c)
+                                      for c in (0, 1, 3) for _ in range(5 + 2 * c)], rng)
+        p = tmp_path / "m.brrm"
+        write_replay_memory(p, mem)
+        data = p.read_bytes()
+        assert data.count(b"QTNS") == len(mem.classes)
+        bits = math.prod(shape)
+        assert len(data) == 17 + sum(16 + 7 + 4 * (1 + len(shape)) + 8 + 8 * -(-len(mem.per_class[c]) * bits // 64)
+                                     for c in mem.classes) + 4
+        r = read_replay_memory(p)
+        assert r.seen_counts == mem.seen_counts
+        for c in mem.classes:
+            assert [s.activation for s in r.per_class[c]] == [s.activation for s in mem.per_class[c]]
+            assert all(s.label == c for s in r.per_class[c])
 
 
 class TestEveryFormat:
     @pytest.mark.parametrize("name", READERS)
     def test_trailing_bytes_rejected(self, name, small_files, tmp_path):
-        p = tmp_path / name
-        p.write_bytes((small_files / name).read_bytes() + b"garbage")
+        # in a version-2 file, before a trailer that sums them
+        p = tmp_path / name.replace("/", "-")
+        data = (small_files / name).read_bytes()
+        p.write_bytes(rebuilt(name, body(name, data) + b"garbage"))
         with pytest.raises(FormatError, match="7 bytes after the last record"):
             READERS[name](p)
+        if name in SUMMED:  # after the trailer, they break its sum
+            p.write_bytes(data + b"garbage")
+            with pytest.raises(FormatError, match="CRC32 trailer does not match"):
+                READERS[name](p)
 
     @pytest.mark.parametrize("name,sha256", [
         ("d.brds", "6b9ae9ef127fcc31bc889754718b610015e29e7cb8cc26eeac43ade06bf88166"),
-        ("m.brrm", "7f6f46a08a94e82ebea4fa5afe85be7a0b575fd777911de40d0f82abd885fe46"),
-        ("c.brck", "9ee9ec31e4e7a551f2e41138305c7e5f91ee4f238aa546b6f99f21fd5cb95cf2"),
+        ("m.brrm", "020c649aa14a83aa79bc578c689b10ae44aea14a4b8a4cb64bdc7c079b693e59"),
+        ("c.brck", "8e5d7624d7bd6c0e1380a082cce08b40df0dd8f2cd59db8fc205a132a0fb05fb"),
+        ("v1/m.brrm", "7f6f46a08a94e82ebea4fa5afe85be7a0b575fd777911de40d0f82abd885fe46"),
+        ("v1/c.brck", "9ee9ec31e4e7a551f2e41138305c7e5f91ee4f238aa546b6f99f21fd5cb95cf2"),
     ])
     def test_golden_bytes(self, name, sha256, small_files):
         data = (small_files / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha256
         READERS[name](small_files / name)
+
+    def test_version_1_files_read_as_version_2(self, small_files):
+        # the same memory and checkpoint, from one record per latent and f32
+        # parameters, or from one record per class and parameter codes
+        old, new = read_replay_memory(small_files / "v1/m.brrm"), read_replay_memory(small_files / "m.brrm")
+        assert (old.quota, old.max_classes, old.seen_counts) == (new.quota, new.max_classes, new.seen_counts)
+        assert {c: [s.activation for s in b] for c, b in old.per_class.items()} == {
+            c: [s.activation for s in b] for c, b in new.per_class.items()}
+        (g1, h1, bw1), (g2, h2, bw2) = read_checkpoint(small_files / "v1/c.brck"), read_checkpoint(
+            small_files / "c.brck")
+        assert bw1 == bw2 and serialize.graph_descriptor(g1, bw1) == serialize.graph_descriptor(g2, bw2)
+        for a, b in zip(g1.nodes, g2.nodes):
+            assert {k: v.tobytes() for k, v in a.params.items()} == {k: v.tobytes() for k, v in b.params.items()}
+            assert a.weight_bits == b.weight_bits
+        assert h1.cw.tobytes() == h2.cw.tobytes() and h1.seen == h2.seen
+        assert np.array_equal(h1.past_counts, h2.past_counts)
+
+    @pytest.mark.parametrize("name", SUMMED)
+    def test_version_2_only_where_the_format_changed(self, name, small_files):
+        # the files and the records in them: datasets and tensor records keep version 1
+        data = (small_files / name).read_bytes()
+        assert data[4] == 2 and small_files.joinpath("d.brds").read_bytes()[4] == 1
+        start = descriptor_end(data) if name == "c.brck" else 17 + 16
+        assert data[start:start + 5] == b"QTNS\x01"
 
     def test_small_checkpoint_holds_every_kind(self, small_files):
         g, _, _ = read_checkpoint(small_files / "c.brck")
@@ -483,45 +582,115 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError):
             read_checkpoint(p)
 
+    @staticmethod
+    def _spliced(small_files, name: str, index: int, record: bytes) -> bytes:
+        """A small checkpoint with its record index replaced."""
+        data = body(name, (small_files / name).read_bytes())
+        offsets = record_offsets(data, descriptor_end(data))
+        i = index % (len(offsets) - 1)
+        return rebuilt(name, data[:offsets[i]] + record + data[offsets[i + 1]:])
+
+    @pytest.mark.parametrize("name", ["c.brck", "v1/c.brck"])
     @pytest.mark.parametrize("index,tensor", [
         (0, pack([1, -1])), (8, ramp(3, 3, 2, 2)), (-1, ramp(3, 5)), (-1, signs(3, 6)),
-    ], ids=["param-as-bits", "weight-bits-as-float", "head-cw-shape", "head-cw-as-bits"])
-    def test_record_of_the_wrong_kind_rejected(self, index, tensor, small_files, tmp_path):
-        data = (small_files / "c.brck").read_bytes()
-        offsets = record_offsets(data, descriptor_end(data))
-        i = index % (len(offsets) - 1)  # record 8 is the binary conv's weight bits
+        (0, QuantizedTensor([-16, -14], QuantParams(32, 0.0625, 0, True))),
+        (0, QuantizedTensor([0, 2], QuantParams(8, 0.0625, 16, False))),
+        (-1, QuantizedTensor(np.zeros((3, 6)), QuantParams(8, 1.0, 0, True))),
+    ], ids=["param-as-bits", "weight-bits-as-float", "head-cw-shape", "head-cw-as-bits",
+            "param-as-32-bit-codes", "param-as-unsigned-codes", "head-cw-as-codes"])
+    def test_record_of_the_wrong_kind_rejected(self, name, index, tensor, small_files, tmp_path):
+        # record 8 is the binary conv's weight bits; a parameter may be its
+        # codes only as a version-2 writer writes them: signed, 8 or 16 bits
         p = tmp_path / "c.brck"
-        p.write_bytes(data[:offsets[i]] + tensor_bytes(tensor) + data[offsets[i + 1]:])
+        p.write_bytes(self._spliced(small_files, name, index, tensor_bytes(tensor)))
         with pytest.raises(FormatError, match="is not a"):
             read_checkpoint(p)
 
+    def test_parameter_codes_only_from_version_2(self, small_files, tmp_path):
+        # node 0's bias, on its pinned 16-bit grid (scale 1/16), is the record
+        # of its codes at version 2; a version-1 checkpoint holds f32 only
+        codes = tensor_bytes(QuantizedTensor([-16, -14], QuantParams(16, 0.0625, 0, True)))
+        data = (small_files / "c.brck").read_bytes()[:-4]
+        assert data[descriptor_end(data):].startswith(codes)
+        g, _, _ = read_checkpoint(small_files / "c.brck")
+        assert g.nodes[0].params["b"].tobytes() == np.array([-1.0, -0.875]).tobytes()
+        p = tmp_path / "c.brck"
+        p.write_bytes(self._spliced(small_files, "v1/c.brck", 0, codes))
+        with pytest.raises(FormatError, match="node 0 param b is not a float tensor"):
+            read_checkpoint(p)
+
+    @pytest.mark.parametrize("name", ["c.brck", "v1/c.brck"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("index,name", [(3, "node 1 param gamma"), (-1, "head cw")],
+    @pytest.mark.parametrize("index,what", [(3, "node 1 param gamma"), (-1, "head cw")],
                              ids=["param", "head-cw"])
-    def test_non_finite_weight_rejected(self, index, name, value, small_files, tmp_path):
-        g, head, bw = read_checkpoint(small_files / "c.brck")
+    def test_non_finite_weight_rejected(self, index, what, value, name, small_files, tmp_path):
+        g, head, bw = read_checkpoint(small_files / name)
         w = g.nodes[1].params["gamma"] if index == 3 else head.cw
         w[0] = value
         p = tmp_path / "c.brck"
-        with pytest.raises(FormatError, match=f"{name} holds a NaN or infinite value"):
+        with pytest.raises(FormatError, match=f"{what} holds a NaN or infinite value"):
             write_checkpoint(p, g, bw, head)
         assert not p.exists()
-        # the same weights spliced into a checkpoint on disk
-        data = (small_files / "c.brck").read_bytes()
-        offsets = record_offsets(data, descriptor_end(data))
-        i = index % (len(offsets) - 1)  # record 3 is node 1's gamma, after beta
-        p.write_bytes(data[:offsets[i]] + tensor_bytes(w) + data[offsets[i + 1]:])
-        with pytest.raises(FormatError, match=f"{name} holds a NaN or infinite value"):
+        # the same weights spliced into a checkpoint on disk; record 3 is node 1's gamma, after beta
+        p.write_bytes(self._spliced(small_files, name, index, tensor_bytes(w)))
+        with pytest.raises(FormatError, match=f"{what} holds a NaN or infinite value"):
             read_checkpoint(p)
 
+    def test_codes_past_float32_rejected(self, small_files, tmp_path):
+        # codes times a scale that float32 cannot hold read back as infinite
+        p = tmp_path / "c.brck"
+        p.write_bytes(self._spliced(small_files, "c.brck", 0, tensor_bytes(
+            QuantizedTensor([-16, -14], QuantParams(16, 1e300, 0, True)))))
+        with pytest.raises(FormatError, match="node 0 param b holds a NaN or infinite value"):
+            read_checkpoint(p)
+
+    @pytest.mark.parametrize("name", ["c.brck", "v1/c.brck"])
     @pytest.mark.parametrize("blob", [b'{"\xff": 1}', b"{", b"[]", b"[" * 200_000],
                              ids=["not-utf8", "not-json", "not-an-object", "nested-too-deep"])
-    def test_malformed_descriptor_bytes(self, blob, small_files, tmp_path):
-        data = (small_files / "c.brck").read_bytes()
+    def test_malformed_descriptor_bytes(self, blob, name, small_files, tmp_path):
+        data = body(name, (small_files / name).read_bytes())
         p = tmp_path / "c.brck"
-        p.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[descriptor_end(data):])
-        with pytest.raises(FormatError):
+        p.write_bytes(rebuilt(name, data[:5] + struct.pack("<I", len(blob)) + blob + data[descriptor_end(data):]))
+        with pytest.raises(FormatError, match="descriptor|JSON|Expecting|codec|recursion"):
             read_checkpoint(p)
+
+
+class TestParameterCodes:
+    """A deployed model's version-2 checkpoint holds each parameter that
+    store_param keeps on a grid of at most 16 bits as the record of its
+    codes, and reads back byte for byte, zeros and their signs too."""
+
+    @given(bits=st.tuples(*(st.sampled_from((*BITWIDTHS[k], None)) for k in ("q_f", "q_b_nonbin", "q_b_bin"))),
+           seed=st.integers(0, 2**16), zeros=st.floats(0.0, 0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_deployed_model_round_trips(self, bits, seed, zeros, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        bw = BitwidthConfig(*bits)
+        cfg = ContinualConfig(bitwidth=bw, channels=4, b_n=4, b_r=4)
+        g = learner.build_reference_model((6, 6, 1), channels=4, seed=seed)
+        xs = rng.uniform(-1.0, 1.0, size=(8, 6, 6, 1))
+        learner.initialize_bn_stats(g, xs)
+        learner.calibrate_activations(g, xs, bw.q_f)
+        for node in g.nodes:  # zeros of either sign, where the values are held as they are and where they snap
+            for v in node.params.values():
+                v[rng.random(v.shape) < zeros] = rng.choice([0.0, -0.0])
+        learner.freeze_backbone(g, cfg)
+        head = cwr.init(4, 3)
+        cwr.begin_experience(head, (0, 1, 2))
+        latents = bitpack.from01(rng.integers(0, 2, size=(8, 6, 6, 4)))
+        learner._train_step(g, head, latents, rng.integers(0, 3, size=8), 0.3, bw, from_level=g.replay_level)
+        path = tmp_path_factory.mktemp("codes") / "c.brck"
+        write_checkpoint(path, g, bw, head)
+        g2, _, _ = read_checkpoint(path)
+        for a, b in zip(g.nodes, g2.nodes):
+            assert {k: v.tobytes() for k, v in a.params.items()} == {k: v.tobytes() for k, v in b.params.items()}
+            assert a.weight_bits == b.weight_bits
+            held = [k for k in KINDS[a.kind].trained if a.trainable and k in a.params]
+            width = bw.q_b_bin if a.kind in BINARY_KINDS else bw.q_b_nonbin
+            for k in held:  # every value store_param holds: +0.0 for zero, and a code at 16 bits or fewer
+                assert not np.signbit(a.params[k][a.params[k] == 0]).any()
+                coded = isinstance(serialize._param_record(a, k, bw), QuantizedTensor)
+                assert coded == (width is not None and width <= 16), (a.name, k)
 
 
 FLIPS = (0x01, 0x80, 0xFF)
@@ -550,35 +719,50 @@ def number_paths(obj, path=()) -> list[tuple]:
 
 
 class TestFuzz:
-    """Every truncation of a small file of each format raises FormatError;
-    every single-byte flip, and every descriptor number set past its range,
-    either loads or raises FormatError."""
+    """Every truncation of a small file of each format raises FormatError, and
+    so does every single-byte flip of a version-2 file.  Every single-byte
+    flip of a version-1 file, or of a version-2 file's body with its trailer
+    summed again, and every descriptor number set past its range, either
+    loads or raises FormatError."""
 
     @pytest.mark.parametrize("name", READERS)
     def test_every_truncation(self, name, small_files, tmp_path):
         data = (small_files / name).read_bytes()
-        p = tmp_path / name
+        p = tmp_path / name.replace("/", "-")
         for n in range(len(data)):
             p.write_bytes(data[:n])
             assert not loads(READERS[name], p), f"a {n}-byte prefix loads"
 
-    @pytest.mark.parametrize("name", READERS)
-    def test_every_flip_outside_the_descriptor(self, name, small_files, tmp_path):
-        # headers, record headers and payloads byte by byte; positions in the
-        # checkpoint's JSON descriptor are drawn by the test below
+    @pytest.mark.parametrize("name", SUMMED)
+    def test_every_flip_of_a_version_2_file(self, name, small_files, tmp_path):
         data = (small_files / name).read_bytes()
-        descriptor = range(9, descriptor_end(data)) if name == "c.brck" else range(0)
         p = tmp_path / name
         for pos, mask in itertools.product(range(len(data)), FLIPS):
+            p.write_bytes(flipped(data, pos, mask))
+            assert not loads(READERS[name], p), f"a flip of byte {pos} by {mask:#x} loads"
+        # the version byte read as 1: the trailer is left over after the last record
+        p.write_bytes(data[:4] + b"\x01" + data[5:])
+        assert not loads(READERS[name], p)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_every_flip_outside_the_descriptor(self, name, small_files, tmp_path):
+        # headers, record headers and payloads byte by byte, behind a trailer
+        # that sums them; positions in the checkpoint's JSON descriptor are
+        # drawn by the test below
+        data = body(name, (small_files / name).read_bytes())
+        descriptor = range(9, descriptor_end(data)) if name.endswith("c.brck") else range(0)
+        p = tmp_path / name.replace("/", "-")
+        for pos, mask in itertools.product(range(len(data)), FLIPS):
             if pos not in descriptor:
-                p.write_bytes(flipped(data, pos, mask))
+                p.write_bytes(rebuilt(name, flipped(data, pos, mask)))
                 loads(READERS[name], p)
 
+    @pytest.mark.parametrize("name", ["c.brck", "v1/c.brck"])
     @pytest.mark.parametrize("value", [10**400, -10**400, 2**63, 2**64],
                              ids=["10**400", "-10**400", "2**63", "2**64"])
-    def test_every_descriptor_number_past_range(self, value, small_files, tmp_path):
+    def test_every_descriptor_number_past_range(self, value, name, small_files, tmp_path):
         # past float64's range, or past the int64 that numpy takes
-        data = (small_files / "c.brck").read_bytes()
+        data = body(name, (small_files / name).read_bytes())
         desc = json.loads(data[9:descriptor_end(data)])
         p = tmp_path / "c.brck"
         for path in number_paths(desc):
@@ -586,7 +770,8 @@ class TestFuzz:
             *parents, leaf = path
             functools.reduce(operator.getitem, parents, bad)[leaf] = value
             blob = json.dumps(bad, sort_keys=True).encode()
-            p.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[descriptor_end(data):])
+            p.write_bytes(rebuilt(name, data[:5] + struct.pack("<I", len(blob)) + blob
+                                  + data[descriptor_end(data):]))
             if loads(read_checkpoint, p):
                 assert main(["eval", "--checkpoint", str(p),
                              "--dataset", str(small_files / "d.brds")]) in (0, 1), path
@@ -594,10 +779,12 @@ class TestFuzz:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_checkpoint_flip_loads_or_is_exit_1(self, small_files, data):
-        ckpt = (small_files / "c.brck").read_bytes()
+        # a flip of either version's body, behind a version-2 trailer that sums it
+        name = data.draw(st.sampled_from(["c.brck", "v1/c.brck"]), label="name")
+        ckpt = body(name, (small_files / name).read_bytes())
         pos = data.draw(st.integers(0, len(ckpt) - 1), label="pos")
         p = small_files / "flipped.brck"
-        p.write_bytes(flipped(ckpt, pos, data.draw(st.sampled_from(FLIPS), label="mask")))
+        p.write_bytes(rebuilt(name, flipped(ckpt, pos, data.draw(st.sampled_from(FLIPS), label="mask"))))
         if loads(read_checkpoint, p):
             assert main(["eval", "--checkpoint", str(p),
                          "--dataset", str(small_files / "d.brds")]) in (0, 1)
