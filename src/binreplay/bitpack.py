@@ -8,6 +8,7 @@ always zero, so structural equality equals semantic equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,7 @@ class BitTensor:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return math.prod(self.shape)
 
     def unpack01(self) -> np.ndarray:
         """Logical bits as a 0/1 uint8 array of self.shape."""
@@ -73,7 +74,7 @@ class BitTensor:
         return (self.unpack01().astype(np.int8) * 2) - 1
 
     def reshape(self, shape: tuple[int, ...]) -> "BitTensor":
-        if int(np.prod(shape, dtype=np.int64)) != self.size:
+        if math.prod(shape) != self.size:
             raise BitShapeError(f"cannot reshape {self.shape} to {shape}")
         return BitTensor(shape=tuple(shape), words=self.words)
 
@@ -212,8 +213,9 @@ class BinConvSpec:
         return oh, ow
 
 
-def patches(x: np.ndarray, spec: BinConvSpec) -> np.ndarray:
-    """im2col on an NHWC array, in x's dtype: one row per output position.
+def patches(x: np.ndarray, spec: BinConvSpec, width: int | None = None) -> np.ndarray:
+    """im2col on an NHWC array, in x's dtype: one row per output position,
+    followed by zeros up to width columns when width is given.
 
     Padded positions hold 0: bit 0, i.e. -1, for the packed 0/1 kernel, and
     0.0 for float convs.
@@ -223,11 +225,14 @@ def patches(x: np.ndarray, spec: BinConvSpec) -> np.ndarray:
     p, s = spec.padding, spec.stride
     if p:
         x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    cols = np.empty((n, oh, ow, spec.kernel_h, spec.kernel_w, c), dtype=x.dtype)
+    k = spec.kernel_h * spec.kernel_w * c
+    out = np.empty((n * oh * ow, max(k, width or k)), dtype=x.dtype)
+    out[:, k:] = 0
+    cols = out[:, :k].reshape(n, oh, ow, spec.kernel_h, spec.kernel_w, c)
     for i in range(spec.kernel_h):
         for j in range(spec.kernel_w):
             cols[:, :, :, i, j, :] = x[:, i : i + oh * s : s, j : j + ow * s : s, :]
-    return cols.reshape(n * oh * ow, spec.kernel_h * spec.kernel_w * c)
+    return out
 
 
 def col2im(cols: np.ndarray, spec: BinConvSpec, shape: tuple[int, ...]) -> np.ndarray:
@@ -251,9 +256,16 @@ def conv_rows(x: BitTensor, spec: BinConvSpec) -> np.ndarray:
     in_channels bits packed LSB-first into whole bytes, the bits after the
     last channel 0.  Padded positions are 0 bytes, i.e. -1.  bin_conv2d packs
     the weights the same way, so pad bits never differ and k - 2 * diff with
-    the true K stays exact.
+    the true K stays exact.  With in_channels a multiple of 8 those bytes are
+    the bytes of x's words already; the rows are built at whole-word width.
     """
-    return _words(patches(np.packbits(x.unpack01(), axis=-1, bitorder="little"), spec))
+    n, h, w, c = x.shape
+    if c % 8:
+        pixels = np.packbits(x.unpack01(), axis=-1, bitorder="little")
+    else:
+        pixels = np.ascontiguousarray(x.words, dtype="<u8").view(np.uint8)[: x.size // 8].reshape(n, h, w, c // 8)
+    taps = spec.kernel_h * spec.kernel_w * pixels.shape[-1]
+    return patches(pixels, spec, -(-taps // 8) * 8).view("<u8").astype(np.uint64, copy=False)
 
 
 def _rows01(rows: np.ndarray, spec: BinConvSpec) -> np.ndarray:
@@ -266,15 +278,17 @@ def _rows01(rows: np.ndarray, spec: BinConvSpec) -> np.ndarray:
 
 def rows_t(rows: np.ndarray, spec: BinConvSpec, g: np.ndarray, scale: float | None = None) -> np.ndarray:
     """(2 * B01 - 1).T @ g for the 0/1 patch matrix B01 of conv_rows words,
-    times scale once when given.  Per chunk of CODE_ROWS rows, B01 and ones in
-    g's float type times g are added into float64: exact in any order for integer
-    codes of at most CODE_BITS bits held as float32, or of 32 bits as float64."""
+    times scale once when given.  Per chunk of CODE_ROWS rows, B01 and ones
+    times g, in one float type, are added into float64: exact in any order for
+    integer codes of at most CODE_BITS bits, which each chunk casts to float32,
+    or of 32 bits, cast to float64.  A float g is used as it is."""
     acc = np.zeros((spec.kernel_h * spec.kernel_w * spec.in_channels, g.shape[1]))
     colsum = np.zeros(g.shape[1])
+    dtype = g.dtype if g.dtype.kind == "f" else np.float32 if g.dtype.itemsize * 8 <= CODE_BITS else np.float64
     for i in range(0, len(rows), CODE_ROWS):
-        chunk = g[i : i + CODE_ROWS]
-        acc += _rows01(rows[i : i + CODE_ROWS], spec).astype(g.dtype).T @ chunk
-        colsum += np.ones(len(chunk), dtype=g.dtype) @ chunk
+        chunk = g[i : i + CODE_ROWS].astype(dtype, copy=False)
+        acc += _rows01(rows[i : i + CODE_ROWS], spec).astype(dtype).T @ chunk
+        colsum += np.ones(len(chunk), dtype=dtype) @ chunk
     acc = 2 * acc - colsum
     return acc if scale is None else acc * scale
 

@@ -6,7 +6,8 @@ everything else (q_b_nonbin).  A bitwidth of None means float arithmetic.
 
 Every gradient is snapped once, where it is made, at the backward bitwidth of
 the node that made it, onto a dynamic per-tensor restricted symmetric grid that
-a second snap leaves alone, and it travels with that grid's scale.
+a second snap leaves alone, and it travels as that grid's integer codes with
+the grid's one scale.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ KINDS = {
 BINARY_KINDS = tuple(k for k, row in KINDS.items() if row.weight_bits)
 # layers that run as one patches-by-weights product: a dense layer is a 1x1 conv
 GEMM_KINDS = ("dense", "conv2d", "softmax_ce_head", *BINARY_KINDS)
-GATHER_ROWS = 2048  # positions per block of a table gather
-_CHANNELS: dict[int, np.ndarray] = {}  # channel count -> the channel of each flat position of a block
+GATHER_ROWS = 2048  # positions per block of a chain's table reads
 
 
 class GraphError(ValueError):
@@ -165,29 +165,58 @@ def _snap(x: np.ndarray, scale: float, lo: int, hi: int, out=None) -> np.ndarray
     return np.multiply(q, scale, out=q)
 
 
-def grad_codes(x: np.ndarray, bits: int | None, in_place: bool = False) -> tuple[np.ndarray, float | None]:
-    """x on a dynamic symmetric per-tensor grid of bits, which a second snap leaves alone: its values, integer
-    codes in +-(2**(bits-1) - 1) times the scale, and that one scale; at float, or for an all-zero x, x and None,
-    and zeros and None where the scale is subnormal or 0, too coarse a number for a grid that a second snap
-    leaves alone.  A broadcast is snapped on the values it holds and stays broadcast; in_place snaps any
-    other x in its memory."""
+def _held(x: np.ndarray) -> np.ndarray:
+    """The values x holds: x, or the one slice of a broadcast that its zero strides repeat."""
+    return x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)] if 0 in x.strides else x
+
+
+def _absmax(x: np.ndarray) -> float:
+    return max(-float(x.min(initial=0.0)), float(x.max(initial=0.0)))
+
+
+def _grid_scale(m: float, bits: int) -> float | None:
+    """The scale of the bits-bit grid whose end is m; None where it is 0 or subnormal, too coarse a number
+    for a grid that a second snap leaves alone."""
+    scale = m / (2 ** (bits - 1) - 1)
+    return scale if scale >= np.finfo(np.float64).tiny else None
+
+
+def _code_type(bits: int) -> np.dtype:
+    """int8, int16 or int32: the narrowest integer type for codes in +-(2**(bits-1) - 1)."""
+    return np.min_scalar_type(1 - 2 ** (bits - 1))
+
+
+def grad_codes(x: np.ndarray, bits: int | None) -> tuple[np.ndarray, float | None]:
+    """x on a dynamic symmetric per-tensor grid of bits, which a second snap leaves alone: its integer codes in
+    +-(2**(bits-1) - 1), as int8, int16 or int32, the narrowest type for bits, and the grid's one scale; at
+    float, or for an all-zero x, x and None, and zeros and None where the scale is subnormal or 0.  A broadcast's
+    codes are of the values it holds and stay broadcast.  No clip: on a grid whose end is x's max-abs, no code
+    passes the end."""
     if bits is not None and bits < 2:
         raise GraphError(f"a gradient grid needs at least 2 bits, got {bits}")
-    held = x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)] if 0 in x.strides else x
-    m = 0.0 if bits is None else max(-float(held.min(initial=0.0)), float(held.max(initial=0.0)))
+    held = _held(x)
+    m = 0.0 if bits is None else _absmax(held)
     if m == 0.0:
         return x, None
-    hi = 2 ** (bits - 1) - 1
-    scale = m / hi
-    if scale < np.finfo(np.float64).tiny:
+    scale = _grid_scale(m, bits)
+    if scale is None:
         return np.zeros(x.shape), None
-    q = _snap(held, scale, -hi, hi, held if in_place and held is x else None)
-    return (q if q.shape == x.shape else np.broadcast_to(q, x.shape)), scale
+    codes = np.rint(np.divide(held, scale), out=np.empty(held.shape, _code_type(bits)), casting="unsafe")
+    return (codes if codes.shape == x.shape else np.broadcast_to(codes, x.shape)), scale
+
+
+def _values(codes: np.ndarray, scale: float | None) -> np.ndarray:
+    """A gradient's values from its (codes, scale) pair: the codes times the scale, a broadcast kept
+    broadcast, or the codes themselves, which are values, when scale is None."""
+    if scale is None:
+        return codes
+    v = np.multiply(_held(codes), scale)
+    return v if v.shape == codes.shape else np.broadcast_to(v, codes.shape)
 
 
 def fake_quant(x: np.ndarray, bits: int | None) -> np.ndarray:
     """Quantize-dequantize with a dynamic symmetric per-tensor scale: the values of grad_codes."""
-    return grad_codes(x, bits)[0]
+    return _values(*grad_codes(x, bits))
 
 
 def snap_to_fixed_grid(x: np.ndarray, scale: float, bits: int, symmetric: bool = False) -> np.ndarray:
@@ -234,11 +263,11 @@ def _snap_activation(y: np.ndarray, p: QuantParams, out=None) -> np.ndarray:
     return np.add(q, 0.0, out=q)  # -0.0 + 0.0 is the +0.0 that the integer round trip gives
 
 
-def _blocks(n: int, per: int) -> list[tuple[slice, slice]]:
-    """n samples of per rows each as blocks of whole samples, each at most about bitpack.GEMM_BLOCK rows and
-    within one sample of the others: (samples, rows) slice pairs.  No block ends in a short tail, which a
-    BLAS may sum in another order than the same rows of a longer product."""
-    count = max(1, -(-n // max(1, bitpack.GEMM_BLOCK // per)))
+def _blocks(n: int, per: int, size: int = bitpack.GEMM_BLOCK) -> list[tuple[slice, slice]]:
+    """n samples of per rows each as blocks of whole samples, each at most about size rows and within one
+    sample of the others: (samples, rows) slice pairs.  No block ends in a short tail, which a BLAS may sum
+    in another order than the same rows of a longer product."""
+    count = max(1, -(-n // max(1, size // per)))
     edges = [n * i // count for i in range(count + 1)]
     return [(slice(a, b), slice(a * per, b * per)) for a, b in zip(edges, edges[1:])]
 
@@ -389,8 +418,8 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
             raise GraphError(f"node {idx} ({node.name}): channel mismatch {x.shape[-1]} vs {alpha.shape[0]}")
         y = np.where(x >= 0, x, alpha * x)
         cache = x
-    elif node.kind == "global_avg_pool":
-        if x.ndim != 4:
+    elif node.kind == "global_avg_pool":  # x may be a chain end's _Pooled table
+        if len(x.shape) != 4:
             raise GraphError(f"node {idx} ({node.name}): expects NHWC input, got shape {x.shape}")
         y = x.mean(axis=(1, 2))
         cache = x.shape
@@ -436,14 +465,17 @@ def _tabulate(graph, gemm, chain, counts, acts, config, want_cache):
 
     counts = k - 2 * diff, so row j holds count k - 2j.  An add of a packed
     sign doubles the rows, and the sign's bit becomes the lowest bit of each
-    row, so a table from before that add is read at row >> 1.  The rows are
+    row, so a table from before that add holds at row j what it held at
+    row j >> 1: each such table is expanded to the last table's row count, so
+    every table reads at one flat index, row * C + channel.  The index is
     computed in place, in the narrowest type that holds both k - counts and
-    the last table's row count.
+    the last table's size; counts may be ints or floats.
     """
     c = counts.shape[-1]
     k = graph.nodes[gemm].weight_bits.size // c
     rows = (k + 1) << sum(graph.nodes[i].kind == "add" for i in chain)
-    code = np.subtract(k, counts, dtype=np.min_scalar_type(max(rows - 1, 2 * k)), casting="unsafe")
+    code = np.subtract(k, counts, out=np.empty(counts.shape, np.min_scalar_type(max(rows * c - 1, 2 * k))),
+                       casting="unsafe")
     code >>= 1
     table = np.repeat(k - 2.0 * np.arange(k + 1), c).reshape(k + 1, c)
     stages, prev = {}, gemm
@@ -460,37 +492,61 @@ def _tabulate(graph, gemm, chain, counts, acts, config, want_cache):
         table, cache = _forward_node(graph, idx, node, ins, config, want_cache)
         stages[idx] = (table, cache)
         prev = idx
-    return stages, _Rows(code, rows)
+
+    def full(a):  # a (rows, C) table of fewer rows, expanded
+        short = isinstance(a, np.ndarray) and a.ndim == 2 and len(a) < rows
+        return np.repeat(a, rows // len(a), axis=0) if short else a
+
+    code *= c
+    code += np.arange(c, dtype=code.dtype)
+    return ({i: (full(t), tuple(map(full, cached)) if isinstance(cached, tuple) else full(cached))
+             for i, (t, cached) in stages.items()}, _Rows(code))
+
+
+class _Rows:
+    """Each element's flat index, row * C + channel, into the (rows, C)
+    tables of one chain, read per block of whole samples of about
+    GATHER_ROWS positions, so no intp index of the whole output is built."""
+
+    def __init__(self, index: np.ndarray):
+        self.index = index
+        self.blocks = [s for s, _ in _blocks(len(index), math.prod(index.shape[1:-1]), GATHER_ROWS)]
+
+    @property
+    def shape(self) -> tuple:
+        return self.index.shape
+
+    def read(self, samples: slice, *tables) -> list[np.ndarray]:
+        """Each table's value at each element of samples, through one intp index that every table shares."""
+        flat = self.index[samples].astype(np.intp)
+        return [np.take(t, flat, mode="clip") for t in tables]  # "raise" copies through a buffer
+
+    def gather(self, table):
+        """The table's value, or packed sign, at every element."""
+        src = table.unpack01() if isinstance(table, BitTensor) else table
+        out = np.empty(self.shape, src.dtype)
+        for s in self.blocks:
+            out[s] = self.read(s, src)[0]
+        return bitpack.from01(out) if isinstance(table, BitTensor) else out
 
 
 @dataclass(frozen=True)
-class _Rows:
-    """Each element's row in the tables of one chain.  The chain's last
-    table has `rows` rows; a table from before s adds of a sign, 2**s times
-    shorter, is read at row >> s."""
+class _Pooled:
+    """A chain end that only global_avg_pool reads: its table, whose mean over each sample's positions
+    is read per block of whole samples, equal to the mean of the gathered output, which is never built."""
 
-    code: np.ndarray
-    rows: int
+    rows: _Rows
+    table: np.ndarray
 
-    def read(self, *tables):
-        """Each table's value, or packed sign, at each element, the tables all as long as the
-        first: a flat np.take per block of GATHER_ROWS positions from one index that every
-        table shares, so no index array of the whole output is built."""
-        shift = (self.rows // tables[0].shape[0]).bit_length() - 1
-        srcs = [t.unpack01() if isinstance(t, BitTensor) else t for t in tables]
-        c = srcs[0].shape[1]
-        outs = [np.empty(self.code.shape, dtype=src.dtype) for src in srcs]
-        codes, step = self.code.reshape(-1), GATHER_ROWS * c
-        if c not in _CHANNELS:  # made once per channel count: a fresh one per read faults its pages in
-            _CHANNELS[c] = np.tile(np.arange(c, dtype=np.intp), GATHER_ROWS)
-        channel = _CHANNELS[c]
-        for i in range(0, len(codes), step):
-            block = codes[i : i + step]
-            flat = np.multiply(block >> shift if shift else block, c, dtype=np.intp)
-            flat += channel[: len(block)]
-            for src, out in zip(srcs, outs):  # "raise" copies through a buffer
-                np.take(src, flat, out=out.reshape(-1)[i : i + step], mode="clip")
-        return [bitpack.from01(out) if isinstance(t, BitTensor) else out for t, out in zip(tables, outs)]
+    @property
+    def shape(self) -> tuple:
+        return self.rows.shape
+
+    def mean(self, axis: tuple) -> np.ndarray:
+        out = np.empty((self.shape[0], self.shape[-1]))
+        for s in self.rows.blocks:
+            out[s] = self.rows.read(s, self.table)[0].mean(axis=axis)
+        return out
 
 
 @dataclass(frozen=True)
@@ -522,9 +578,11 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     bits of the packed signs it adds: forward tabulates the chain once and
     gathers the chain's output, and each node's cache, from the tables.  The
     output of a node inside the chain is gathered from its own table only
-    when it is stop_level or collect asks for it.  collect[idx] gets node
-    idx's output before any later node runs; a binary GEMM's, before its
-    chain is tabulated.
+    when it is stop_level or collect reads it; a chain end that only
+    global_avg_pool reads is read as per-sample means (_Pooled).
+    collect[idx] gets node idx's output before any later node runs; a binary
+    GEMM's, before its chain is tabulated.  A collect target with a `reads`
+    set gets only the outputs of the nodes it names, a plain dict every one.
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
@@ -538,26 +596,36 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
             readers.setdefault(i, []).append(idx)
     cache: dict[int, object] = {}
     want_cache = mode == "train"
+    reads = getattr(collect, "reads", None)
     tabled: dict[int, tuple] = {}  # chain node -> (its table, its cache on the grid, _Rows, chain end)
     for idx in range(level + 1, len(graph.nodes)):
         node = graph.nodes[idx]
-        shown = collect is not None or idx == stop_level
+        collected = collect is not None and (reads is None or idx in reads)
+        shown = collected or idx == stop_level
         chain = None
         if idx in tabled:
             table, c, rows, last = tabled.pop(idx)
-            y = rows.read(table)[0] if shown or idx == last else None
+            pooled = idx == last and not shown and readers.get(idx) and all(
+                graph.nodes[r].kind == "global_avg_pool" for r in readers[idx])
+            y = _Pooled(rows, as_float(table)) if pooled else rows.gather(table) if shown or idx == last else None
             if c is not None:
                 c = _OnGrid(rows, c)
         else:
             packed = KINDS[node.kind].weight_bits
-            ins = [acts[i] if packed else as_float(acts[i]) for i in node.inputs]
+            ins = [acts[i] if packed or isinstance(acts[i], _Pooled) else as_float(acts[i]) for i in node.inputs]
             y, c = _forward_node(graph, idx, node, ins, config, want_cache)
-            if packed:  # the exact counts: tabulated, or read as floats
+            if packed:  # the exact counts: tabulated, or read as floats, which the tables take in place of the ints
                 chain = _chain(graph, idx, readers, acts, y.shape)
+                if shown or not chain:
+                    y = y.astype(np.float64)
                 counts = y if chain else None
-                y = y.astype(np.float64) if shown or not chain else None
-        if collect is not None:  # before the chain's tables read what collect may set (initialize_bn_stats)
+                y = y if shown or not chain else None
+        if collected:  # before the chain's tables read what collect may set (initialize_bn_stats)
             collect[idx] = y
+        if want_cache and c is not None:
+            cache[idx] = c
+        if idx == stop_level:
+            return y, cache
         if chain:
             stages, rows = _tabulate(graph, idx, chain, counts, acts, config, want_cache)
             tabled.update({i: (*stages[i], rows, chain[-1]) for i in chain})
@@ -566,10 +634,6 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
             if readers[i][-1] == idx:
                 del acts[i]
         acts[idx] = y
-        if want_cache and c is not None:
-            cache[idx] = c
-        if stop_level is not None and idx == stop_level:
-            return y, cache
     return acts[graph.output_id], cache
 
 
@@ -583,30 +647,114 @@ def _node_backward_bits(node: LayerNode, config: BitwidthConfig) -> int | None:
     return config.q_b_bin if KINDS[node.kind].binary and config.q_b_bin != 1 else config.q_b_nonbin
 
 
-def _backward_node(graph, idx, node, pair, cache_entry, config, need_input_grad):
-    """Returns (input grads aligned with node.inputs, param grads) from the (values, scale) pair of the
-    node's output gradient.  A per-channel kind derives what it multiplies by from its cache and reads
-    only that at each element: on a chain, from its _OnGrid's (rows, C) tables through the chain's _Rows."""
+def _per_channel_backward(node, pair, entry, need_input_grad, snap):
+    """([input gradient], parameter gradients) of a prelu, batchnorm or sign node from its output gradient's
+    (codes, scale) pair, over blocks of whole samples of about GATHER_ROWS positions.
+
+    At each element a block reads only what the node multiplies by: on a chain, from its _OnGrid's (rows, C)
+    tables, through one flat index per block that all of them share.  A parameter gradient is summed block by
+    block, each block's running sum folded into the next block's first position, so it keeps the order of
+    numpy's sum over the whole array; one channel is one block, as numpy sums one contiguous column pairwise.
+    With snap bits the input gradient is written as codes, and no float array of it is built: a first pass
+    finds its max-abs and a second writes its codes, but a batchnorm's max-abs follows from the per-channel
+    maxima of the codes it reads, so its codes are written in its one pass; without, it is written as float
+    values.
+    """
+    codes, scale = pair
+    p, shape = node.params, codes.shape
+    want = need_input_grad[0]
+    cache = entry.cache if isinstance(entry, _OnGrid) else entry
+    # product(g, tables, out) is the input gradient; derive(cache) gives its tables first, then the ones
+    # that terms, the parts of each parameter gradient's sum, read
+    if node.kind == "prelu":
+        source, k = cache, 1
+        product = lambda g, t, out: np.multiply(t[0], g, out=t[0] if out is None else out)  # noqa: E731
+        derive = lambda x: [np.where(x >= 0, 1.0, p["alpha"]), *([x * (x < 0)] if node.trainable else [])]  # noqa: E731
+        terms = {"alpha": lambda g, t: np.multiply(t[1], g, out=t[1])}
+    elif node.kind == "batchnorm":
+        (source, inv_std), k = cache, 0
+
+        def product(g, t, out):
+            y = np.multiply(g, p["gamma"], out=out)
+            return np.multiply(y, inv_std, out=y)
+        derive = lambda x: [x] if node.trainable else []  # noqa: E731
+        terms = {"gamma": lambda g, t: g * t[0], "beta": lambda g, t: g}
+    else:  # ste_backward
+        source, k = cache, 1
+        product = lambda g, t, out: np.multiply(g, t[0], out=out)  # noqa: E731
+        derive = lambda x: [np.abs(x) <= node.attrs.get("clip", 1.0)]  # noqa: E731
+        terms = {}
+    terms = terms if node.trainable else {}
+    if isinstance(entry, _OnGrid):
+        tables = derive(source)
+        take = lambda s, n: entry.rows.read(s, *tables[:n])  # noqa: E731
+    else:
+        take = lambda s, n: derive(source[s])[:n]  # noqa: E731
+    blocks = [s for s, _ in _blocks(shape[0], math.prod(shape[1:-1]), GATHER_ROWS)] if shape[-1] > 1 else [slice(None)]
+
+    def sweep(fn, n):  # fn(samples, g, tables) per block, on a fresh C-ordered g of values
+        for s in blocks:
+            g = np.multiply(codes[s], scale, order="C") if scale is not None else np.array(codes[s], order="C")
+            fn(s, g, take(s, n))
+
+    def grid(m):  # where the input gradient goes: (array, scale, whether blocks write it)
+        scale = _grid_scale(m, snap) if m else None
+        if m and scale is None:  # zeros, where the scale would be subnormal
+            return np.zeros(shape), None, False
+        return np.empty(shape, _code_type(snap) if scale else np.float64), scale, True
+
+    sums, m = dict.fromkeys(terms), 0.0
+    gin, out_scale, writes = (np.empty(shape), None, True) if want and snap is None else (None, None, False)
+    if want and snap is not None and node.kind == "batchnorm":  # its grid is known before any pass
+        top = np.abs(_held(codes)).max(axis=tuple(range(len(shape) - 1)), initial=0)
+        gin, out_scale, writes = grid(_absmax(product(top if scale is None else top * scale, None, None)))
+
+    def write(s, g, t, out):  # a block's input gradient into gin: its codes, or its values
+        y = product(g, t, gin[s] if out_scale is None else out)
+        if out_scale is not None:
+            np.rint(np.divide(y, out_scale, out=y), out=gin[s], casting="unsafe")
+
+    def first(s, g, t):  # the parameter-gradient sums, and the input gradient or its max-abs
+        nonlocal m
+        if writes:
+            write(s, g, t, None)
+        elif want and gin is None:
+            m = max(m, _absmax(product(g, t, None)))
+        for (name, acc), part in zip(sums.items(), [f(g, t) for f in terms.values()]):
+            if acc is not None:
+                part[(0,) * (part.ndim - 1)] += acc
+            sums[name] = part.sum(axis=tuple(range(part.ndim - 1)))
+
+    if sums or writes or (want and gin is None):
+        sweep(first, len(terms) + k)
+    if want and gin is None:  # the second pass, on the grid the first one found
+        gin, out_scale, writes = grid(m)
+        if writes:
+            sweep(lambda s, g, t: write(s, g, t, g), k)
+    return [gin if snap is None or not want else (gin, out_scale)], sums
+
+
+def _backward_node(graph, idx, node, pair, cache_entry, config, need_input_grad, snap=None):
+    """Returns (input grads aligned with node.inputs, param grads) from the (codes, scale) pair of the node's
+    output gradient.  An input gradient is None where it is not needed, a (codes, scale) pair where the node
+    hands one on or snapped it itself, and otherwise float values for backward to snap.  A per-channel kind
+    snaps its input gradient at snap bits when given (_per_channel_backward)."""
     pgrads = {}
     gins = [None] * len(node.inputs)
-    g, scale = pair
-    read = lambda *tables: tables  # noqa: E731  off a chain, the cache holds every element
-    if isinstance(cache_entry, _OnGrid):
-        read, cache_entry = cache_entry.rows.read, cache_entry.cache
+    codes, scale = pair
 
+    if node.kind in ("prelu", "batchnorm", "binarize"):
+        return _per_channel_backward(node, pair, cache_entry, need_input_grad, snap)
     if node.kind in GEMM_KINDS:
         binary = KINDS[node.kind].weight_bits
         in_shape, operand = cache_entry
         spec, shape4, out_shape = _gemm_shapes(idx, node, in_shape)
-        gmat = g.reshape(-1, spec.out_channels)
+        gmat = codes.reshape(-1, spec.out_channels)
         w = node.weight_bits if binary else node.params["w"]
+        if not binary:
+            gmat = _values(gmat, scale)
         if node.trainable and not (binary and config.q_b_bin == 1):  # 1 bit freezes weight bits
-            codes = gmat
-            if binary and scale is not None:  # the codes: below 2**31 g / scale is within 2**-21 of each
-                wide = max(-float(gmat.min()), float(gmat.max())) > scale * 2 ** (bitpack.CODE_BITS - 1)  # see rows_t
-                codes = np.divide(gmat, scale, out=np.empty(gmat.shape, np.float64 if wide else np.float32))
-                np.rint(codes, out=codes)
-            gw = bitpack.rows_t(operand, spec, codes, scale) if binary else operand.T @ gmat
+            gw = bitpack.rows_t(operand, spec, gmat, scale) if binary else operand.T @ gmat
             pgrads["latent" if binary else "w"] = gw.reshape(w.shape)
             if not binary:
                 pgrads["b"] = gmat.sum(axis=0)
@@ -616,42 +764,22 @@ def _backward_node(graph, idx, node, pair, cache_entry, config, need_input_grad)
             narrow = wt.shape[1] <= wt.shape[0]  # then the whole patch gradient takes no more memory than gmat
             blocks = [(slice(None), slice(None))] if narrow else _blocks(len(gin), math.prod(out_shape[1:-1]))
             for samples, rows in blocks:
-                gin[samples] = bitpack.col2im(gmat[rows] @ wt, spec, gin[samples].shape)
+                part = gmat[rows] if not binary or scale is None else np.multiply(gmat[rows], scale)
+                gin[samples] = bitpack.col2im(part @ wt, spec, gin[samples].shape)
             gins[0] = gin.reshape(in_shape)
-    elif node.kind == "binarize":
-        if need_input_grad[0]:
-            gins[0] = g * read(np.abs(cache_entry) <= node.attrs.get("clip", 1.0))[0]  # ste_backward
-    elif node.kind == "batchnorm":
-        x_hat, inv_std = cache_entry
-        if node.trainable:  # g.copy(): numpy sums a broadcast g in another order than its copy
-            axes = tuple(range(g.ndim - 1))
-            pgrads["gamma"] = np.sum(g * read(x_hat)[0], axis=axes)
-            pgrads["beta"] = np.sum(g.copy() if 0 in g.strides else g, axis=axes)
-        if need_input_grad[0]:
-            gins[0] = np.multiply(g, node.params["gamma"])
-            gins[0] *= inv_std
     elif node.kind == "add":
         for slot in range(2):
             if need_input_grad[slot]:
-                gins[slot] = g
+                gins[slot] = pair
     elif node.kind == "concat":
-        widths = cache_entry
-        offs = np.cumsum([0] + widths)
-        for slot in range(len(widths)):
+        offs = np.cumsum([0] + cache_entry)
+        for slot in range(len(cache_entry)):
             if need_input_grad[slot]:
-                gins[slot] = g[..., offs[slot] : offs[slot + 1]]
-    elif node.kind == "prelu":
-        x = cache_entry  # the slope and, when trained, x where x < 0: read at one index
-        slope, *neg = read(np.where(x >= 0, 1.0, node.params["alpha"]),
-                           *([x * (x < 0)] if node.trainable else []))
-        if node.trainable:
-            pgrads["alpha"] = np.sum(np.multiply(neg[0], g, out=neg[0]), axis=tuple(range(g.ndim - 1)))
-        if need_input_grad[0]:
-            gins[0] = np.multiply(slope, g, out=slope)
+                gins[slot] = (codes[..., offs[slot] : offs[slot + 1]], scale)
     elif node.kind == "global_avg_pool":
         n, h, wd, c = cache_entry
         if need_input_grad[0]:  # a read-only view of the n * c values
-            gins[0] = np.broadcast_to(g[:, None, None, :] / (h * wd), (n, h, wd, c))
+            gins[0] = np.broadcast_to(_values(codes, scale)[:, None, None, :] / (h * wd), (n, h, wd, c))
     else:  # pragma: no cover
         raise GraphError(f"node {idx}: unhandled kind {node.kind}")
     return gins, pgrads
@@ -664,10 +792,11 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
     Returns {node_id: {param_name: grad}} for trainable layers, each snapped by
     fake_quant at its layer's backward bitwidth; with return_act_grads, also the
     values of each input gradient reached.  Every gradient travels as one
-    grad_codes (values, scale) pair, snapped once where it is made, at its
-    maker's bitwidth: an add or a concat hands on its pair or a slice of it,
-    other nodes' fresh input gradients are snapped in their own memory, and two
-    readers' gradients are summed afresh and snapped once.
+    grad_codes (codes, scale) pair, snapped once where it is made, at its
+    maker's bitwidth: an add or a concat hands on its pair or a slice of it, a
+    per-channel node snaps the input gradient it alone makes, other nodes'
+    input gradients are snapped here, and two readers' gradients are summed
+    afresh and snapped once.
     """
     floor = from_level if from_level is not None else -1
     out_id = graph.output_id
@@ -675,23 +804,25 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
     param_grads: dict[int, dict] = {}
     for idx in range(out_id, floor, -1):
         node = graph.nodes[idx]
-        g = grads.pop(idx, None)
-        if g is None:
+        pair = grads.pop(idx, None)
+        if pair is None:
             continue
         entry = cache.get(idx)
         if entry is None and node.kind != "add":
             raise GraphError(f"node {idx} ({node.name}): missing cache entry for backward")
         need = [(i > floor and i != -1) or return_act_grads for i in node.inputs]
-        gins, pgrads = _backward_node(graph, idx, node, g, entry, config, need)
         bits = _node_backward_bits(node, config)
+        alone = node.inputs[0] not in grads  # a per-channel node's one input holds no other gradient yet
+        gins, pgrads = _backward_node(graph, idx, node, pair, entry, config, need, bits if alone else None)
         if pgrads:
             param_grads[idx] = {k: fake_quant(v, bits) for k, v in pgrads.items()}
         for src, gin in zip(node.inputs, gins):
             if gin is not None and src in grads:  # a second reader: the sum is made afresh
-                grads[src] = grad_codes(np.add(grads[src][0], gin), bits, in_place=True)
-            elif gin is not None:  # an add's or a concat's gin is g's values, or a slice of them
-                grads[src] = (gin, g[1]) if node.kind in ("add", "concat") else grad_codes(gin, bits, in_place=True)
-    return (param_grads, {i: values for i, (values, _) in grads.items()}) if return_act_grads else param_grads
+                grads[src] = grad_codes(np.add(_values(*grads[src]), _values(*gin) if isinstance(gin, tuple) else gin),
+                                        bits)
+            elif gin is not None:
+                grads[src] = gin if isinstance(gin, tuple) else grad_codes(gin, bits)
+    return (param_grads, {i: _values(*pair) for i, pair in grads.items()}) if return_act_grads else param_grads
 
 
 # ---------------------------------------------------------------------------

@@ -169,13 +169,14 @@ def build_reference_model(input_shape=(12, 12, 1), channels: int = 32, seed: int
 class _Statistics:
     """A forward collect= target that sets the running statistics of each
     batchnorm from its input, which forward hands over before the batchnorm
-    runs, and holds no activation."""
+    runs, and holds no activation.  It reads the batchnorms' inputs only."""
 
     def __init__(self, g: Graph):
         self.readers: dict[int, list] = {}
         for node in g.nodes:
             if node.kind == "batchnorm":
                 self.readers.setdefault(node.inputs[0], []).append(node)
+        self.reads = set(self.readers)
 
     def __setitem__(self, idx, y):
         if idx in self.readers:
@@ -189,29 +190,31 @@ class _Statistics:
 
 def initialize_bn_stats(g: Graph, xs: np.ndarray) -> None:
     """Set each batchnorm's frozen running statistics from its input, in one
-    float pass on the reference model.  A batchnorm that reads another
-    per-channel node may sit deep in a binary GEMM's chain, whose tables are
-    built when the GEMM runs, before forward reaches its input: each such
-    batchnorm takes one more pass, which builds its table on the statistics
-    that the pass before set."""
+    float pass on the reference model, which stops at the last batchnorm's
+    input.  A batchnorm that reads another per-channel node may sit deep in a
+    binary GEMM's chain, whose tables are built when the GEMM runs, before
+    forward reaches its input: each such batchnorm takes one more pass, which
+    builds its table on the statistics that the pass before set."""
     stats = _Statistics(g)
     stats[-1] = xs
     inside = {i for i, n in enumerate(g.nodes) if G.KINDS[n.kind].per_channel and n.kind != "binarize"}
-    for _ in range(1 + sum(n.kind == "batchnorm" and n.inputs[0] in inside for n in g.nodes)):
-        forward(g, xs, BitwidthConfig.floating(), mode="infer", collect=stats)
+    last = max(stats.reads, default=-1)  # at -1 every batchnorm reads the input, whose statistics are set
+    passes = 1 + sum(n.kind == "batchnorm" and n.inputs[0] in inside for n in g.nodes) if last >= 0 else 0
+    for _ in range(passes):
+        forward(g, xs, BitwidthConfig.floating(), mode="infer", stop_level=last, collect=stats)
 
 
 class _Ranges(dict):
     """A forward collect= target that keeps the range of each grid node's
-    output, not the output, so a calibration pass holds no extra activation."""
+    output, not the output, so a calibration pass holds no extra activation.
+    It reads the grid nodes only."""
 
     def __init__(self, grid):
         super().__init__()
-        self.grid = set(grid)
+        self.reads = set(grid)
 
     def __setitem__(self, idx, y):
-        if idx in self.grid:
-            super().__setitem__(idx, calibrate_range([G.as_float(y)]))
+        super().__setitem__(idx, calibrate_range([G.as_float(y)]))
 
 
 def calibrate_activations(g: Graph, xs: np.ndarray, q_f: int | None) -> None:

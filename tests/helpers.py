@@ -72,7 +72,7 @@ def materialized(entry):
         return entry
 
     def read(a):  # a per-channel array stays as it is
-        return entry.rows.read(a)[0] if isinstance(a, np.ndarray) and a.ndim == 2 else a
+        return entry.rows.gather(a) if isinstance(a, np.ndarray) and a.ndim == 2 else a
 
     return tuple(map(read, entry.cache)) if isinstance(entry.cache, tuple) else read(entry.cache)
 

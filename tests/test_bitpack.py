@@ -256,6 +256,19 @@ class TestBinConv2d:
         assert np.array_equal(pm1, 2.0 * want.reshape(len(rows), -1)[:, : 9 * width]
                               .reshape(len(rows), 9, width)[:, :, :channels].reshape(len(rows), -1) - 1)
 
+    @pytest.mark.parametrize("channels", [5, 8, 32, 40])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv_rows_are_the_words_of_the_packed_channel_bytes(self, channels, stride, padding, rng):
+        # with C % 8 == 0 the bytes are read from x's words, and the rows are
+        # built at whole-word width; any C gives the words of the packbits path
+        x = from01(rng.integers(0, 2, size=(3, 7, 6, channels)))
+        spec = BinConvSpec(3, 3, stride, padding, channels, 2)
+        want = bitpack._words(patches(np.packbits(x.unpack01(), axis=-1, bitorder="little"), spec))
+        got = conv_rows(x, spec)
+        assert got.dtype == want.dtype == np.uint64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("channels", [1, 5, 8, 9, 63, 64, 65])
     def test_channel_widths_match_the_loop_oracle(self, channels, rng):
         x = rng.choice([-1, 1], size=(2, 4, 3, channels))
@@ -269,8 +282,8 @@ class TestBinConv2d:
             spec.out_hw(4, 4)
 
 
-# every width a gradient can be quantized to: codes of up to CODE_BITS bits
-# reach rows_t as float32, wider ones as float64
+# every width a gradient can be quantized to: integer codes of up to
+# CODE_BITS bits are multiplied as float32, wider ones as float64
 CODE_WIDTHS = sorted({b for widths in BITWIDTHS.values() for b in widths})
 
 
@@ -304,6 +317,9 @@ class TestRowsTimesCodes:
         got = rows_t(rows, spec, codes.astype(dtype), self.SCALE)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+        # as a gradient hands them on: in the narrowest integer type for bits
+        narrow = codes.astype(np.min_scalar_type(-(2 ** (bits - 1))))
+        assert rows_t(rows, spec, narrow, self.SCALE).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("count", [1, 511, 512, 513, 11520])
     @pytest.mark.parametrize("channels", [1, 5, 64, 65])

@@ -1,11 +1,13 @@
 """Continual-learning protocol: NC stream, freezing, minibatch rules, determinism."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from binreplay import bitpack, cwr, datasets, learner, replay
+from binreplay import graph as G
 from binreplay.graph import (BINARY_KINDS, BitwidthConfig, Graph, as_float, check_node, f32_precision, forward,
                              infer_shapes, latent_grid_scale)
 from binreplay.learner import (
@@ -177,6 +179,29 @@ class TestReferenceModel:
         monkeypatch.setattr(bitpack, "bin_conv2d", lambda *a: calls.append(1) or run(*a))
         learner.initialize_bn_stats(build_reference_model((12, 12, 1), channels=32, seed=1), xs)
         assert len(calls) == 3
+
+    def test_bn_stats_read_only_the_chain_ends_that_feed_a_gemm(self, monkeypatch):
+        # experience 0 of nc-protocol's data (synth seed 7, protocol seed 1):
+        # the pass stops at block3_conv, the last batchnorm's input, and gathers
+        # only the two signs that block2_conv and block3_conv read.  It used to
+        # gather the five other chain nodes' 5.9 MB outputs too, and peaked at
+        # 16.92 MB; the statistics keep their bytes (BENCH_24.json)
+        xs, ys = datasets.make_synthetic(10, 100, (12, 12, 1), seed=7)
+        (tx, ty), _ = datasets.stratified_split(xs, ys, seed=7)
+        exp0 = learner.build_nc_experiences(tx, ty, 5, 1)[0]
+        g = build_reference_model((12, 12, 1), channels=32, seed=1)
+        gathered, gather = [], G._Rows.gather
+        monkeypatch.setattr(G._Rows, "gather", lambda rows, table: gathered.append(table) or gather(rows, table))
+        tracemalloc.start()
+        try:
+            learner.initialize_bn_stats(g, exp0.inputs[: learner.STATS_ROWS])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(gathered) == 2 and all(isinstance(t, bitpack.BitTensor) for t in gathered)
+        assert peak <= 14.0e6
+        stats = hashlib.sha256(b"".join(self._stats(g))).hexdigest()
+        assert stats == "c3789c2ce484333fe6f9e4fed5fffb1a2fc8b3b63b4cc474398bdecc90769f69"
 
     def test_bn_stats_deep_in_a_chain(self, rng):
         # the first batchnorm reads a prelu inside a binary GEMM's chain, so its

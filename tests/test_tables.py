@@ -144,15 +144,35 @@ def chains(draw):
     )
 
 
+def one_sample_blocks(check):
+    """check run with every chain block one sample long, so that a 3-sample
+    batch crosses block edges in every read, running sum and code."""
+    def run(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(G, "GATHER_ROWS", 1)
+            check(*args, **kwargs)
+    return run
+
+
+def random_chain_against_node_by_node(bits, case):
+    rng = np.random.default_rng(case["seed"])
+    g = chain_graph(rng, **{k: v for k, v in case.items() if k != "seed"})
+    x = rng.normal(size=(3, *g.input_shape))
+    check_against_node_by_node(g, x, GATE_BITS[bits], rng)
+
+
 class TestTablesMatchNodeByNode:
     @pytest.mark.parametrize("bits", sorted(GATE_BITS))
     @given(case=chains())
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_random_chain(self, bits, case):
-        rng = np.random.default_rng(case.pop("seed"))
-        g = chain_graph(rng, **case)
-        x = rng.normal(size=(3, *g.input_shape))
-        check_against_node_by_node(g, x, GATE_BITS[bits], rng)
+        random_chain_against_node_by_node(bits, case)
+
+    @pytest.mark.parametrize("bits", sorted(GATE_BITS))
+    @given(case=chains())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_random_chain_in_one_sample_blocks(self, bits, case):
+        one_sample_blocks(random_chain_against_node_by_node)(bits, case)
 
     @pytest.mark.parametrize("c", [128, 200, 255])
     def test_rows_of_counts_that_span_more_than_their_row_count(self, c, rng):
@@ -164,17 +184,24 @@ class TestTablesMatchNodeByNode:
         check_against_node_by_node(g, x, GATE_BITS["8/16/4"], rng)
 
 
+def _copied(gin):
+    """An input gradient as _backward_node returns it, copied: None, float values or a (codes, scale) pair."""
+    if isinstance(gin, tuple):
+        return gin[0].copy(), gin[1]
+    return None if gin is None else gin.copy()
+
+
 def _record_backward_nodes(monkeypatch):
     """Each _backward_node call as (node id, node, the values of its g's pair,
-    its cache entry, its input gradients, its parameter gradients), copied
-    before backward snaps them."""
+    its cache entry, its input gradients, its parameter gradients, the bits it
+    may snap its input gradient at), copied before backward snaps them."""
     seen = []
     run = G._backward_node
 
-    def spy(graph, idx, node, g, entry, *args):
-        gins, pgrads = run(graph, idx, node, g, entry, *args)
-        seen.append((idx, node, g[0], entry, [None if a is None else a.copy() for a in gins],
-                     {k: v.copy() for k, v in pgrads.items()}))
+    def spy(graph, idx, node, g, entry, config, need, snap=None):
+        gins, pgrads = run(graph, idx, node, g, entry, config, need, snap)
+        seen.append((idx, node, G._values(*g), entry, [_copied(a) for a in gins],
+                     {k: v.copy() for k, v in pgrads.items()}, snap))
         return gins, pgrads
 
     monkeypatch.setattr(G, "_backward_node", spy)
@@ -183,12 +210,15 @@ def _record_backward_nodes(monkeypatch):
 
 def check_per_channel_against_textbook(seen):
     """Every prelu, batchnorm and binarize call in seen against
-    textbook_backward on its materialized cache; returns how many."""
+    textbook_backward on its materialized cache, an input gradient that the
+    node snapped against grad_codes of the formula; returns how many."""
     checked = 0
-    for idx, node, g, entry, gins, pgrads in seen:
+    for idx, node, g, entry, gins, pgrads, snap in seen:
         if node.kind not in ("prelu", "batchnorm", "binarize"):
             continue
         want_in, want_p = textbook_backward(node, g, materialized(entry))
+        if isinstance(gins[0], tuple):
+            want_in = G.grad_codes(want_in, snap)
         assert_same_bytes(gins[0], want_in, f"input gradient of node {idx} ({node.kind})")
         assert sorted(pgrads) == (sorted(want_p) if node.trainable else [])
         for name, v in pgrads.items():
@@ -208,10 +238,20 @@ class TestPerChannelBackwardIsTheTextbookFormula:
     @given(case=chains())
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_random_chain(self, bits, case):
+        self._random_chain(bits, case)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @given(case=chains())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_random_chain_in_one_sample_blocks(self, bits, case):
+        one_sample_blocks(self._random_chain)(bits, case)
+
+    @staticmethod
+    def _random_chain(bits, case):
         # float forward keeps -0.0 in the tables; alpha draws 0, and the
         # batchnorm parameters signed zeros
-        rng = np.random.default_rng(case.pop("seed"))
-        g = chain_graph(rng, **case)
+        rng = np.random.default_rng(case["seed"])
+        g = chain_graph(rng, **{k: v for k, v in case.items() if k != "seed"})
         cfg = BitwidthConfig(q_f=None, q_b_nonbin=bits, q_b_bin=bits)
         out, cache = forward(g, rng.normal(size=(3, *g.input_shape)), cfg, mode="train")
         direction = rng.normal(size=G.as_float(out).shape)
@@ -245,7 +285,7 @@ class TestPerChannelBackwardIsTheTextbookFormula:
         direction = rng.normal(size=out.shape) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
         seen = _record_backward_nodes(monkeypatch)
         backward(g, cache, direction, cfg, return_act_grads=True)
-        (got,) = [s[2] for s in seen if s[0] == 0]
+        (got,) = [s[2] for s in seen if s[0] == 0]  # the values of node 0's pair
         pooled = np.broadcast_to(G.fake_quant(direction, bits)[:, None, None, :] / (h * w), shape).copy()
         assert_same_bytes(got, G.fake_quant(pooled, bits), "pooled gradient")
         assert got.strides[1:3] == (0, 0) and not got.flags.writeable  # still the n * c values
@@ -343,9 +383,12 @@ def _arrays(obj):
             yield from _arrays(getattr(obj, f.name))
 
 
-def test_experience_step_caches_no_float_activation_above_block3_conv():
+def test_experience_step_caches_no_float_activation_above_block3_conv(monkeypatch):
     # the 80-row 8/16/4 step: x_hat and head_act's input, 2.95 MB each, were
-    # most of a 6.4 MB cache
+    # most of a 6.4 MB cache; and features pools head_act's table per block,
+    # so no chain node's output is gathered
+    gathered, gather = [], G._Rows.gather
+    monkeypatch.setattr(G._Rows, "gather", lambda rows, table: gathered.append(table) or gather(rows, table))
     rng = np.random.default_rng(0)
     cfg = ContinualConfig()
     g = build_reference_model((12, 12, 1), channels=32, seed=0)
@@ -354,7 +397,9 @@ def test_experience_step_caches_no_float_activation_above_block3_conv():
     calibrate_activations(g, xs, cfg.bitwidth.q_f)
     freeze_backbone(g, cfg)
     latents = bitpack.from01(rng.integers(0, 2, size=(cfg.b_n + cfg.b_r, 12, 12, 32)))
+    gathered.clear()
     out, cache = forward(g, latents, cfg.bitwidth, mode="train", from_level=g.replay_level)
+    assert gathered == []
     conv = next(i for i, n in enumerate(g.nodes) if n.name == "block3_conv")
     activation = latents.size
     for idx, entry in cache.items():

@@ -1,0 +1,124 @@
+"""Time and size the reference deployment step of two source trees.
+
+Usage: python3 tools/step80.py OLD_SRC NEW_SRC [--pairs N] [--steps N]
+
+OLD_SRC and NEW_SRC are `src` directories, each holding the binreplay
+package. The step is one training step of the reference model above the
+replay level: 80 packed replay-level rows of shape 12x12x32 (seed 0), its
+train-mode forward from the replay level and its `graph.backward`, with no
+parameter update, at each bitwidth of the bytes gate (tools/bytes_gate.py).
+Each pair runs one child per tree, alternating which tree goes first, with
+every BLAS and thread variable pinned to 1. A child times --steps steps per
+width and reports the median forward and backward ms, and the tracemalloc
+peak of one more backward. One line per width gives the median over the
+children of each tree; the last line is all of it as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+# name -> (q_f, q_b_nonbin, q_b_bin): the bitwidths of the bytes gate's configs
+WIDTHS = {
+    "8/16/4": (8, 16, 4),
+    "16/8/1": (16, 8, 1),
+    "float": (None, None, None),
+    "8/8/8": (8, 8, 8),
+    "32/32/32": (32, 32, 32),
+    "8/16/16": (8, 16, 16),
+}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "BINREPLAY_THREADS")
+
+
+def child(steps: int) -> dict:
+    """{width: {forward_ms, backward_ms, peak_bytes}} of the binreplay package on the path."""
+    import time
+    import tracemalloc
+
+    import numpy as np
+
+    from binreplay import bitpack
+    from binreplay.graph import BitwidthConfig, backward, forward
+    from binreplay.learner import (ContinualConfig, build_reference_model, calibrate_activations,
+                                   freeze_backbone, initialize_bn_stats)
+
+    out = {}
+    for name, bits in WIDTHS.items():
+        bw = BitwidthConfig(*bits)
+        rng = np.random.default_rng(0)
+        cfg = ContinualConfig(bitwidth=bw)
+        g = build_reference_model((12, 12, 1), channels=32, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(64, 12, 12, 1))
+        initialize_bn_stats(g, xs)
+        calibrate_activations(g, xs, bw.q_f)
+        freeze_backbone(g, cfg)
+        latents = bitpack.from01(rng.integers(0, 2, size=(cfg.b_n + cfg.b_r, 12, 12, 32)))
+        direction = None
+        fwd, bwd = [], []
+        for _ in range(steps + 1):
+            t0 = time.perf_counter()
+            y, cache = forward(g, latents, bw, mode="train", from_level=g.replay_level)
+            t1 = time.perf_counter()
+            if direction is None:
+                direction = rng.normal(size=y.shape)
+            backward(g, cache, direction, bw, from_level=g.replay_level)
+            t2 = time.perf_counter()
+            fwd.append(t1 - t0)
+            bwd.append(t2 - t1)
+        tracemalloc.start()
+        try:
+            backward(g, cache, direction, bw, from_level=g.replay_level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[name] = {"forward_ms": 1e3 * statistics.median(fwd[1:]),
+                     "backward_ms": 1e3 * statistics.median(bwd[1:]), "peak_bytes": peak}
+    return out
+
+
+def run_child(src: str, steps: int) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src), **dict.fromkeys(THREAD_VARS, "1")}
+    p = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", "--steps", str(steps)],
+                       env=env, capture_output=True, text=True)
+    if p.returncode:
+        sys.exit(f"step child from {src} exited {p.returncode}:\n{p.stderr}")
+    return json.loads(p.stdout)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", metavar="SRC")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--steps", type=int, default=30)
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.steps)))
+        return 0
+    if len(args.trees) != 2 or args.pairs < 1 or args.steps < 1:
+        parser.error("give OLD_SRC and NEW_SRC, and --pairs and --steps of at least 1")
+    runs: dict[str, list] = {"old": [], "new": []}
+    for i in range(args.pairs):
+        for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
+            runs[side].append(run_child(args.trees[side == "new"], args.steps))
+    result = {}
+    for name in WIDTHS:
+        row = {side: {key: statistics.median(r[name][key] for r in rs) for key in rs[0][name]}
+               for side, rs in runs.items()}
+        result[name] = {**row, "runs": {side: [r[name] for r in rs] for side, rs in runs.items()}}
+        old, new = row["old"], row["new"]
+        print(f"{name:<9} forward {old['forward_ms']:6.2f} -> {new['forward_ms']:6.2f} ms   "
+              f"backward {old['backward_ms']:6.2f} -> {new['backward_ms']:6.2f} ms   "
+              f"peak {old['peak_bytes'] / 1e6:5.2f} -> {new['peak_bytes'] / 1e6:5.2f} MB", flush=True)
+    print(json.dumps({"pairs": args.pairs, "steps": args.steps, "widths": result}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
