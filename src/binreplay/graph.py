@@ -255,6 +255,12 @@ def _grid(graph: Graph, src: int, bits: int) -> QuantParams:
     return p
 
 
+def _check_level(graph: Graph, name: str, level: int | None, lo: int = -1) -> None:
+    """Refuse a level that names no node from lo on (-1: the graph input); None names none."""
+    if level is not None and not lo <= level < len(graph.nodes):
+        raise GraphError(f"{name} {level} names no node in {lo}..{len(graph.nodes) - 1}")
+
+
 def _snap_activation(y: np.ndarray, p: QuantParams, out=None) -> np.ndarray:
     """dequantize(quantize(y, p)), byte for byte, without the integer tensor; into out, which may be y."""
     if np.isnan(y).any():
@@ -397,28 +403,23 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
         y = bitpack.binarize(x)
         cache = x
     elif node.kind == "batchnorm":
-        y, bn_cache = batchnorm_forward(
-            x, node.params["gamma"], node.params["beta"],
-            node.params["running_mean"], node.params["running_var"],
-            node.attrs.get("eps", 1e-5),
-        )
-        cache = bn_cache
+        p = node.params
+        y, cache = batchnorm_forward(x, p["gamma"], p["beta"], p["running_mean"], p["running_var"],
+                                     node.attrs.get("eps", 1e-5))
     elif node.kind == "add":
         a, b2 = ins
         if a.shape != b2.shape:
             raise GraphError(f"node {idx} ({node.name}): add shapes {a.shape} vs {b2.shape}")
         y = a + b2
     elif node.kind == "concat":
-        widths = [t.shape[-1] for t in ins]
-        y = np.concatenate(ins, axis=-1)
-        cache = widths
+        y, cache = np.concatenate(ins, axis=-1), [t.shape[-1] for t in ins]
     elif node.kind == "prelu":
         alpha = node.params["alpha"]
         if x.shape[-1] != alpha.shape[0]:
             raise GraphError(f"node {idx} ({node.name}): channel mismatch {x.shape[-1]} vs {alpha.shape[0]}")
         y = np.where(x >= 0, x, alpha * x)
         cache = x
-    elif node.kind == "global_avg_pool":  # x may be a chain end's _Pooled table
+    elif node.kind == "global_avg_pool":  # x may be a chain end's _Tabled output
         if len(x.shape) != 4:
             raise GraphError(f"node {idx} ({node.name}): expects NHWC input, got shape {x.shape}")
         y = x.mean(axis=(1, 2))
@@ -461,7 +462,8 @@ def _chain(graph: Graph, gemm: int, readers: dict, acts: dict, shape: tuple) -> 
 
 def _tabulate(graph, gemm, chain, counts, acts, config, want_cache):
     """Every chain node's own _forward_node run once on every value its input
-    can take; returns {node: (table, cache on the grid)} and _Rows.
+    can take; returns {node: (output, cache or None, whether it ends the
+    chain)}, each a _Tabled over the chain's one index.
 
     counts = k - 2 * diff, so row j holds count k - 2j.  An add of a packed
     sign doubles the rows, and the sign's bit becomes the lowest bit of each
@@ -493,69 +495,54 @@ def _tabulate(graph, gemm, chain, counts, acts, config, want_cache):
         stages[idx] = (table, cache)
         prev = idx
 
-    def full(a):  # a (rows, C) table of fewer rows, expanded
+    def full(a):  # a (rows, C) table of fewer rows, expanded; a tuple's tables each
+        if isinstance(a, tuple):
+            return tuple(map(full, a))
         short = isinstance(a, np.ndarray) and a.ndim == 2 and len(a) < rows
         return np.repeat(a, rows // len(a), axis=0) if short else a
 
     code *= c
     code += np.arange(c, dtype=code.dtype)
-    return ({i: (full(t), tuple(map(full, cached)) if isinstance(cached, tuple) else full(cached))
-             for i, (t, cached) in stages.items()}, _Rows(code))
+    return {i: (_Tabled(code, full(t)), None if cached is None else _Tabled(code, full(cached)), i == chain[-1])
+            for i, (t, cached) in stages.items()}
 
 
-class _Rows:
-    """Each element's flat index, row * C + channel, into the (rows, C)
-    tables of one chain, read per block of whole samples of about
-    GATHER_ROWS positions, so no intp index of the whole output is built."""
+@dataclass(frozen=True)
+class _Tabled:
+    """Values held as (rows, C) tables, read at each element through the chain's one flat index, row * C +
+    channel, per block of whole samples of about GATHER_ROWS positions, so no intp index of the whole output is
+    built.  As a chain node's output, table is its table, which forward gathers or global_avg_pool pools; as
+    its backward cache, table is what the node's code left on the grid."""
 
-    def __init__(self, index: np.ndarray):
-        self.index = index
-        self.blocks = [s for s, _ in _blocks(len(index), math.prod(index.shape[1:-1]), GATHER_ROWS)]
+    index: np.ndarray
+    table: object
 
     @property
     def shape(self) -> tuple:
         return self.index.shape
+
+    @property
+    def blocks(self) -> list[slice]:
+        return [s for s, _ in _blocks(len(self.index), math.prod(self.shape[1:-1]), GATHER_ROWS)]
 
     def read(self, samples: slice, *tables) -> list[np.ndarray]:
         """Each table's value at each element of samples, through one intp index that every table shares."""
         flat = self.index[samples].astype(np.intp)
         return [np.take(t, flat, mode="clip") for t in tables]  # "raise" copies through a buffer
 
-    def gather(self, table):
+    def gather(self):
         """The table's value, or packed sign, at every element."""
-        src = table.unpack01() if isinstance(table, BitTensor) else table
+        packed = isinstance(self.table, BitTensor)
+        src = self.table.unpack01() if packed else self.table
         out = np.empty(self.shape, src.dtype)
         for s in self.blocks:
             out[s] = self.read(s, src)[0]
-        return bitpack.from01(out) if isinstance(table, BitTensor) else out
-
-
-@dataclass(frozen=True)
-class _Pooled:
-    """A chain end that only global_avg_pool reads: its table, whose mean over each sample's positions
-    is read per block of whole samples, equal to the mean of the gathered output, which is never built."""
-
-    rows: _Rows
-    table: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return self.rows.shape
+        return bitpack.from01(out) if packed else out
 
     def mean(self, axis: tuple) -> np.ndarray:
-        out = np.empty((self.shape[0], self.shape[-1]))
-        for s in self.rows.blocks:
-            out[s] = self.rows.read(s, self.table)[0].mean(axis=axis)
-        return out
-
-
-@dataclass(frozen=True)
-class _OnGrid:
-    """A chain node's backward cache: the cache its code left on the table
-    grid, whose (rows, C) tables backward reads through rows."""
-
-    rows: _Rows
-    cache: object
+        """The mean over axis of each block's values, equal to the gathered output's, which is never built."""
+        table = as_float(self.table)
+        return np.concatenate([self.read(s, table)[0].mean(axis=axis) for s in self.blocks])
 
 
 def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
@@ -579,16 +566,18 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     gathers the chain's output, and each node's cache, from the tables.  The
     output of a node inside the chain is gathered from its own table only
     when it is stop_level or collect reads it; a chain end that only
-    global_avg_pool reads is read as per-sample means (_Pooled).
+    global_avg_pool reads is read as per-sample means (_Tabled.mean).
     collect[idx] gets node idx's output before any later node runs; a binary
     GEMM's, before its chain is tabulated.  A collect target with a `reads`
     set gets only the outputs of the nodes it names, a plain dict every one.
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
+    _check_level(graph, "from_level", from_level)
+    level = -1 if from_level is None else from_level
+    _check_level(graph, "stop_level", stop_level, level + 1)
     if from_level is None and config.q_f is not None:
         x = _snap_activation(as_float(x), _grid(graph, -1, config.q_f))
-    level = -1 if from_level is None else from_level
     acts: dict[int, object] = {level: x}
     readers: dict[int, list[int]] = {}
     for idx, node in enumerate(graph.nodes):
@@ -597,22 +586,20 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     cache: dict[int, object] = {}
     want_cache = mode == "train"
     reads = getattr(collect, "reads", None)
-    tabled: dict[int, tuple] = {}  # chain node -> (its table, its cache on the grid, _Rows, chain end)
+    tabled: dict[int, tuple] = {}  # chain node -> (its output, its cache or None, whether it ends the chain)
     for idx in range(level + 1, len(graph.nodes)):
         node = graph.nodes[idx]
         collected = collect is not None and (reads is None or idx in reads)
         shown = collected or idx == stop_level
         chain = None
         if idx in tabled:
-            table, c, rows, last = tabled.pop(idx)
-            pooled = idx == last and not shown and readers.get(idx) and all(
+            y, c, last = tabled.pop(idx)
+            pooled = last and not shown and readers.get(idx) and all(
                 graph.nodes[r].kind == "global_avg_pool" for r in readers[idx])
-            y = _Pooled(rows, as_float(table)) if pooled else rows.gather(table) if shown or idx == last else None
-            if c is not None:
-                c = _OnGrid(rows, c)
+            y = y if pooled else y.gather() if shown or last else None
         else:
             packed = KINDS[node.kind].weight_bits
-            ins = [acts[i] if packed or isinstance(acts[i], _Pooled) else as_float(acts[i]) for i in node.inputs]
+            ins = [acts[i] if packed or isinstance(acts[i], _Tabled) else as_float(acts[i]) for i in node.inputs]
             y, c = _forward_node(graph, idx, node, ins, config, want_cache)
             if packed:  # the exact counts: tabulated, or read as floats, which the tables take in place of the ints
                 chain = _chain(graph, idx, readers, acts, y.shape)
@@ -627,9 +614,8 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
         if idx == stop_level:
             return y, cache
         if chain:
-            stages, rows = _tabulate(graph, idx, chain, counts, acts, config, want_cache)
-            tabled.update({i: (*stages[i], rows, chain[-1]) for i in chain})
-            counts = stages = None  # freed: tabled holds what the chain reads
+            tabled.update(_tabulate(graph, idx, chain, counts, acts, config, want_cache))
+            counts = None  # freed: tabled holds what the chain reads
         for i in set(node.inputs):
             if readers[i][-1] == idx:
                 del acts[i]
@@ -651,10 +637,10 @@ def _per_channel_backward(node, pair, entry, need_input_grad, snap):
     """([input gradient], parameter gradients) of a prelu, batchnorm or sign node from its output gradient's
     (codes, scale) pair, over blocks of whole samples of about GATHER_ROWS positions.
 
-    At each element a block reads only what the node multiplies by: on a chain, from its _OnGrid's (rows, C)
-    tables, through one flat index per block that all of them share.  A parameter gradient is summed block by
-    block, each block's running sum folded into the next block's first position, so it keeps the order of
-    numpy's sum over the whole array; one channel is one block, as numpy sums one contiguous column pairwise.
+    At each element a block reads only what the node multiplies by: on a chain, from its _Tabled cache's
+    (rows, C) tables, through one flat index per block that all of them share.  A parameter gradient is summed
+    block by block, each block's running sum folded into the next block's first position, so it keeps the order
+    of numpy's sum over the whole array; one channel is one block, as numpy sums one contiguous column pairwise.
     With snap bits the input gradient is written as codes, and no float array of it is built: a first pass
     finds its max-abs and a second writes its codes, but a batchnorm's max-abs follows from the per-channel
     maxima of the codes it reads, so its codes are written in its one pass; without, it is written as float
@@ -663,16 +649,16 @@ def _per_channel_backward(node, pair, entry, need_input_grad, snap):
     codes, scale = pair
     p, shape = node.params, codes.shape
     want = need_input_grad[0]
-    cache = entry.cache if isinstance(entry, _OnGrid) else entry
-    # product(g, tables, out) is the input gradient; derive(cache) gives its tables first, then the ones
+    tabled = isinstance(entry, _Tabled)
+    source, k = entry.table if tabled else entry, 1
+    # product(g, tables, out) is the input gradient; derive(source) gives its tables first, then the ones
     # that terms, the parts of each parameter gradient's sum, read
     if node.kind == "prelu":
-        source, k = cache, 1
         product = lambda g, t, out: np.multiply(t[0], g, out=t[0] if out is None else out)  # noqa: E731
         derive = lambda x: [np.where(x >= 0, 1.0, p["alpha"]), *([x * (x < 0)] if node.trainable else [])]  # noqa: E731
         terms = {"alpha": lambda g, t: np.multiply(t[1], g, out=t[1])}
     elif node.kind == "batchnorm":
-        (source, inv_std), k = cache, 0
+        (source, inv_std), k = source, 0
 
         def product(g, t, out):
             y = np.multiply(g, p["gamma"], out=out)
@@ -680,14 +666,13 @@ def _per_channel_backward(node, pair, entry, need_input_grad, snap):
         derive = lambda x: [x] if node.trainable else []  # noqa: E731
         terms = {"gamma": lambda g, t: g * t[0], "beta": lambda g, t: g}
     else:  # ste_backward
-        source, k = cache, 1
         product = lambda g, t, out: np.multiply(g, t[0], out=out)  # noqa: E731
         derive = lambda x: [np.abs(x) <= node.attrs.get("clip", 1.0)]  # noqa: E731
         terms = {}
     terms = terms if node.trainable else {}
-    if isinstance(entry, _OnGrid):
+    if tabled:
         tables = derive(source)
-        take = lambda s, n: entry.rows.read(s, *tables[:n])  # noqa: E731
+        take = lambda s, n: entry.read(s, *tables[:n])  # noqa: E731
     else:
         take = lambda s, n: derive(source[s])[:n]  # noqa: E731
     blocks = [s for s, _ in _blocks(shape[0], math.prod(shape[1:-1]), GATHER_ROWS)] if shape[-1] > 1 else [slice(None)]
@@ -734,17 +719,14 @@ def _per_channel_backward(node, pair, entry, need_input_grad, snap):
     return [gin if snap is None or not want else (gin, out_scale)], sums
 
 
-def _backward_node(graph, idx, node, pair, cache_entry, config, need_input_grad, snap=None):
+def _backward_node(idx, node, pair, cache_entry, config, need_input_grad, snap=None):
     """Returns (input grads aligned with node.inputs, param grads) from the (codes, scale) pair of the node's
     output gradient.  An input gradient is None where it is not needed, a (codes, scale) pair where the node
     hands one on or snapped it itself, and otherwise float values for backward to snap.  A per-channel kind
     snaps its input gradient at snap bits when given (_per_channel_backward)."""
-    pgrads = {}
-    gins = [None] * len(node.inputs)
-    codes, scale = pair
-
     if node.kind in ("prelu", "batchnorm", "binarize"):
         return _per_channel_backward(node, pair, cache_entry, need_input_grad, snap)
+    pgrads, gins, (codes, scale) = {}, [None] * len(node.inputs), pair
     if node.kind in GEMM_KINDS:
         binary = KINDS[node.kind].weight_bits
         in_shape, operand = cache_entry
@@ -761,9 +743,7 @@ def _backward_node(graph, idx, node, pair, cache_entry, config, need_input_grad,
         if need_input_grad[0]:  # col2im of the patch gradient, built per block of whole samples
             wt = as_float(w).reshape(-1, spec.out_channels).T
             gin = np.empty(shape4)
-            narrow = wt.shape[1] <= wt.shape[0]  # then the whole patch gradient takes no more memory than gmat
-            blocks = [(slice(None), slice(None))] if narrow else _blocks(len(gin), math.prod(out_shape[1:-1]))
-            for samples, rows in blocks:
+            for samples, rows in _blocks(len(gin), math.prod(out_shape[1:-1])):
                 part = gmat[rows] if not binary or scale is None else np.multiply(gmat[rows], scale)
                 gin[samples] = bitpack.col2im(part @ wt, spec, gin[samples].shape)
             gins[0] = gin.reshape(in_shape)
@@ -798,6 +778,7 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
     input gradients are snapped here, and two readers' gradients are summed
     afresh and snapped once.
     """
+    _check_level(graph, "from_level", from_level)
     floor = from_level if from_level is not None else -1
     out_id = graph.output_id
     grads = {out_id: grad_codes(np.asarray(grad_at_head, dtype=np.float64), config.q_b_nonbin)}
@@ -813,7 +794,7 @@ def backward(graph: Graph, cache: dict, grad_at_head: np.ndarray, config: Bitwid
         need = [(i > floor and i != -1) or return_act_grads for i in node.inputs]
         bits = _node_backward_bits(node, config)
         alone = node.inputs[0] not in grads  # a per-channel node's one input holds no other gradient yet
-        gins, pgrads = _backward_node(graph, idx, node, pair, entry, config, need, bits if alone else None)
+        gins, pgrads = _backward_node(idx, node, pair, entry, config, need, bits if alone else None)
         if pgrads:
             param_grads[idx] = {k: fake_quant(v, bits) for k, v in pgrads.items()}
         for src, gin in zip(node.inputs, gins):

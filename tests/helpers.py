@@ -68,13 +68,13 @@ def assert_within_column_sums(got, want, g):
 def materialized(entry):
     """A train cache entry as a node-by-node forward leaves it: each (rows, C)
     table of a chain node's entry read at every element."""
-    if not isinstance(entry, G._OnGrid):
+    if not isinstance(entry, G._Tabled):
         return entry
 
     def read(a):  # a per-channel array stays as it is
-        return entry.rows.gather(a) if isinstance(a, np.ndarray) and a.ndim == 2 else a
+        return G._Tabled(entry.index, a).gather() if isinstance(a, np.ndarray) and a.ndim == 2 else a
 
-    return tuple(map(read, entry.cache)) if isinstance(entry.cache, tuple) else read(entry.cache)
+    return tuple(map(read, entry.table)) if isinstance(entry.table, tuple) else read(entry.table)
 
 
 def textbook_backward(node, g, cache):

@@ -586,9 +586,9 @@ class TestInPlaceSnaps:
         direction = rng.normal(size=out.shape)
         handed, run = {}, graph_module._backward_node
 
-        def spy(graph, idx, node, pair, *args):
+        def spy(idx, node, pair, *args):
             handed[idx] = pair
-            return run(graph, idx, node, pair, *args)
+            return run(idx, node, pair, *args)
 
         monkeypatch.setattr(graph_module, "_backward_node", spy)
         pgrads, agrads = backward(g, cache, direction, bw, return_act_grads=True)
@@ -895,6 +895,39 @@ class TestForwardModes:
     def test_invalid_mode_rejected(self, rng):
         with pytest.raises(GraphError):
             forward(self._chain(rng), np.zeros((1, 4)), FLOAT_CFG, mode="test")
+
+    @pytest.mark.parametrize("levels,refused", [
+        ({"stop_level": 99}, "stop_level 99"),
+        ({"stop_level": 3}, "stop_level 3"),
+        ({"stop_level": -3}, "stop_level -3"),
+        ({"stop_level": -1}, "stop_level -1"),
+        ({"from_level": 1, "stop_level": 1}, "stop_level 1"),
+        ({"from_level": 1, "stop_level": 0}, "stop_level 0"),
+        ({"from_level": -5}, "from_level -5"),
+        ({"from_level": 40}, "from_level 40"),
+    ])
+    def test_forward_refuses_a_level_that_names_no_node(self, levels, refused, rng):
+        # a stop_level that forward never reaches ran the whole graph, and a
+        # from_level outside it ended in a KeyError
+        x = rng.normal(size=(2, 3 if "from_level" in levels else 4))
+        with pytest.raises(GraphError, match=f"^{refused} names no node"):
+            forward(self._chain(rng), x, FLOAT_CFG, **levels)
+
+    @pytest.mark.parametrize("from_level", [99, 3, -2])
+    def test_backward_refuses_a_from_level_that_names_no_node(self, from_level, rng):
+        # from_level 99 returned no gradient, and no error
+        g = self._chain(rng)
+        out, cache = forward(g, rng.normal(size=(2, 4)), FLOAT_CFG, mode="train")
+        with pytest.raises(GraphError, match=f"^from_level {from_level} names no node"):
+            backward(g, cache, np.ones_like(out), FLOAT_CFG, from_level=from_level)
+
+    def test_the_first_and_last_levels_are_taken(self, rng):
+        g = self._chain(rng)
+        x = rng.normal(size=(2, 4))
+        full, cache = forward(g, x, FLOAT_CFG, mode="train")
+        assert forward(g, x, FLOAT_CFG, from_level=-1, stop_level=2)[0].tobytes() == full.tobytes()
+        assert forward(g, full, FLOAT_CFG, from_level=2)[0] is full
+        assert sorted(backward(g, cache, np.ones_like(full), FLOAT_CFG, from_level=-1)) == [0]
 
     def test_backward_floor_stops_at_from_level(self, rng):
         g = self._chain(rng)

@@ -190,8 +190,8 @@ class TestReferenceModel:
         (tx, ty), _ = datasets.stratified_split(xs, ys, seed=7)
         exp0 = learner.build_nc_experiences(tx, ty, 5, 1)[0]
         g = build_reference_model((12, 12, 1), channels=32, seed=1)
-        gathered, gather = [], G._Rows.gather
-        monkeypatch.setattr(G._Rows, "gather", lambda rows, table: gathered.append(table) or gather(rows, table))
+        gathered, gather = [], G._Tabled.gather
+        monkeypatch.setattr(G._Tabled, "gather", lambda t: gathered.append(t.table) or gather(t))
         tracemalloc.start()
         try:
             learner.initialize_bn_stats(g, exp0.inputs[: learner.STATS_ROWS])

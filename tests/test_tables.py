@@ -198,8 +198,8 @@ def _record_backward_nodes(monkeypatch):
     seen = []
     run = G._backward_node
 
-    def spy(graph, idx, node, g, entry, config, need, snap=None):
-        gins, pgrads = run(graph, idx, node, g, entry, config, need, snap)
+    def spy(idx, node, g, entry, config, need, snap=None):
+        gins, pgrads = run(idx, node, g, entry, config, need, snap)
         seen.append((idx, node, G._values(*g), entry, [_copied(a) for a in gins],
                      {k: v.copy() for k, v in pgrads.items()}, snap))
         return gins, pgrads
@@ -386,9 +386,18 @@ def _arrays(obj):
 def test_experience_step_caches_no_float_activation_above_block3_conv(monkeypatch):
     # the 80-row 8/16/4 step: x_hat and head_act's input, 2.95 MB each, were
     # most of a 6.4 MB cache; and features pools head_act's table per block,
-    # so no chain node's output is gathered
-    gathered, gather = [], G._Rows.gather
-    monkeypatch.setattr(G._Rows, "gather", lambda rows, table: gathered.append(table) or gather(rows, table))
+    # so no chain node's output is gathered.  The cache holds 1,494,272 B,
+    # half of it the chain's one 737,280 B index
+    gathered, gather = [], G._Tabled.gather
+    monkeypatch.setattr(G._Tabled, "gather", lambda t: gathered.append(t.table) or gather(t))
+    outputs, tabulate = {}, G._tabulate
+
+    def spy(*args):  # each chain node's (output, cache, ends the chain)
+        stages = tabulate(*args)
+        outputs.update(stages)
+        return stages
+
+    monkeypatch.setattr(G, "_tabulate", spy)
     rng = np.random.default_rng(0)
     cfg = ContinualConfig()
     g = build_reference_model((12, 12, 1), channels=32, seed=0)
@@ -408,5 +417,14 @@ def test_experience_step_caches_no_float_activation_above_block3_conv(monkeypatc
             assert not floats, f"node {idx} ({g.nodes[idx].name}) caches a float activation"
     held = {id(a): a.nbytes for a in _arrays(list(cache.values()))}
     assert sum(held.values()) <= 1.5e6
+    # each chain entry reads through the chain's one uint16 index and holds
+    # only what the node's code left for backward, never its output table
+    chained = {idx: entry for idx, entry in cache.items() if isinstance(entry, G._Tabled)}
+    assert sorted(g.nodes[i].name for i in chained) == ["block3_bn", "head_act"]
+    assert len({id(entry.index) for entry in chained.values()}) == 1
+    assert next(iter(chained.values())).index.dtype == np.uint16
+    for idx, entry in chained.items():
+        own = outputs[idx][0].table
+        assert not any(np.shares_memory(a, own) for a in _arrays(entry.table)), g.nodes[idx].name
     grads = backward(g, cache, rng.normal(size=out.shape), cfg.bitwidth, from_level=g.replay_level)
     assert sorted(g.nodes[i].name for i in grads) == ["block3_bn", "block3_conv", "head_act"]

@@ -23,15 +23,12 @@ import statistics
 import subprocess
 import sys
 
+from bytes_gate import CONFIGS  # run as a script, this file's directory is on the path
+
 # name -> (q_f, q_b_nonbin, q_b_bin): the bitwidths of the bytes gate's configs
-WIDTHS = {
-    "8/16/4": (8, 16, 4),
-    "16/8/1": (16, 8, 1),
-    "float": (None, None, None),
-    "8/8/8": (8, 8, 8),
-    "32/32/32": (32, 32, 32),
-    "8/16/16": (8, 16, 16),
-}
+# of 32 channels, with no head-only run and no sweep, in their order
+WIDTHS = {name: tuple(None if bits == "float" else int(bits) for bits in row[:3])
+          for name, row in CONFIGS.items() if row[3:] == (False, 32, None)}
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS", "BINREPLAY_THREADS")
 
