@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -278,6 +279,22 @@ def _blocks(n: int, per: int, size: int = bitpack.GEMM_BLOCK) -> list[tuple[slic
     return [(slice(a, b), slice(a * per, b * per)) for a, b in zip(edges, edges[1:])]
 
 
+def _sum_blocks(shape: tuple) -> list[slice]:
+    """The blocks of whole samples, of about GATHER_ROWS positions, over which _fold sums an array of shape
+    per channel.  numpy adds one channel's values in sequence, but a single channel is one contiguous run,
+    which it sums pairwise: then the array is one block."""
+    return [s for s, _ in _blocks(shape[0], math.prod(shape[1:-1]), GATHER_ROWS)] if shape[-1] > 1 else [slice(None)]
+
+
+def _fold(acc, part: np.ndarray) -> np.ndarray:
+    """The per-channel sum of the blocks up to part, whose first position it writes: acc, the running sum of
+    the blocks before part, is folded in there, so block by block (_sum_blocks) the sum keeps the order of
+    numpy's over the whole array."""
+    if acc is not None:
+        part[(0,) * (part.ndim - 1)] += acc
+    return part.sum(axis=tuple(range(part.ndim - 1)))
+
+
 def _quantized_gemm(parts, rows: int, in_params: QuantParams, w2d: np.ndarray, bits: int) -> np.ndarray:
     """Patch rows times w2d, both on bits-bit grids, dequantized into one (rows, C) array: the weights
     are quantized once, and the patches per block that parts yields as (row slice, patch rows).  An 8- or
@@ -539,10 +556,29 @@ class _Tabled:
             out[s] = self.read(s, src)[0]
         return bitpack.from01(out) if packed else out
 
+    def values(self, blocks=None):
+        """The float64 values of each block of whole samples (default: self.blocks), one fresh array each."""
+        table = as_float(self.table)
+        return (self.read(s, table)[0] for s in (self.blocks if blocks is None else blocks))
+
     def mean(self, axis: tuple) -> np.ndarray:
         """The mean over axis of each block's values, equal to the gathered output's, which is never built."""
-        table = as_float(self.table)
-        return np.concatenate([self.read(s, table)[0].mean(axis=axis) for s in self.blocks])
+        return np.concatenate([v.mean(axis=axis) for v in self.values()])
+
+
+def channel_moments(y) -> tuple[np.ndarray, np.ndarray]:
+    """Each channel's mean and variance over all other axes of y, byte for byte np.mean's and np.var's of y as
+    one float64 array, which is never built: y is summed per block of whole samples (_fold), first for the
+    mean, then for the squared deviations from it.  y is an array, int32 counts among them, a packed sign or a
+    chain node's _Tabled output."""
+    y = y if isinstance(y, (np.ndarray, _Tabled)) else as_float(y)
+    blocks, n = _sum_blocks(y.shape), math.prod(y.shape[:-1])
+
+    def parts():  # fresh float64 blocks, which _fold writes
+        return y.values(blocks) if isinstance(y, _Tabled) else (np.array(y[s], dtype=np.float64) for s in blocks)
+
+    mean = reduce(_fold, parts(), None) / n
+    return mean, reduce(_fold, (np.square(np.subtract(d, mean, out=d), out=d) for d in parts()), None) / n
 
 
 def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
@@ -565,11 +601,14 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     bits of the packed signs it adds: forward tabulates the chain once and
     gathers the chain's output, and each node's cache, from the tables.  The
     output of a node inside the chain is gathered from its own table only
-    when it is stop_level or collect reads it; a chain end that only
+    when it is stop_level or a plain dict collects it; a chain end that only
     global_avg_pool reads is read as per-sample means (_Tabled.mean).
     collect[idx] gets node idx's output before any later node runs; a binary
-    GEMM's, before its chain is tabulated.  A collect target with a `reads`
-    set gets only the outputs of the nodes it names, a plain dict every one.
+    GEMM's, before its chain is tabulated.  A plain dict collects every
+    output as forward returns it: gathered, and a binary GEMM's counts as
+    float64.  A collect target with a `reads` set gets only the outputs of
+    the nodes it names, each as forward holds it: a chain node's _Tabled, a
+    binary GEMM's exact int32 counts, a sign's BitTensor, or an array.
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
@@ -590,32 +629,33 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     for idx in range(level + 1, len(graph.nodes)):
         node = graph.nodes[idx]
         collected = collect is not None and (reads is None or idx in reads)
-        shown = collected or idx == stop_level
+        whole = idx == stop_level or collected and reads is None  # wanted as one array or packed sign
         chain = None
         if idx in tabled:
-            y, c, last = tabled.pop(idx)
-            pooled = last and not shown and readers.get(idx) and all(
-                graph.nodes[r].kind == "global_avg_pool" for r in readers[idx])
-            y = y if pooled else y.gather() if shown or last else None
+            held, c, last = tabled.pop(idx)
         else:
             packed = KINDS[node.kind].weight_bits
             ins = [acts[i] if packed or isinstance(acts[i], _Tabled) else as_float(acts[i]) for i in node.inputs]
-            y, c = _forward_node(graph, idx, node, ins, config, want_cache)
-            if packed:  # the exact counts: tabulated, or read as floats, which the tables take in place of the ints
-                chain = _chain(graph, idx, readers, acts, y.shape)
-                if shown or not chain:
-                    y = y.astype(np.float64)
-                counts = y if chain else None
-                y = y if shown or not chain else None
-        if collected:  # before the chain's tables read what collect may set (initialize_bn_stats)
+            held, c = _forward_node(graph, idx, node, ins, config, want_cache)
+            chain = _chain(graph, idx, readers, acts, held.shape) if packed else None
+        if collected and reads is not None:  # before the chain's tables read what collect may set (initialize_bn_stats)
+            collect[idx] = held
+        if isinstance(held, _Tabled):
+            pooled = last and not whole and readers.get(idx) and all(
+                graph.nodes[r].kind == "global_avg_pool" for r in readers[idx])
+            y = held if pooled else held.gather() if whole or last else None
+        elif KINDS[node.kind].weight_bits:  # the exact counts: tabulated, or read as floats
+            y = held.astype(np.float64) if whole or not chain else None
+        else:
+            y = held
+        if collected and reads is None:
             collect[idx] = y
         if want_cache and c is not None:
             cache[idx] = c
         if idx == stop_level:
             return y, cache
         if chain:
-            tabled.update(_tabulate(graph, idx, chain, counts, acts, config, want_cache))
-            counts = None  # freed: tabled holds what the chain reads
+            tabled.update(_tabulate(graph, idx, chain, held, acts, config, want_cache))
         for i in set(node.inputs):
             if readers[i][-1] == idx:
                 del acts[i]
@@ -639,12 +679,11 @@ def _per_channel_backward(node, pair, entry, need_input_grad, snap):
 
     At each element a block reads only what the node multiplies by: on a chain, from its _Tabled cache's
     (rows, C) tables, through one flat index per block that all of them share.  A parameter gradient is summed
-    block by block, each block's running sum folded into the next block's first position, so it keeps the order
-    of numpy's sum over the whole array; one channel is one block, as numpy sums one contiguous column pairwise.
-    With snap bits the input gradient is written as codes, and no float array of it is built: a first pass
-    finds its max-abs and a second writes its codes, but a batchnorm's max-abs follows from the per-channel
-    maxima of the codes it reads, so its codes are written in its one pass; without, it is written as float
-    values.
+    block by block with _fold, so it keeps the order of numpy's sum over the whole array.  With snap bits the
+    input gradient is written as codes, and no float array of it is built: a first pass finds its max-abs and a
+    second writes its codes, but a batchnorm's max-abs follows from the per-channel maxima of the codes it
+    reads, so its codes are written in its one pass.  Without, each block's float values are written straight
+    into the input gradient, and at float a block reads its output gradient's values in place.
     """
     codes, scale = pair
     p, shape = node.params, codes.shape
@@ -664,7 +703,9 @@ def _per_channel_backward(node, pair, entry, need_input_grad, snap):
             y = np.multiply(g, p["gamma"], out=out)
             return np.multiply(y, inv_std, out=y)
         derive = lambda x: [x] if node.trainable else []  # noqa: E731
-        terms = {"gamma": lambda g, t: g * t[0], "beta": lambda g, t: g}
+        # gamma's part is written into its read of x_hat where that read is fresh: a table's, not a cache's
+        terms = {"gamma": (lambda g, t: np.multiply(t[0], g, out=t[0])) if tabled else lambda g, t: g * t[0],
+                 "beta": lambda g, t: g if scale is not None else np.array(g, order="C")}
     else:  # ste_backward
         product = lambda g, t, out: np.multiply(g, t[0], out=out)  # noqa: E731
         derive = lambda x: [np.abs(x) <= node.attrs.get("clip", 1.0)]  # noqa: E731
@@ -675,12 +716,11 @@ def _per_channel_backward(node, pair, entry, need_input_grad, snap):
         take = lambda s, n: entry.read(s, *tables[:n])  # noqa: E731
     else:
         take = lambda s, n: derive(source[s])[:n]  # noqa: E731
-    blocks = [s for s, _ in _blocks(shape[0], math.prod(shape[1:-1]), GATHER_ROWS)] if shape[-1] > 1 else [slice(None)]
+    blocks = _sum_blocks(shape)
 
-    def sweep(fn, n):  # fn(samples, g, tables) per block, on a fresh C-ordered g of values
+    def sweep(fn, n):  # fn(samples, g, tables) per block, g its values: fresh and C-ordered, or codes' own
         for s in blocks:
-            g = np.multiply(codes[s], scale, order="C") if scale is not None else np.array(codes[s], order="C")
-            fn(s, g, take(s, n))
+            fn(s, codes[s] if scale is None else np.multiply(codes[s], scale, order="C"), take(s, n))
 
     def grid(m):  # where the input gradient goes: (array, scale, whether blocks write it)
         scale = _grid_scale(m, snap) if m else None
@@ -706,16 +746,14 @@ def _per_channel_backward(node, pair, entry, need_input_grad, snap):
         elif want and gin is None:
             m = max(m, _absmax(product(g, t, None)))
         for (name, acc), part in zip(sums.items(), [f(g, t) for f in terms.values()]):
-            if acc is not None:
-                part[(0,) * (part.ndim - 1)] += acc
-            sums[name] = part.sum(axis=tuple(range(part.ndim - 1)))
+            sums[name] = _fold(acc, part)
 
     if sums or writes or (want and gin is None):
         sweep(first, len(terms) + k)
     if want and gin is None:  # the second pass, on the grid the first one found
         gin, out_scale, writes = grid(m)
         if writes:
-            sweep(lambda s, g, t: write(s, g, t, g), k)
+            sweep(lambda s, g, t: write(s, g, t, None if scale is None else g), k)
     return [gin if snap is None or not want else (gin, out_scale)], sums
 
 
@@ -743,7 +781,7 @@ def _backward_node(idx, node, pair, cache_entry, config, need_input_grad, snap=N
         if need_input_grad[0]:  # col2im of the patch gradient, built per block of whole samples
             wt = as_float(w).reshape(-1, spec.out_channels).T
             gin = np.empty(shape4)
-            for samples, rows in _blocks(len(gin), math.prod(out_shape[1:-1])):
+            for samples, rows in _blocks(len(gin), math.prod(out_shape[1:-1]), bitpack.CODE_ROWS):
                 part = gmat[rows] if not binary or scale is None else np.multiply(gmat[rows], scale)
                 gin[samples] = bitpack.col2im(part @ wt, spec, gin[samples].shape)
             gins[0] = gin.reshape(in_shape)

@@ -180,10 +180,8 @@ class _Statistics:
 
     def __setitem__(self, idx, y):
         if idx in self.readers:
-            x = G.as_float(y)
-            axes = tuple(range(x.ndim - 1))
-            mean = G.f32_precision(x.mean(axis=axes))
-            var = G.f32_precision(np.maximum(x.var(axis=axes), 1e-3))
+            mean, var = G.channel_moments(y)
+            mean, var = G.f32_precision(mean), G.f32_precision(np.maximum(var, 1e-3))
             for node in self.readers[idx]:
                 node.params["running_mean"], node.params["running_var"] = mean.copy(), var.copy()
 
@@ -207,14 +205,15 @@ def initialize_bn_stats(g: Graph, xs: np.ndarray) -> None:
 class _Ranges(dict):
     """A forward collect= target that keeps the range of each grid node's
     output, not the output, so a calibration pass holds no extra activation.
-    It reads the grid nodes only."""
+    It reads the grid nodes only, a chain node's output per block of its
+    _Tabled, as a min and a max are exact in any order."""
 
     def __init__(self, grid):
         super().__init__()
         self.reads = set(grid)
 
     def __setitem__(self, idx, y):
-        super().__setitem__(idx, calibrate_range([G.as_float(y)]))
+        super().__setitem__(idx, calibrate_range(y.values() if isinstance(y, G._Tabled) else [G.as_float(y)]))
 
 
 def calibrate_activations(g: Graph, xs: np.ndarray, q_f: int | None) -> None:

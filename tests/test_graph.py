@@ -385,7 +385,8 @@ class TestBinaryWeightGradientOnCodes:
     def test_pretraining_backward_peak(self):
         # each binary conv's input gradient was one (4608, 288) float64 patch
         # gradient, 10.6 MB, before col2im: the peak read 14.85 MB.  Built per
-        # block of whole samples, it reads 8.01 MB
+        # block of whole samples of about bitpack.GEMM_BLOCK rows, it read
+        # 8.01 MB; of about bitpack.CODE_ROWS rows, 4.95 MB
         rng = np.random.default_rng(0)
         g = build_reference_model((12, 12, 1), channels=32, seed=0)
         xs = rng.uniform(-1.0, 1.0, size=(32, 12, 12, 1))
@@ -928,6 +929,28 @@ class TestForwardModes:
         assert forward(g, x, FLOAT_CFG, from_level=-1, stop_level=2)[0].tobytes() == full.tobytes()
         assert forward(g, full, FLOAT_CFG, from_level=2)[0] is full
         assert sorted(backward(g, cache, np.ones_like(full), FLOAT_CFG, from_level=-1)) == [0]
+
+    def test_a_reads_target_gets_each_output_as_forward_holds_it(self, rng):
+        # stem_sign's packed sign, block1_conv's exact counts, and the _Tabled
+        # outputs of block1_bn and block1_sign, where a plain dict gets floats
+        # and gathered outputs of the same values
+        g = build_reference_model((6, 6, 1), channels=4, seed=0)
+        xs = rng.uniform(-1.0, 1.0, size=(3, 6, 6, 1))
+        initialize_bn_stats(g, xs)
+
+        class Reads(dict):
+            reads = {1, 2, 3, 4}
+
+        held, plain = Reads(), {}
+        forward(g, xs, FLOAT_CFG, collect=held)
+        forward(g, xs, FLOAT_CFG, collect=plain)
+        assert sorted(held) == [1, 2, 3, 4] and len(plain) == len(g.nodes)
+        assert isinstance(held[1], BitTensor) and held[1] == plain[1]
+        assert held[2].dtype == np.int32 and plain[2].dtype == np.float64
+        assert held[2].astype(np.float64).tobytes() == plain[2].tobytes()
+        assert all(isinstance(held[i], graph_module._Tabled) for i in (3, 4))
+        assert held[3].gather().tobytes() == plain[3].tobytes()
+        assert held[4].gather() == plain[4]
 
     def test_backward_floor_stops_at_from_level(self, rng):
         g = self._chain(rng)

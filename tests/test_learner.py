@@ -1,10 +1,13 @@
 """Continual-learning protocol: NC stream, freezing, minibatch rules, determinism."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binreplay import bitpack, cwr, datasets, learner, replay
 from binreplay import graph as G
@@ -18,6 +21,7 @@ from binreplay.learner import (
     frozen_region_hash,
     _replay_draw_size,
 )
+from binreplay.quant import calibrate_range
 
 from helpers import linear_probe_accuracy
 
@@ -26,6 +30,24 @@ from helpers import linear_probe_accuracy
 def small_data():
     xs, ys = datasets.make_synthetic(4, 40, shape=(8, 8, 1), seed=11)
     return datasets.stratified_split(xs, ys, seed=11)
+
+
+@pytest.fixture(scope="module")
+def nc_experience_0():
+    """Experience 0 of nc-protocol's data (synth seed 7, protocol seed 1): 160 rows."""
+    xs, ys = datasets.make_synthetic(10, 100, (12, 12, 1), seed=7)
+    (tx, ty), _ = datasets.stratified_split(xs, ys, seed=7)
+    return learner.build_nc_experiences(tx, ty, 5, 1)[0]
+
+
+def _traced_peak(run) -> int:
+    """The tracemalloc peak of run(), traced from its start."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def small_config(**kw):
@@ -180,26 +202,20 @@ class TestReferenceModel:
         learner.initialize_bn_stats(build_reference_model((12, 12, 1), channels=32, seed=1), xs)
         assert len(calls) == 3
 
-    def test_bn_stats_read_only_the_chain_ends_that_feed_a_gemm(self, monkeypatch):
-        # experience 0 of nc-protocol's data (synth seed 7, protocol seed 1):
+    def test_bn_stats_read_only_the_chain_ends_that_feed_a_gemm(self, nc_experience_0, monkeypatch):
         # the pass stops at block3_conv, the last batchnorm's input, and gathers
         # only the two signs that block2_conv and block3_conv read.  It used to
         # gather the five other chain nodes' 5.9 MB outputs too, and peaked at
-        # 16.92 MB; the statistics keep their bytes (BENCH_24.json)
-        xs, ys = datasets.make_synthetic(10, 100, (12, 12, 1), seed=7)
-        (tx, ty), _ = datasets.stratified_split(xs, ys, seed=7)
-        exp0 = learner.build_nc_experiences(tx, ty, 5, 1)[0]
+        # 16.92 MB (BENCH_24.json); with each batchnorm input summed whole as
+        # float64, at 11.97 MB.  Summed per block of whole samples, from the
+        # binary GEMMs' int32 counts, it reads 8.96 MB (BENCH_27.json), and the
+        # statistics keep their bytes
         g = build_reference_model((12, 12, 1), channels=32, seed=1)
         gathered, gather = [], G._Tabled.gather
         monkeypatch.setattr(G._Tabled, "gather", lambda t: gathered.append(t.table) or gather(t))
-        tracemalloc.start()
-        try:
-            learner.initialize_bn_stats(g, exp0.inputs[: learner.STATS_ROWS])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: learner.initialize_bn_stats(g, nc_experience_0.inputs[: learner.STATS_ROWS]))
         assert len(gathered) == 2 and all(isinstance(t, bitpack.BitTensor) for t in gathered)
-        assert peak <= 14.0e6
+        assert peak <= 9.5e6
         stats = hashlib.sha256(b"".join(self._stats(g))).hexdigest()
         assert stats == "c3789c2ce484333fe6f9e4fed5fffb1a2fc8b3b63b4cc474398bdecc90769f69"
 
@@ -260,6 +276,93 @@ class TestReferenceModel:
         np.testing.assert_allclose(codes, np.rint(codes), atol=1e-5)
         assert conv.weight_bits == bitpack.binarize(conv.params["latent"])
         assert not any(n.param_scales or n.trainable for n in g.nodes[: g.replay_level + 1])
+
+
+def _tabled(rng, shape, rows):
+    """A chain node's output of shape as a _Tabled: each element reads a random row of a (rows, C) table of
+    normal values."""
+    c = shape[-1]
+    index = rng.integers(0, rows, size=shape) * c + np.arange(c)
+    return G._Tabled(index.astype(np.uint16), rng.normal(size=(rows, c)))
+
+
+class TestOfflinePassesInBlocks:
+    """The offline passes read each chain output and each binary GEMM's counts
+    per block of whole samples: the statistics and ranges keep the bytes of
+    numpy's whole-array formulas, and each pass on nc-protocol's experience 0
+    keeps a tracemalloc bound."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_blocked_moments_are_numpys_mean_and_var(self, data):
+        # blocks of 1 to 2 samples of h * w positions, whose count need not
+        # divide N; C = 1 is one pairwise block
+        n, h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        c = data.draw(st.sampled_from([1, 2, 3, 8, 33]))
+        shape = data.draw(st.sampled_from([(n, h, w, c), (n * h * w, c)]))
+        kind = data.draw(st.sampled_from(["float", "counts", "tabled"]))
+        rows = math.prod(shape[1:-1]) * data.draw(st.integers(1, 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "float":
+            y = data.draw(st.sampled_from([0.0, -7.5, 1e3])) + data.draw(st.sampled_from([1e-3, 1.0, 1e4])) * \
+                rng.normal(size=shape)
+        elif kind == "counts":  # k - 2 * (differing bits) of a k-tap binary GEMM
+            k = data.draw(st.integers(1, 600))
+            y = (k - 2 * rng.integers(0, k + 1, size=shape)).astype(np.int32)
+        else:
+            y = _tabled(rng, shape, 7)
+        x = y.gather() if kind == "tabled" else y
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(G, "GATHER_ROWS", rows)
+            mean, var = G.channel_moments(y)
+        axes = tuple(range(len(shape) - 1))
+        assert mean.tobytes() == x.mean(axis=axes).tobytes()
+        assert var.tobytes() == x.var(axis=axes).tobytes()
+
+    @pytest.mark.parametrize("extreme", [-100.0, 100.0])
+    @pytest.mark.parametrize("signs", [False, True])
+    def test_ranges_of_a_tabled_output_are_those_it_gathers(self, extreme, signs, rng, monkeypatch):
+        # ten one-sample blocks; only the last sample reads the extreme row
+        monkeypatch.setattr(G, "GATHER_ROWS", 9)
+        t = _tabled(rng, (10, 3, 3, 4), 6)
+        table = np.vstack([t.table, np.full((1, 4), extreme)])
+        index = t.index.copy()
+        index[-1, 1, 2, 3] = 6 * 4 + 3
+        if signs:  # a sign's table: +1 but for the extreme row's -1 or +1
+            table = bitpack.binarize(np.where(table == -100.0, -1.0, 1.0))
+        t = G._Tabled(index, table)
+        assert len(t.blocks) == 10
+        ranges = learner._Ranges([5])
+        ranges[5] = t
+        assert ranges[5] == calibrate_range([as_float(t.gather())])
+
+    def test_calibration_peak(self, nc_experience_0):
+        # the pass gathered every chain output its ranges read, 5.9 MB each,
+        # and peaked at 14.70 MB; read per block, it reads 7.63 MB, most of it
+        # the stem's float output and im2col
+        rows = nc_experience_0.inputs[: learner.STATS_ROWS]
+        g = build_reference_model((12, 12, 1), channels=32, seed=1)
+        learner.initialize_bn_stats(g, rows)
+        assert _traced_peak(lambda: learner.calibrate_activations(g, rows, 8)) <= 8.0e6
+        assert [n.name for n in g.nodes if n.out_qparams is not None] == [
+            g.nodes[i].name for i in G.grid_nodes(g)]
+
+    def test_float_pretraining_step_peak(self, nc_experience_0):
+        # a binary conv's input gradient built per block of about
+        # bitpack.GEMM_BLOCK patch rows made a 4.6 MB (2016, 288) patch
+        # gradient, and the step peaked at 11.58 MB; blocks of about
+        # bitpack.CODE_ROWS rows put it at 8.52 MB
+        exp0 = nc_experience_0
+        g = build_reference_model((12, 12, 1), channels=32, seed=1)
+        learner.initialize_bn_stats(g, exp0.inputs[: learner.STATS_ROWS])
+        for node in g.nodes:
+            node.trainable = bool(G.KINDS[node.kind].trained)
+        head = cwr.init(infer_shapes(g)[g.output_id][0], 10)
+        cwr.begin_experience(head, exp0.classes_introduced)
+        cwr.record_training(head, exp0.labels)
+        step = lambda: learner._train_step(g, head, exp0.inputs[:32], exp0.labels[:32], 0.2,  # noqa: E731
+                                           BitwidthConfig.floating())
+        assert _traced_peak(step) <= 9.0e6
 
 
 class TestProtocol:

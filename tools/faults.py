@@ -38,9 +38,14 @@ class Fault(NamedTuple):
 FAULTS = (
     Fault("running-sum-not-carried", "graph.py",
           "part[(0,) * (part.ndim - 1)] += acc", "pass", "test_tables.py"),
+    Fault("deviation-from-block-mean", "graph.py",
+          "np.subtract(d, mean, out=d)", "np.subtract(d, d.mean(axis=tuple(range(d.ndim - 1))), out=d)",
+          "test_learner.py"),
+    Fault("tabled-range-skips-last-block", "learner.py",
+          "y.values()", "y.values(y.blocks[:-1])", "test_learner.py"),
     Fault("last-sweep-block-dropped", "graph.py",
-          "        for s in blocks:\n            g = np.multiply(codes[s]",
-          "        for s in blocks[:-1]:\n            g = np.multiply(codes[s]", "test_tables.py"),
+          "        for s in blocks:\n            fn(s, codes[s]",
+          "        for s in blocks[:-1]:\n            fn(s, codes[s]", "test_tables.py"),
     Fault("first-table-off-by-one-ulp", "graph.py",
           "table = np.repeat(k - 2.0 * np.arange(k + 1), c).reshape(k + 1, c)",
           "table = np.nextafter(np.repeat(k - 2.0 * np.arange(k + 1), c), np.inf).reshape(k + 1, c)",
@@ -89,7 +94,7 @@ def main(argv: list[str]) -> int:
             with open(path) as f:
                 text = f.read()
             if text.count(fault.old) != 1:
-                print(f"{fault.name:<28} its old text occurs {text.count(fault.old)} times in {fault.file}",
+                print(f"{fault.name:<30} its old text occurs {text.count(fault.old)} times in {fault.file}",
                       flush=True)
                 survived += 1
                 continue
@@ -104,7 +109,7 @@ def main(argv: list[str]) -> int:
                     f.write(text)
             caught = p.returncode == 1  # 1: a test failed; 0 passes, and other codes are pytest's own errors
             survived += not caught
-            print(f"{fault.name:<28} {'caught' if caught else 'SURVIVED'} by {fault.tests} "
+            print(f"{fault.name:<30} {'caught' if caught else 'SURVIVED'} by {fault.tests} "
                   f"in {time.perf_counter() - t0:.1f} s" + ("" if caught else f" (pytest exit {p.returncode})"),
                   flush=True)
     return 1 if survived else 0
