@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 WORD_BITS = 64
-GEMM_BLOCK = 2048  # rows of the left operand per XNOR GEMM block
+GEMM_BLOCK = 2048  # rows per block of whole samples of the graph's quantized GEMM forward
+# _xnor_gemm's block is at most XOR_WORDS // n rows for n output channels.  At
+# n = 32 (36864 rows x 5 words, one 256-row eval batch; 2-core Xeon, numpy
+# 2.4.6) blocks of 2816-4160 rows took 4.5-5.2 ms and blocks of 1536-2700
+# rows 8.0-10.8 ms, where the broadcast XOR ran about 3x slower per element:
+# 2**17 words (a 1 MiB XOR buffer) gives 4096 rows at n = 32.
+XOR_WORDS = 2**17
 CODE_ROWS, CODE_BITS = 512, 16  # rows_t: 512 * 2**15 = 2**24, float32's last exact integer
 
 
@@ -142,31 +148,44 @@ def xnor_dot(a: BitTensor, b: BitTensor) -> int:
 
 
 def _xnor_gemm(a_rows: np.ndarray, b_rows: np.ndarray, k: int) -> np.ndarray:
-    """a_rows (m, W) vs b_rows (n, W) packed over a k-long inner axis -> (m, n) int32.
+    """a_rows (m, W) vs b_rows (n, W) packed over a k-long inner axis -> the
+    (m, n) mismatch counts diff = sum of popcount(a XOR b) over the W words,
+    in a uint16 accumulator, or uint32 from k = 2**16 on.  Pad bits are zero
+    in both operands and never count; the +-1 dot product is k - 2 * diff.
 
-    Blocks of GEMM_BLOCK rows of a run one pass per packed word: each adds
-    popcount(a XOR b) of that word into an accumulator that holds up to k, in
-    XOR, popcount and accumulator buffers that every block reuses, so no
-    (m, n, W) intermediate is built.  Pad bits are zero in both operands and
-    never count.
+    Word-major: each block of rows of a is transposed into a (W, block) word
+    buffer, and XOR, popcount and accumulate run over (n, block) buffers with
+    the row axis innermost, one pass per packed word.  Every buffer is reused
+    by every block, so extra memory is O(n * block), and no (m, n, W)
+    intermediate or (W, m) copy of a is built.  The m rows are split evenly
+    into blocks of at most XOR_WORDS // n rows.
     """
-    m, n = a_rows.shape[0], b_rows.shape[0]
-    out = np.empty((m, n), dtype=np.int32)
-    block = max(1, min(m, GEMM_BLOCK))
-    xor = np.empty((block, n), dtype=np.uint64)
-    ones = np.empty((block, n), dtype=np.uint8)
-    diff = np.empty((block, n), dtype=np.uint16 if k < 2**16 else np.uint32)
-    b_words = np.ascontiguousarray(b_rows.T)
+    m, w = a_rows.shape
+    n = b_rows.shape[0]
+    acc = np.uint16 if k < 2**16 else np.uint32
+    out = np.empty((m, n), dtype=acc)
+    count = max(1, -(-m // max(1, XOR_WORDS // n)))
+    block = max(1, -(-m // count))
+    words = np.empty((w, block), dtype=np.uint64)
+    xor = np.empty((n, block), dtype=np.uint64)
+    ones = np.empty((n, block), dtype=np.uint8)
+    diff = np.empty((n, block), dtype=acc)
     for i in range(0, m, block):
         a = a_rows[i : i + block]
-        x, c, d = xor[: len(a)], ones[: len(a)], diff[: len(a)]
+        t, x, c, d = words[:, : len(a)], xor[:, : len(a)], ones[:, : len(a)], diff[:, : len(a)]
+        np.copyto(t, a.T)
         d[...] = 0
-        for j in range(a.shape[1]):
-            np.bitwise_xor(a[:, j, None], b_words[j], out=x)
+        for j in range(w):
+            np.bitwise_xor(b_rows[:, j, None], t[j], out=x)
             np.add(d, np.bitwise_count(x, out=c), out=d)
-        o = out[i : i + block]
-        np.multiply(d, np.int32(-2), out=o)
-        o += k
+        out[i : i + block] = d.T
+    return out
+
+
+def counts(diff: np.ndarray, k: int) -> np.ndarray:
+    """The exact +-1 dot products k - 2 * diff of mismatch counts diff over a k-long inner axis, as int32."""
+    out = np.multiply(diff, np.int32(-2), dtype=np.int32)
+    out += k
     return out
 
 
@@ -213,22 +232,19 @@ class BinConvSpec:
         return oh, ow
 
 
-def patches(x: np.ndarray, spec: BinConvSpec, width: int | None = None) -> np.ndarray:
-    """im2col on an NHWC array, in x's dtype: one row per output position,
-    followed by zeros up to width columns when width is given.
+def patches(x: np.ndarray, spec: BinConvSpec) -> np.ndarray:
+    """im2col on an NHWC array, in x's dtype: one row per output position.
 
-    Padded positions hold 0: bit 0, i.e. -1, for the packed 0/1 kernel, and
-    0.0 for float convs.
+    Padded positions hold 0: bit 0, i.e. -1, for 0/1 bits, and 0.0 for
+    float convs.
     """
     n, h, w, c = x.shape
     oh, ow = spec.out_hw(h, w)
     p, s = spec.padding, spec.stride
     if p:
         x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    k = spec.kernel_h * spec.kernel_w * c
-    out = np.empty((n * oh * ow, max(k, width or k)), dtype=x.dtype)
-    out[:, k:] = 0
-    cols = out[:, :k].reshape(n, oh, ow, spec.kernel_h, spec.kernel_w, c)
+    out = np.empty((n * oh * ow, spec.kernel_h * spec.kernel_w * c), dtype=x.dtype)
+    cols = out.reshape(n, oh, ow, spec.kernel_h, spec.kernel_w, c)
     for i in range(spec.kernel_h):
         for j in range(spec.kernel_w):
             cols[:, :, :, i, j, :] = x[:, i : i + oh * s : s, j : j + ow * s : s, :]
@@ -257,15 +273,27 @@ def conv_rows(x: BitTensor, spec: BinConvSpec) -> np.ndarray:
     last channel 0.  Padded positions are 0 bytes, i.e. -1.  bin_conv2d packs
     the weights the same way, so pad bits never differ and k - 2 * diff with
     the true K stays exact.  With in_channels a multiple of 8 those bytes are
-    the bytes of x's words already; the rows are built at whole-word width.
+    the bytes of x's words already.  Each tap copies one element per pixel,
+    its ceil(C / 8) bytes as one np.void, into zeroed rows of whole words.
     """
     n, h, w, c = x.shape
     if c % 8:
         pixels = np.packbits(x.unpack01(), axis=-1, bitorder="little")
     else:
         pixels = np.ascontiguousarray(x.words, dtype="<u8").view(np.uint8)[: x.size // 8].reshape(n, h, w, c // 8)
-    taps = spec.kernel_h * spec.kernel_w * pixels.shape[-1]
-    return patches(pixels, spec, -(-taps // 8) * 8).view("<u8").astype(np.uint64, copy=False)
+    size = pixels.shape[-1]
+    voids = pixels.view(f"V{size}")[..., 0]
+    p, s = spec.padding, spec.stride
+    if p:
+        voids = np.pad(voids, ((0, 0), (p, p), (p, p)))
+    oh, ow = spec.out_hw(h, w)
+    kh, kw = spec.kernel_h, spec.kernel_w
+    rows = np.zeros((n, oh, ow, -(-kh * kw * size // 8) * 8), dtype=np.uint8)
+    taps = rows[..., : kh * kw * size].view(f"V{size}").reshape(n, oh, ow, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            taps[:, :, :, i, j] = voids[:, i : i + oh * s : s, j : j + ow * s : s]
+    return rows.reshape(n * oh * ow, -1).view("<u8").astype(np.uint64, copy=False)
 
 
 def _rows01(rows: np.ndarray, spec: BinConvSpec) -> np.ndarray:
@@ -293,13 +321,16 @@ def rows_t(rows: np.ndarray, spec: BinConvSpec, g: np.ndarray, scale: float | No
     return acc if scale is None else acc * scale
 
 
-def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray | None = None) -> np.ndarray:
+def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray | None = None,
+               mismatches: bool = False) -> np.ndarray:
     """Binary 2-D convolution (NHWC x KHWIO) via im2col + XNOR gemm.
 
     Padded positions contribute -1.  Returns exact int32 counts of shape
     (N, OH, OW, out_channels); every element lies in [-K, K] with
     K = kernel_h * kernel_w * in_channels.  rows, when given, is
     conv_rows(x, spec), which a caller that keeps it need not compute twice.
+    With mismatches, returns the kernel's mismatch counts diff instead, in
+    its uint16 or uint32 accumulator type: the counts are K - 2 * diff.
     """
     if len(x.shape) != 4:
         raise BitShapeError(f"input must be NHWC, got shape {x.shape}")
@@ -316,4 +347,5 @@ def bin_conv2d(x: BitTensor, w: BitTensor, spec: BinConvSpec, rows: np.ndarray |
     # one row per output channel, in the layout of conv_rows
     w_bytes = np.packbits(np.moveaxis(w.unpack01(), 3, 0), axis=-1, bitorder="little")
     w_cols = _words(w_bytes.reshape(spec.out_channels, -1))
-    return _xnor_gemm(rows, w_cols, k).reshape(n, oh, ow, spec.out_channels)
+    diff = _xnor_gemm(rows, w_cols, k).reshape(n, oh, ow, spec.out_channels)
+    return diff if mismatches else counts(diff, k)

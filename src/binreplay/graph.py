@@ -386,11 +386,13 @@ def _gemm_shapes(idx, node, in_shape):
 def _forward_node(graph, idx, node, ins, config, want_cache):
     """Node idx's output from its inputs ins, and its backward cache when want_cache.
 
-    A GEMM node works on _blocks of whole samples.  A quantized product is
-    built, quantized and multiplied per block, from patches made per block in
-    infer mode; train mode makes the patches once, as the weight gradient reads
-    them whole.  The output is one (rows, C) array that the bias add and the
-    activation snap then work on in place.
+    A binary GEMM's output is its mismatch counts diff (bitpack.bin_conv2d),
+    of which forward forms the exact counts k - 2 * diff only where they are
+    read.  Any other GEMM node works on _blocks of whole samples.  A quantized
+    product is built, quantized and multiplied per block, from patches made
+    per block in infer mode; train mode makes the patches once, as the weight
+    gradient reads them whole.  The output is one (rows, C) array that the
+    bias add and the activation snap then work on in place.
     """
     bits = config.q_f
     x = ins[0] if ins else None
@@ -402,7 +404,7 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
             x4 = bitpack.binarize(x).reshape(shape4)  # a sign's output is packed already
             operand = bitpack.conv_rows(x4, spec)
             wb = node.weight_bits.reshape((spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels))
-            y = bitpack.bin_conv2d(x4, wb, spec, operand)  # exact int32 counts
+            y = bitpack.bin_conv2d(x4, wb, spec, operand, mismatches=True)  # counts are k - 2 * y
         else:  # the float im2col: whole when train mode caches it or a float product reads it, else per block
             x4, wmat = x.reshape(shape4), node.params["w"].reshape(-1, spec.out_channels)
             operand = bitpack.patches(x4, spec) if want_cache or bits is None else None
@@ -477,25 +479,24 @@ def _chain(graph: Graph, gemm: int, readers: dict, acts: dict, shape: tuple) -> 
     return chain
 
 
-def _tabulate(graph, gemm, chain, counts, acts, config, want_cache):
+def _tabulate(graph, gemm, chain, diff, acts, config, want_cache):
     """Every chain node's own _forward_node run once on every value its input
     can take; returns {node: (output, cache or None, whether it ends the
     chain)}, each a _Tabled over the chain's one index.
 
-    counts = k - 2 * diff, so row j holds count k - 2j.  An add of a packed
-    sign doubles the rows, and the sign's bit becomes the lowest bit of each
-    row, so a table from before that add holds at row j what it held at
-    row j >> 1: each such table is expanded to the last table's row count, so
-    every table reads at one flat index, row * C + channel.  The index is
-    computed in place, in the narrowest type that holds both k - counts and
-    the last table's size; counts may be ints or floats.
+    diff is the GEMM's mismatch counts, whose count is k - 2 * diff, so row j
+    holds count k - 2j.  An add of a packed sign doubles the rows, and the
+    sign's bit becomes the lowest bit of each row, so a table from before
+    that add holds at row j what it held at row j >> 1: each such table is
+    expanded to the last table's row count, so every table reads at one flat
+    index, row * C + channel.  The index is computed in place, in the
+    narrowest type that holds the last table's size: in diff itself when it
+    has that type.
     """
-    c = counts.shape[-1]
+    c = diff.shape[-1]
     k = graph.nodes[gemm].weight_bits.size // c
     rows = (k + 1) << sum(graph.nodes[i].kind == "add" for i in chain)
-    code = np.subtract(k, counts, out=np.empty(counts.shape, np.min_scalar_type(max(rows * c - 1, 2 * k))),
-                       casting="unsafe")
-    code >>= 1
+    code = diff.astype(np.min_scalar_type(rows * c - 1), copy=False)
     table = np.repeat(k - 2.0 * np.arange(k + 1), c).reshape(k + 1, c)
     stages, prev = {}, gemm
     for idx in chain:
@@ -589,8 +590,9 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     nodes above from_level only.  from_level feeds x in as the output of
     that node (used to resume from stored latent activations).
 
-    A GEMM node works on blocks of whole samples, about bitpack.GEMM_BLOCK
-    rows each (_forward_node).  A sign's output stays a packed BitTensor,
+    A quantized GEMM node works on blocks of whole samples, about
+    bitpack.GEMM_BLOCK rows each, and a binary one on the XNOR kernel's row
+    blocks (_forward_node).  A sign's output stays a packed BitTensor,
     which a binary GEMM reads as it is and every other kind through
     as_float.  x may be one (the replay batch at from_level), and the output
     is one when the node returned is a sign.  Each activation is dropped
@@ -602,13 +604,18 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     gathers the chain's output, and each node's cache, from the tables.  The
     output of a node inside the chain is gathered from its own table only
     when it is stop_level or a plain dict collects it; a chain end that only
-    global_avg_pool reads is read as per-sample means (_Tabled.mean).
+    global_avg_pool reads is read as per-sample means (_Tabled.mean).  The
+    chain is indexed by the GEMM's mismatch counts (_tabulate), and its exact
+    int32 counts are formed only where they are read: by a collect target,
+    at stop_level, which returns them as they are, or as the float64 input of
+    the next node when the GEMM has no chain.
     collect[idx] gets node idx's output before any later node runs; a binary
     GEMM's, before its chain is tabulated.  A plain dict collects every
     output as forward returns it: gathered, and a binary GEMM's counts as
-    float64.  A collect target with a `reads` set gets only the outputs of
-    the nodes it names, each as forward holds it: a chain node's _Tabled, a
-    binary GEMM's exact int32 counts, a sign's BitTensor, or an array.
+    float64 (int32 at stop_level).  A collect target with a `reads` set gets
+    only the outputs of the nodes it names, each as forward holds it: a chain
+    node's _Tabled, a binary GEMM's exact int32 counts, a sign's BitTensor,
+    or an array.
     """
     if mode not in ("train", "infer"):
         raise GraphError(f"mode must be train or infer, got {mode!r}")
@@ -630,22 +637,25 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
         node = graph.nodes[idx]
         collected = collect is not None and (reads is None or idx in reads)
         whole = idx == stop_level or collected and reads is None  # wanted as one array or packed sign
-        chain = None
+        chain = diff = None
         if idx in tabled:
             held, c, last = tabled.pop(idx)
         else:
             packed = KINDS[node.kind].weight_bits
             ins = [acts[i] if packed or isinstance(acts[i], _Tabled) else as_float(acts[i]) for i in node.inputs]
             held, c = _forward_node(graph, idx, node, ins, config, want_cache)
-            chain = _chain(graph, idx, readers, acts, held.shape) if packed else None
+            if packed:  # held: mismatch counts, made into the exact counts only where something reads those
+                diff, chain = held, _chain(graph, idx, readers, acts, held.shape)
+                k = node.weight_bits.size // diff.shape[-1]
+                held = bitpack.counts(diff, k) if collected or whole or not chain else None
         if collected and reads is not None:  # before the chain's tables read what collect may set (initialize_bn_stats)
             collect[idx] = held
         if isinstance(held, _Tabled):
             pooled = last and not whole and readers.get(idx) and all(
                 graph.nodes[r].kind == "global_avg_pool" for r in readers[idx])
             y = held if pooled else held.gather() if whole or last else None
-        elif KINDS[node.kind].weight_bits:  # the exact counts: tabulated, or read as floats
-            y = held.astype(np.float64) if whole or not chain else None
+        elif diff is not None:  # the counts: returned at stop_level, tabulated, or read as floats
+            y = held if idx == stop_level else held.astype(np.float64) if whole or not chain else None
         else:
             y = held
         if collected and reads is None:
@@ -655,7 +665,7 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
         if idx == stop_level:
             return y, cache
         if chain:
-            tabled.update(_tabulate(graph, idx, chain, held, acts, config, want_cache))
+            tabled.update(_tabulate(graph, idx, chain, diff, acts, config, want_cache))
         for i in set(node.inputs):
             if readers[i][-1] == idx:
                 del acts[i]

@@ -143,8 +143,10 @@ class TestBinMatmul:
             bin_matmul(pack(np.ones((2, 3))), pack(np.ones((4, 2))))
 
     def test_row_blocks_and_a_partial_last_block(self, rng, monkeypatch):
-        monkeypatch.setattr(bitpack, "GEMM_BLOCK", 7)
-        a = rng.choice([-1, 1], size=(30, 130))
+        # at most 35 // 5 = 7 rows per kernel block: 29 rows are split evenly
+        # into 5 blocks, of 6, 6, 6, 6 and 5 rows
+        monkeypatch.setattr(bitpack, "XOR_WORDS", 35)
+        a = rng.choice([-1, 1], size=(29, 130))
         w = rng.choice([-1, 1], size=(130, 5))
         assert np.array_equal(bin_matmul(pack(a), pack(w)), a @ w)
 
@@ -153,6 +155,62 @@ class TestBinMatmul:
         k = 70000
         got = bin_matmul(pack(np.ones((2, k))), pack(-np.ones((k, 3))))
         assert np.array_equal(got, np.full((2, 3), -k))
+
+
+def _packed_rows(rng, m, k):
+    """m random rows of k bits as whole uint64 words, the pad bits of the last word 0."""
+    return bitpack._pack01(rng.integers(0, 2, size=(m, k)))
+
+
+def _mismatch_oracle(a, b):
+    """(m, n) sums of popcount(a XOR b) over the words, from the (m, n, W) broadcast, a few rows at a time."""
+    return np.concatenate([popcount(a[i : i + 256, None, :] ^ b[None, :, :]).sum(axis=-1, dtype=np.int64)
+                           for i in range(0, len(a), 256)] or [np.zeros((0, len(b)), np.int64)])
+
+
+class TestWordMajorGemm:
+    """_xnor_gemm's mismatch counts against the (m, n, W) broadcast-popcount
+    oracle, at and across the kernel's block edges."""
+
+    @pytest.mark.parametrize("n", [1, 3, 32, 65])
+    @pytest.mark.parametrize("words", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_broadcast_oracle(self, words, n, rng, monkeypatch):
+        # at most 97 // n rows per block (one row at n = 65); k ends in a partial last word
+        monkeypatch.setattr(bitpack, "XOR_WORDS", 97)
+        block = max(1, 97 // n)
+        k = 64 * words - int(rng.integers(1, 64))
+        b = _packed_rows(rng, n, k)
+        for m in (1, block - 1, block, block + 1, 3 * block + 2, 7 * block):
+            a = _packed_rows(rng, m, k)
+            got = bitpack._xnor_gemm(a, b, k)
+            assert got.dtype == np.uint16 and got.shape == (m, n)
+            assert np.array_equal(got, _mismatch_oracle(a, b)), m
+
+    @pytest.mark.parametrize("n", [32, 65])
+    def test_at_the_block_rule(self, n, rng):
+        # the kernel's own block: 4096 rows at n = 32, 2016 at n = 65
+        block = bitpack.XOR_WORDS // n
+        k = 288
+        b = _packed_rows(rng, n, k)
+        for m in (block - 1, block + 1, 3 * block + 5):
+            a = _packed_rows(rng, m, k)
+            assert np.array_equal(bitpack._xnor_gemm(a, b, k), _mismatch_oracle(a, b)), m
+
+    def test_accumulator_is_uint32_from_2_to_the_16(self, rng):
+        a, b = _packed_rows(rng, 3, 2**16), _packed_rows(rng, 2, 2**16)
+        got = bitpack._xnor_gemm(a, b, 2**16)
+        assert got.dtype == np.uint32 and np.array_equal(got, _mismatch_oracle(a, b))
+
+    def test_bin_conv2d_mismatches_are_the_counts_source(self, rng):
+        x = pack(rng.choice([-1, 1], size=(2, 5, 6, 9)))
+        w = pack(rng.choice([-1, 1], size=(3, 3, 9, 4)))
+        spec = BinConvSpec(3, 3, 1, 1, 9, 4)
+        diff = bin_conv2d(x, w, spec, mismatches=True)
+        assert diff.dtype == np.uint16 and diff.shape == (2, 5, 6, 4)
+        got = bin_conv2d(x, w, spec)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, 81 - 2 * diff.astype(np.int64))
+        assert np.array_equal(bitpack.counts(diff, 81), got)
 
 
 class TestBinConv2d:
@@ -256,12 +314,13 @@ class TestBinConv2d:
         assert np.array_equal(pm1, 2.0 * want.reshape(len(rows), -1)[:, : 9 * width]
                               .reshape(len(rows), 9, width)[:, :, :channels].reshape(len(rows), -1) - 1)
 
-    @pytest.mark.parametrize("channels", [5, 8, 32, 40])
+    @pytest.mark.parametrize("channels", [5, 8, 24, 32, 40, 41, 56])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
     def test_conv_rows_are_the_words_of_the_packed_channel_bytes(self, channels, stride, padding, rng):
         # with C % 8 == 0 the bytes are read from x's words, and the rows are
-        # built at whole-word width; any C gives the words of the packbits path
+        # built at whole-word width; any C gives the words of the packbits
+        # path, pixels of 1 to 7 bytes (5 to 56 channels) among them
         x = from01(rng.integers(0, 2, size=(3, 7, 6, channels)))
         spec = BinConvSpec(3, 3, stride, padding, channels, 2)
         want = bitpack._words(patches(np.packbits(x.unpack01(), axis=-1, bitorder="little"), spec))

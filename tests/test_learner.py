@@ -198,7 +198,7 @@ class TestReferenceModel:
         assert got_peak <= want_peak, (got_peak, want_peak)
         calls = []
         run = bitpack.bin_conv2d
-        monkeypatch.setattr(bitpack, "bin_conv2d", lambda *a: calls.append(1) or run(*a))
+        monkeypatch.setattr(bitpack, "bin_conv2d", lambda *a, **kw: calls.append(1) or run(*a, **kw))
         learner.initialize_bn_stats(build_reference_model((12, 12, 1), channels=32, seed=1), xs)
         assert len(calls) == 3
 
@@ -216,6 +216,20 @@ class TestReferenceModel:
         peak = _traced_peak(lambda: learner.initialize_bn_stats(g, nc_experience_0.inputs[: learner.STATS_ROWS]))
         assert len(gathered) == 2 and all(isinstance(t, bitpack.BitTensor) for t in gathered)
         assert peak <= 9.5e6
+        stats = hashlib.sha256(b"".join(self._stats(g))).hexdigest()
+        assert stats == "c3789c2ce484333fe6f9e4fed5fffb1a2fc8b3b63b4cc474398bdecc90769f69"
+
+    def test_bn_stats_pass_returns_the_stop_counts_as_they_are(self, nc_experience_0, monkeypatch):
+        # forward returns block3_conv's int32 counts at stop_level, which the
+        # pass collects and discards; it used to cast them to a 5.9 MB float64
+        # array as well, and the pass peaked at 8.96 MB (BENCH_27.json)
+        g = build_reference_model((12, 12, 1), channels=32, seed=1)
+        returned, run = [], learner.forward
+        monkeypatch.setattr(learner, "forward", lambda *a, **kw: returned.append(run(*a, **kw)[0]) or (None, {}))
+        xs = nc_experience_0.inputs[: learner.STATS_ROWS]
+        peak = _traced_peak(lambda: learner.initialize_bn_stats(g, xs))
+        assert [(y.dtype, y.shape) for y in returned] == [(np.int32, (len(xs), 12, 12, 32))]
+        assert peak <= 8.0e6, peak
         stats = hashlib.sha256(b"".join(self._stats(g))).hexdigest()
         assert stats == "c3789c2ce484333fe6f9e4fed5fffb1a2fc8b3b63b4cc474398bdecc90769f69"
 

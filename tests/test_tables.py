@@ -30,7 +30,7 @@ CHANNELS = (1, 5, 8, 9, 63, 64, 65)
 
 def node_by_node(graph, x, config, mode="infer", from_level=None):
     """Every node's output and the train cache, from _forward_node run on one
-    node at a time, a binary GEMM's counts read as floats."""
+    node at a time, a binary GEMM's counts k - 2 * diff read as floats."""
     if from_level is None and config.q_f is not None:
         x = G._snap_activation(G.as_float(x), G._grid(graph, -1, config.q_f))
     level = -1 if from_level is None else from_level
@@ -40,7 +40,7 @@ def node_by_node(graph, x, config, mode="infer", from_level=None):
         packed = G.KINDS[node.kind].weight_bits
         ins = [acts[i] if packed else G.as_float(acts[i]) for i in node.inputs]
         y, c = G._forward_node(graph, idx, node, ins, config, mode == "train")
-        acts[idx] = y.astype(np.float64) if packed else y
+        acts[idx] = bitpack.counts(y, node.weight_bits.size // y.shape[-1]).astype(np.float64) if packed else y
         if c is not None:
             cache[idx] = c
     return acts, cache
@@ -110,7 +110,9 @@ def check_against_node_by_node(g, x, cfg, rng):
     for idx in range(len(g.nodes)):
         assert_same_bytes(shown[idx], want[idx], f"node {idx} ({g.nodes[idx].kind})")
     stop = int(rng.integers(0, len(g.nodes)))
-    assert_same_bytes(forward(g, x, cfg, stop_level=stop)[0], want[stop], f"stop_level {stop}")
+    # at stop_level a binary GEMM returns its exact counts as int32
+    want_stop = want[stop].astype(np.int32) if G.KINDS[g.nodes[stop].kind].weight_bits else want[stop]
+    assert_same_bytes(forward(g, x, cfg, stop_level=stop)[0], want_stop, f"stop_level {stop}")
     resumed, _ = forward(g, want[0], cfg, from_level=0)
     assert_same_bytes(resumed, want[g.output_id], "resumed at the sign")
 

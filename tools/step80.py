@@ -10,8 +10,12 @@ parameter update, at each bitwidth of the bytes gate (tools/bytes_gate.py).
 Each pair runs one child per tree, alternating which tree goes first, with
 every BLAS and thread variable pinned to 1. A child times --steps steps per
 width and reports the median forward and backward ms, and the tracemalloc
-peak of one more backward. One line per width gives the median over the
-children of each tree; the last line is all of it as JSON.
+peak of one more backward. It also times the binary conv's two kernels,
+`bitpack.conv_rows` and the XNOR GEMM `bitpack._xnor_gemm` (3x3, padding 1,
+32 -> 32 channels), on the step's 80 rows and on one 256-row eval batch of
+12x12x32 packed rows: the median ms of --steps calls each. One line per
+width and one per kernel batch give the median over the children of each
+tree; the last line is all of it as JSON.
 """
 
 from __future__ import annotations
@@ -29,12 +33,45 @@ from bytes_gate import CONFIGS  # run as a script, this file's directory is on t
 # of 32 channels, with no head-only run and no sweep, in their order
 WIDTHS = {name: tuple(None if bits == "float" else int(bits) for bits in row[:3])
           for name, row in CONFIGS.items() if row[3:] == (False, 32, None)}
+KERNEL_ROWS = (80, 256)  # the step's rows, and one batch of learner.EVAL_BATCH rows
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS", "BINREPLAY_THREADS")
 
 
+def kernels(steps: int) -> dict:
+    """{rows: {conv_rows_ms, gemm_ms}} of the binreplay package on the path: the median of steps calls each."""
+    import time
+
+    import numpy as np
+
+    from binreplay import bitpack
+
+    rng = np.random.default_rng(0)
+    spec = bitpack.BinConvSpec(3, 3, 1, 1, 32, 32)
+    # the weights as packed rows, one per output channel: the patches of 32 random 3x3x32 images
+    weights = bitpack.conv_rows(bitpack.from01(rng.integers(0, 2, size=(32, 3, 3, 32))),
+                                bitpack.BinConvSpec(3, 3, 1, 0, 32, 32))
+    k = 3 * 3 * 32
+
+    def median_ms(fn):
+        times = []
+        for _ in range(steps + 1):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return 1e3 * statistics.median(times[1:])
+
+    out = {}
+    for n in KERNEL_ROWS:
+        x = bitpack.from01(rng.integers(0, 2, size=(n, 12, 12, 32)))
+        rows = bitpack.conv_rows(x, spec)
+        out[str(n)] = {"conv_rows_ms": median_ms(lambda: bitpack.conv_rows(x, spec)),
+                       "gemm_ms": median_ms(lambda: bitpack._xnor_gemm(rows, weights, k))}
+    return out
+
+
 def child(steps: int) -> dict:
-    """{width: {forward_ms, backward_ms, peak_bytes}} of the binreplay package on the path."""
+    """{width: {forward_ms, backward_ms, peak_bytes}} of the binreplay package on the path, and its kernels."""
     import time
     import tracemalloc
 
@@ -45,7 +82,7 @@ def child(steps: int) -> dict:
     from binreplay.learner import (ContinualConfig, build_reference_model, calibrate_activations,
                                    freeze_backbone, initialize_bn_stats)
 
-    out = {}
+    out = {"kernels": kernels(steps)}
     for name, bits in WIDTHS.items():
         bw = BitwidthConfig(*bits)
         rng = np.random.default_rng(0)
@@ -104,16 +141,25 @@ def main(argv: list[str]) -> int:
     for i in range(args.pairs):
         for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
             runs[side].append(run_child(args.trees[side == "new"], args.steps))
-    result = {}
-    for name in WIDTHS:
-        row = {side: {key: statistics.median(r[name][key] for r in rs) for key in rs[0][name]}
+    def medians(pick) -> dict:  # per side, the median over its children of each value pick reads
+        row = {side: {key: statistics.median(pick(r)[key] for r in rs) for key in pick(rs[0])}
                for side, rs in runs.items()}
-        result[name] = {**row, "runs": {side: [r[name] for r in rs] for side, rs in runs.items()}}
+        return {**row, "runs": {side: [pick(r) for r in rs] for side, rs in runs.items()}}
+
+    result = {name: medians(lambda r: r[name]) for name in WIDTHS}
+    for name, row in result.items():
         old, new = row["old"], row["new"]
         print(f"{name:<9} forward {old['forward_ms']:6.2f} -> {new['forward_ms']:6.2f} ms   "
               f"backward {old['backward_ms']:6.2f} -> {new['backward_ms']:6.2f} ms   "
               f"peak {old['peak_bytes'] / 1e6:5.2f} -> {new['peak_bytes'] / 1e6:5.2f} MB", flush=True)
-    print(json.dumps({"pairs": args.pairs, "steps": args.steps, "widths": result}))
+    batches = {n: medians(lambda r: r["kernels"][n]) for n in map(str, KERNEL_ROWS)}
+    for n, row in batches.items():
+        old, new = row["old"], row["new"]
+        print(f"{n:>3} rows  conv_rows {old['conv_rows_ms']:6.2f} -> {new['conv_rows_ms']:6.2f} ms "
+              f"({old['conv_rows_ms'] / new['conv_rows_ms']:.2f}x)   "
+              f"gemm {old['gemm_ms']:6.2f} -> {new['gemm_ms']:6.2f} ms ({old['gemm_ms'] / new['gemm_ms']:.2f}x)",
+              flush=True)
+    print(json.dumps({"pairs": args.pairs, "steps": args.steps, "widths": result, "kernels": batches}))
     return 0
 
 
