@@ -295,29 +295,54 @@ def _fold(acc, part: np.ndarray) -> np.ndarray:
     return part.sum(axis=tuple(range(part.ndim - 1)))
 
 
-def _quantized_gemm(parts, rows: int, in_params: QuantParams, w2d: np.ndarray, bits: int) -> np.ndarray:
-    """Patch rows times w2d, both on bits-bit grids, dequantized into one (rows, C) array: the weights
-    are quantized once, and the patches per block that parts yields as (row slice, patch rows).  An 8- or
-    16-bit block's product is an exact integer sum, so each block is multiplied alone; a 32-bit one is
-    not, so its codes are gathered and multiplied as one product, summed as the whole batch's is."""
+def _quantized_gemm(parts, rows: int, in_params: QuantParams, w2d: np.ndarray, b: np.ndarray,
+                    out_params: QuantParams, signs: bool = False):
+    """Patch rows times w2d, both on in_params' bits, plus b, snapped onto out_params: one (rows, C) array,
+    or with signs the BitTensor of its signs, for which no float output is built.  The weights are quantized
+    once, and the patches per block that parts yields as (row slice, patch rows).  An 8- or 16-bit block's
+    product is an exact integer sum, so each block is multiplied alone and finished as it is made; a 32-bit
+    one is not, so its codes are gathered and multiplied as one product, summed as the whole batch's is, and
+    its blocks are finished after it.  A block's finish is the scale multiply, the bias add and the snap, in
+    place, then its signs."""
+    bits = in_params.bits
     wq = quantize(w2d, quant_params(*calibrate_range([w2d]), bits, signed=True))
     wide = bits > 8  # wider operands could overflow any integer accumulator: their codes multiply as float64
     wcodes = np.subtract(wq.data, wq.params.zero_point, dtype=np.float64) if wide else None
-    y = np.empty((rows, w2d.shape[1]))
-    codes = np.empty((rows, w2d.shape[0])) if bits == 32 else None
+    whole, c = bits == 32, w2d.shape[1]
+    codes = np.empty((rows, w2d.shape[0])) if whole else None
+    y = np.empty((rows, c)) if whole or not signs else None
+    bits01 = np.empty((rows, c), np.uint8) if signs and not whole else None  # the signs' 0/1 array
+
+    def finish(block, part):
+        if wide:
+            part *= in_params.scale * wq.params.scale
+        part += b
+        snapped = _snap_activation(part, out_params, out=part)
+        if signs:
+            np.greater_equal(snapped, 0.0, out=bits01[block])
+        elif snapped is not part:  # part is y's block: a snap that copies is written back
+            part[...] = snapped
+
+    blocks = []
     for block, patches in parts:
         xq = quantize(patches, in_params)
-        if not wide:  # qmatmul holds 8-bit operands to its 32-bit accumulator contract
-            y[block] = dequantize(qmatmul(xq, wq))
-        elif codes is not None:
+        blocks.append(block)
+        if whole:
             np.subtract(xq.data, in_params.zero_point, dtype=np.float64, out=codes[block])
-        else:  # exact: sums of 16-bit products stay below 2**53
-            np.matmul(np.subtract(xq.data, in_params.zero_point, dtype=np.float64), wcodes, out=y[block])
-    if codes is not None:
+            continue
+        part = np.empty((block.stop - block.start, c)) if y is None else y[block]
+        if wide:  # exact: sums of 16-bit products stay below 2**53
+            np.matmul(np.subtract(xq.data, in_params.zero_point, dtype=np.float64), wcodes, out=part)
+        else:  # qmatmul holds 8-bit operands to its 32-bit accumulator contract
+            part[...] = dequantize(qmatmul(xq, wq))
+        finish(block, part)
+    if whole:
         np.matmul(codes, wcodes, out=y)
-    if wide:
-        y *= in_params.scale * wq.params.scale
-    return y
+        del codes  # before the signs' array is made
+        bits01 = np.empty((rows, c), np.uint8) if signs else None
+        for block in blocks:
+            finish(block, y[block])
+    return bitpack.from01(bits01) if signs else y
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +408,7 @@ def _gemm_shapes(idx, node, in_shape):
     return BinConvSpec(1, 1, 1, 0, k, out), (in_shape[0], 1, 1, k), (in_shape[0], out)
 
 
-def _forward_node(graph, idx, node, ins, config, want_cache):
+def _forward_node(graph, idx, node, ins, config, want_cache, signs=False):
     """Node idx's output from its inputs ins, and its backward cache when want_cache.
 
     A binary GEMM's output is its mismatch counts diff (bitpack.bin_conv2d),
@@ -391,8 +416,10 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
     read.  Any other GEMM node works on _blocks of whole samples.  A quantized
     product is built, quantized and multiplied per block, from patches made
     per block in infer mode; train mode makes the patches once, as the weight
-    gradient reads them whole.  The output is one (rows, C) array that the
-    bias add and the activation snap then work on in place.
+    gradient reads them whole.  Each block is finished in place, scaled,
+    biased and snapped, as _quantized_gemm makes it; with signs, the output is
+    the packed BitTensor of the snapped output's signs, which is never built
+    whole; every other kind, and a float GEMM, ignores signs.
     """
     bits = config.q_f
     x = ins[0] if ins else None
@@ -410,17 +437,18 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
             operand = bitpack.patches(x4, spec) if want_cache or bits is None else None
             if bits is None:
                 y = operand @ wmat
+                y += node.params["b"]
             else:
                 blocks = _blocks(len(x4), math.prod(out_shape[1:-1]))
                 parts = ((rows, bitpack.patches(x4[samples], spec) if operand is None else operand[rows])
                          for samples, rows in blocks)
-                y = _quantized_gemm(parts, blocks[-1][1].stop, _grid(graph, node.inputs[0], bits), wmat, bits)
-            y += node.params["b"]
+                y = _quantized_gemm(parts, blocks[-1][1].stop, _grid(graph, node.inputs[0], bits), wmat,
+                                    node.params["b"], _grid(graph, idx, bits), signs)
         y = y.reshape(out_shape)
         cache = (x.shape, operand)
-    elif node.kind == "binarize":
+    elif node.kind == "binarize":  # x may be packed: its cache, the STE's input, is read as floats
         y = bitpack.binarize(x)
-        cache = x
+        cache = as_float(x) if want_cache else None
     elif node.kind == "batchnorm":
         p = node.params
         y, cache = batchnorm_forward(x, p["gamma"], p["beta"], p["running_mean"], p["running_var"],
@@ -446,13 +474,13 @@ def _forward_node(graph, idx, node, ins, config, want_cache):
     else:  # pragma: no cover
         raise GraphError(f"node {idx}: unhandled kind {node.kind}")
 
-    if bits is not None and not KINDS[node.kind].binary:  # y is this node's own fresh array
+    if bits is not None and not (KINDS[node.kind].binary or node.kind in GEMM_KINDS):  # y: its own fresh array
         y = _snap_activation(y, _grid(graph, idx, bits), out=y)
     return y, (cache if want_cache else None)
 
 
 def as_float(a) -> np.ndarray:
-    """a as a float64 array, as every layer kind without weight bits reads
+    """a as a float64 array, as every layer kind that is not binary reads
     its inputs: a packed +-1 tensor is unpacked."""
     if isinstance(a, BitTensor):
         return a.unpack().astype(np.float64)
@@ -593,10 +621,14 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
     A quantized GEMM node works on blocks of whole samples, about
     bitpack.GEMM_BLOCK rows each, and a binary one on the XNOR kernel's row
     blocks (_forward_node).  A sign's output stays a packed BitTensor,
-    which a binary GEMM reads as it is and every other kind through
-    as_float.  x may be one (the replay batch at from_level), and the output
-    is one when the node returned is a sign.  Each activation is dropped
-    after its last reader.
+    which a binary kind (a binary GEMM or a sign) reads as it is and every
+    other kind through as_float.  x may be one (the replay batch at
+    from_level), and the output is one when the node returned is a sign.
+    In infer mode a quantized GEMM whose one reader is a sign, and which
+    nothing collects or stops at, hands the sign the packed signs of its
+    snapped output, made block by block (_quantized_gemm), so its float
+    output is never built.  Each activation is dropped after its last
+    reader, and nothing of a node outlives the loop turn that ran it.
 
     A binary GEMM's output is an exact count, so the chain of per-channel
     nodes after it (_chain) is a function of each channel's count and the
@@ -637,14 +669,17 @@ def forward(graph: Graph, x, config: BitwidthConfig, mode: str = "infer",
         node = graph.nodes[idx]
         collected = collect is not None and (reads is None or idx in reads)
         whole = idx == stop_level or collected and reads is None  # wanted as one array or packed sign
-        chain = diff = None
+        chain = diff = held = y = ins = None  # nothing of the last turn's node outlives its readers
         if idx in tabled:
             held, c, last = tabled.pop(idx)
         else:
-            packed = KINDS[node.kind].weight_bits
-            ins = [acts[i] if packed or isinstance(acts[i], _Tabled) else as_float(acts[i]) for i in node.inputs]
-            held, c = _forward_node(graph, idx, node, ins, config, want_cache)
-            if packed:  # held: mismatch counts, made into the exact counts only where something reads those
+            row = KINDS[node.kind]  # a binary kind reads a packed input as it is
+            ins = [acts[i] if row.binary or isinstance(acts[i], _Tabled) else as_float(acts[i]) for i in node.inputs]
+            # a quantized GEMM that only a sign reads hands it packed signs
+            signs = not (want_cache or whole or collected) and [
+                graph.nodes[r].kind for r in readers.get(idx, ())] == ["binarize"]
+            held, c = _forward_node(graph, idx, node, ins, config, want_cache, signs)
+            if row.weight_bits:  # held: mismatch counts, made into the exact counts only where something reads those
                 diff, chain = held, _chain(graph, idx, readers, acts, held.shape)
                 k = node.weight_bits.size // diff.shape[-1]
                 held = bitpack.counts(diff, k) if collected or whole or not chain else None

@@ -33,8 +33,8 @@ from binreplay.graph import (
     ste_backward,
     store_param,
 )
-from binreplay.learner import (ContinualConfig, build_reference_model, calibrate_activations, freeze_backbone,
-                               initialize_bn_stats)
+from binreplay.learner import (ContinualConfig, _latents_for, build_reference_model, calibrate_activations,
+                               freeze_backbone, initialize_bn_stats)
 from binreplay.quant import (QuantError, QuantParams, calibrate_range, dequantize, qmatmul, quant_params,
                              quantize)
 from helpers import (
@@ -1128,6 +1128,79 @@ class TestPackedSigns:
         assert peak <= 6 * xs.size * 16 * 8
 
 
+class TestSignsOfQuantizedGemm:
+    """In infer mode a quantized GEMM that only a sign reads hands the sign the packed signs of its snapped
+    output, block by block, with the bytes of binarizing the whole snapped output."""
+
+    @staticmethod
+    def _model(bits, channels, rng):
+        # 40 samples of 144 positions cross two block edges of bitpack.GEMM_BLOCK rows, and at 5 channels
+        # a sample's 720 bits end mid-word
+        g = build_reference_model((12, 12, 1), channels=channels, seed=0)
+        g.nodes[0].params["b"] = rng.normal(scale=0.2, size=channels)  # a bias that moves signs
+        xs = rng.uniform(-1.0, 1.0, size=(40, 12, 12, 1))
+        initialize_bn_stats(g, xs)
+        calibrate_activations(g, xs, bits)
+        return g, xs, BitwidthConfig(q_f=bits)
+
+    @pytest.mark.parametrize("channels", [32, 5])
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    def test_signs_are_those_of_the_whole_snapped_output(self, bits, channels, rng):
+        g, xs, cfg = self._model(bits, channels, rng)
+        stem, _ = forward(g, xs, cfg, mode="infer", stop_level=0)
+        spec = g.nodes[0].attrs["spec"]
+        assert stem.dtype == np.float64  # stopped at, the stem returns its whole snapped output
+        assert stem.tobytes() == TestGemmBlocks._whole(g, xs, spec, bits).reshape(stem.shape).tobytes()
+        want = bitpack.binarize(stem)
+        got, _ = forward(g, xs, cfg, mode="infer", stop_level=1)
+        assert got == want
+        full, _ = forward(g, xs, cfg, mode="infer")
+        assert full.tobytes() == forward(g, want, cfg, mode="infer", from_level=1)[0].tobytes()
+        latents = forward(g, want, cfg, mode="infer", from_level=1, stop_level=g.replay_level)[0]
+        ys = np.arange(len(xs)) % 3
+        samples = _latents_for(g, xs, ys, cfg)
+        assert [s.activation for s in samples] == bitpack.unstack(latents)
+        assert [s.label for s in samples] == ys.tolist()
+
+    @pytest.mark.parametrize("bits", [8, 32])
+    def test_a_collected_stem_is_its_whole_snapped_output(self, bits, rng):
+        g, xs, cfg = self._model(bits, 5, rng)
+        got = {}
+        forward(g, xs, cfg, mode="infer", collect=got)
+        want = TestGemmBlocks._whole(g, xs, g.nodes[0].attrs["spec"], bits).reshape(got[0].shape)
+        assert got[0].dtype == np.float64 and got[0].tobytes() == want.tobytes()
+        assert got[1] == bitpack.binarize(want)
+
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    def test_nan_raises(self, bits, rng):
+        g, xs, cfg = self._model(bits, 5, rng)
+        nan_x = xs.copy()
+        nan_x[3, 4, 5, 0] = np.nan
+        with pytest.raises(QuantError, match="NaN"):
+            forward(g, nan_x, cfg, mode="infer")
+        g.nodes[0].params["b"][2] = np.nan  # a NaN made inside the stem, in each block's finish
+        with pytest.raises(QuantError, match="NaN"):
+            forward(g, xs, cfg, mode="infer")
+
+    def test_a_sign_trains_on_a_packed_input_as_on_its_float_signs(self, rng):
+        # a sign reads a packed input as it is, and caches it as floats for its straight-through gradient
+        w = rng.normal(size=(8, 3))
+        twice, once = Graph((8,)), Graph((8,))
+        twice.add("binarize")
+        for g in (twice, once):
+            g.add("binarize")
+            g.add("dense", trainable=True, params={"w": w.copy(), "b": np.zeros(3)})
+        bits = bitpack.from01(rng.integers(0, 2, size=(4, 8)))
+        direction = rng.normal(size=(4, 3))
+        got, got_cache = forward(twice, bits, FLOAT_CFG, mode="train", from_level=0)
+        want, want_cache = forward(once, graph_module.as_float(bits), FLOAT_CFG, mode="train")
+        assert got.tobytes() == want.tobytes()
+        got_grads, got_act = backward(twice, got_cache, direction, FLOAT_CFG, from_level=0, return_act_grads=True)
+        want_grads, want_act = backward(once, want_cache, direction, FLOAT_CFG, return_act_grads=True)
+        assert got_act[0].tobytes() == want_act[-1].tobytes()
+        assert got_grads[2]["w"].tobytes() == want_grads[1]["w"].tobytes()
+
+
 class TestActivationSnap:
     @pytest.mark.parametrize("bits", [8, 16, 32])
     @pytest.mark.parametrize("lo,hi", [(-1.5, 2.0), (0.0, 1.0)])
@@ -1171,10 +1244,14 @@ class TestActivationSnap:
         # difference and a copying bias add and snap, the peak read 33.99 MB
         # at 8 bits, 24.48 MB at 16 and 32, and 21.60 MB at float; with the
         # whole batch's codes, product and dequantized copy, 24.55 MB at 8 bits
-        # and 17.70 MB at 16 and 32.  Blocks of whole samples put it at 13.73 MB
+        # and 17.70 MB at 16 and 32.  Blocks of whole samples put it at 12.25 MB
+        # at 8 and 16 bits.  At 8 and 16 bits the stem now hands its sign the
+        # signs of each finished block, and the whole float output is never
+        # built: 5.91 MB.  A 32-bit product stays whole (12.97 MB), and the
+        # float stem is not blocked (12.16 MB)
         rng = np.random.default_rng(0)
         xs = rng.uniform(-1.0, 1.0, size=(256, 12, 12, 1))
-        for bits, bound in [(8, 15e6), (16, 15e6), (32, 15e6), (None, 15e6)]:
+        for bits, bound in [(8, 7e6), (16, 7e6), (32, 15e6), (None, 15e6)]:
             g = build_reference_model((12, 12, 1), channels=32, seed=0)
             initialize_bn_stats(g, xs)
             calibrate_activations(g, xs, bits)

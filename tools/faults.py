@@ -56,6 +56,8 @@ FAULTS = (
     Fault("latent-gradient-dropped", "graph.py",
           'pgrads["latent" if binary else "w"] = gw.reshape(w.shape)',
           'pgrads.update({} if binary else {"w": gw.reshape(w.shape)})', "test_graph.py"),
+    Fault("bias-dropped-from-first-block", "graph.py",  # a quantized GEMM's first block keeps no bias
+          "        part += b\n", "        part += b if block.start else 0.0\n", "test_graph.py"),
     Fault("pad-column-read-as-data", "bitpack.py",
           ".reshape(len(rows), taps, width)[:, :, :c]", ".reshape(len(rows), taps, width)[:, :, width - c:]",
           "test_bitpack.py"),
