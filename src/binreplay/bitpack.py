@@ -37,8 +37,9 @@ def _words(packed: np.ndarray) -> np.ndarray:
 
 
 def _pack01(bits01: np.ndarray) -> np.ndarray:
-    """Pack a flat 0/1 array into little-endian uint64 words (last axis packed)."""
-    return _words(np.packbits(bits01.astype(np.uint8, copy=False), axis=-1, bitorder="little"))
+    """Pack a flat 0/1 array into little-endian uint64 words (last axis packed); a bool array is packed as it is."""
+    bits01 = bits01 if bits01.dtype == bool else bits01.astype(np.uint8, copy=False)
+    return _words(np.packbits(bits01, axis=-1, bitorder="little"))
 
 
 def _unpack01(words: np.ndarray, n: int) -> np.ndarray:

@@ -30,24 +30,24 @@ def _smooth_field(rng: np.random.Generator, h: int, w: int, c: int) -> np.ndarra
 
 
 def make_synthetic(classes: int, samples_per_class: int, shape=(12, 12, 1), seed: int = 0):
-    """Generate (inputs, labels) for the synthetic benchmark."""
+    """Generate (inputs, labels) for the synthetic benchmark.  Each sample draws its shift, then its noise, as
+    a per-sample loop does; the rolled prototypes are added and clipped in one pass."""
     if classes < 2:
         raise ValueError("need at least 2 classes")
     h, w, c = shape
     rng = np.random.default_rng(seed)
     protos = [_smooth_field(rng, h, w, c) for _ in range(classes)]
-    xs = np.empty((classes * samples_per_class, h, w, c))
-    ys = np.empty(classes * samples_per_class, dtype=np.int64)
-    i = 0
-    for cls in range(classes):
-        for _ in range(samples_per_class):
-            dy, dx = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2)
-            img = np.roll(protos[cls], (int(dy), int(dx)), axis=(0, 1))
-            img = img + rng.normal(0.0, NOISE, size=img.shape)
-            xs[i] = np.clip(img, -1.0, 1.0)
-            ys[i] = cls
-            i += 1
-    return xs, ys
+    shifts = range(-MAX_SHIFT, MAX_SHIFT + 1)
+    rolled = np.array([[np.roll(p, (dy, dx), axis=(0, 1)) for dy in shifts for dx in shifts] for p in protos])
+    ys = np.repeat(np.arange(classes, dtype=np.int64), samples_per_class)
+    xs = np.empty((len(ys), h, w, c))
+    pick = np.empty(len(ys), dtype=np.intp)
+    for i in range(len(ys)):
+        dy, dx = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2)
+        pick[i] = (dy + MAX_SHIFT) * len(shifts) + dx + MAX_SHIFT
+        xs[i] = rng.normal(0.0, NOISE, size=shape)
+    xs += rolled[ys, pick]
+    return np.clip(xs, -1.0, 1.0, out=xs), ys
 
 
 def stratified_split(xs, ys, seed: int = 0):

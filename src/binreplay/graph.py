@@ -21,7 +21,7 @@ import numpy as np
 from . import bitpack
 from .bitpack import BinConvSpec, BitTensor
 from .quant import (VALID_BITS, QuantError, QuantParams, calibrate_range, dequantize, is_number,
-                    quant_params, quantize, qmatmul)
+                    product_bound, quant_params, quantize, qmatmul)
 
 # the widths each BitwidthConfig field may take besides None (float); q_f
 # sets QuantParams grids
@@ -295,6 +295,26 @@ def _fold(acc, part: np.ndarray) -> np.ndarray:
     return part.sum(axis=tuple(range(part.ndim - 1)))
 
 
+def _thresholds(s: float, b: np.ndarray, out_params: QuantParams, m: int) -> np.ndarray | None:
+    """Per channel, the least integer product t in [-m, m] whose finish, t * s + b snapped onto out_params, is
+    >= 0, or m + 1 where none is.  The finish is monotone in t, so its sign at any product in [-m, m] is
+    that product >= the threshold.  Found by bisection, each probe of one (1, C) row finished as a block is;
+    None where a value at either end of [-m, m], and so maybe any value between, is not finite."""
+    def values(t):
+        v = np.multiply(t, s)  # t's float64 values times s, as a block's exact products are
+        v += b
+        return v
+
+    lo, hi = np.full((1, len(b)), -m), np.full((1, len(b)), m + 1)
+    if not (np.isfinite(values(lo)).all() and np.isfinite(values(hi - 1)).all()):
+        return None
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        up = (_snap_activation(values(mid), out_params) >= 0.0) | (lo == hi)  # a found threshold stays
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid + 1)
+    return lo
+
+
 def _quantized_gemm(parts, rows: int, in_params: QuantParams, w2d: np.ndarray, b: np.ndarray,
                     out_params: QuantParams, signs: bool = False):
     """Patch rows times w2d, both on in_params' bits, plus b, snapped onto out_params: one (rows, C) array,
@@ -303,19 +323,21 @@ def _quantized_gemm(parts, rows: int, in_params: QuantParams, w2d: np.ndarray, b
     product is an exact integer sum, so each block is multiplied alone and finished as it is made; a 32-bit
     one is not, so its codes are gathered and multiplied as one product, summed as the whole batch's is, and
     its blocks are finished after it.  A block's finish is the scale multiply, the bias add and the snap, in
-    place, then its signs."""
+    place, then its signs; but the signs of an exact product are its compare with one threshold per channel
+    (_thresholds), where those are found, and then no block is finished."""
     bits = in_params.bits
     wq = quantize(w2d, quant_params(*calibrate_range([w2d]), bits, signed=True))
     wide = bits > 8  # wider operands could overflow any integer accumulator: their codes multiply as float64
     wcodes = np.subtract(wq.data, wq.params.zero_point, dtype=np.float64) if wide else None
-    whole, c = bits == 32, w2d.shape[1]
+    whole, c, s = bits == 32, w2d.shape[1], in_params.scale * wq.params.scale
     codes = np.empty((rows, w2d.shape[0])) if whole else None
     y = np.empty((rows, c)) if whole or not signs else None
-    bits01 = np.empty((rows, c), np.uint8) if signs and not whole else None  # the signs' 0/1 array
+    bits01 = np.empty((rows, c), bool) if signs and not whole else None  # the signs' 0/1 array
+    cut = _thresholds(s, b, out_params, product_bound(len(w2d), in_params, wq.params)) if bits01 is not None else None
 
     def finish(block, part):
         if wide:
-            part *= in_params.scale * wq.params.scale
+            part *= s
         part += b
         snapped = _snap_activation(part, out_params, out=part)
         if signs:
@@ -330,16 +352,22 @@ def _quantized_gemm(parts, rows: int, in_params: QuantParams, w2d: np.ndarray, b
         if whole:
             np.subtract(xq.data, in_params.zero_point, dtype=np.float64, out=codes[block])
             continue
+        if cut is not None and not wide:  # the exact integer product's signs
+            np.greater_equal(qmatmul(xq, wq).data, cut, out=bits01[block])
+            continue
         part = np.empty((block.stop - block.start, c)) if y is None else y[block]
         if wide:  # exact: sums of 16-bit products stay below 2**53
             np.matmul(np.subtract(xq.data, in_params.zero_point, dtype=np.float64), wcodes, out=part)
         else:  # qmatmul holds 8-bit operands to its 32-bit accumulator contract
             part[...] = dequantize(qmatmul(xq, wq))
-        finish(block, part)
+        if cut is not None:
+            np.greater_equal(part, cut, out=bits01[block])
+        else:
+            finish(block, part)
     if whole:
         np.matmul(codes, wcodes, out=y)
         del codes  # before the signs' array is made
-        bits01 = np.empty((rows, c), np.uint8) if signs else None
+        bits01 = np.empty((rows, c), bool) if signs else None
         for block in blocks:
             finish(block, y[block])
     return bitpack.from01(bits01) if signs else y
@@ -577,9 +605,19 @@ class _Tabled:
         return [np.take(t, flat, mode="clip") for t in tables]  # "raise" copies through a buffer
 
     def gather(self):
-        """The table's value, or packed sign, at every element."""
+        """The table's value, or packed sign, at every element.  A sign table whose every column is a step in
+        the row index, as after a batchnorm, is one compare of the index with a threshold per channel, in the
+        index's own type: a column rises at row t, or falls there (down), and its bit at index row * C + c is
+        (index >= t * C + c) ^ down.  An all-ones column rises at 0 and an all-zeros one falls at 0."""
         packed = isinstance(self.table, BitTensor)
         src = self.table.unpack01() if packed else self.table
+        if packed:
+            rows, c = src.shape
+            down = src[-1] == 0
+            t = np.where(down, src.sum(axis=0), rows - src.sum(axis=0))
+            if np.array_equal(src, (np.arange(rows)[:, None] >= t) ^ down):
+                bits = np.greater_equal(self.index, (t * c + np.arange(c)).astype(self.index.dtype))
+                return bitpack.from01(np.bitwise_xor(bits, down, out=bits))
         out = np.empty(self.shape, src.dtype)
         for s in self.blocks:
             out[s] = self.read(s, src)[0]

@@ -167,11 +167,16 @@ def requantize(q: QuantizedTensor, target: QuantParams) -> QuantizedTensor:
     return QuantizedTensor(data=out, params=target)
 
 
-def check_matmul_headroom(inner_dim: int, a: QuantParams, b: QuantParams) -> None:
-    """Raise if a matmul over inner_dim could overflow a 32-bit accumulator."""
+def product_bound(inner_dim: int, a: QuantParams, b: QuantParams) -> int:
+    """The largest |sum| over inner_dim of products of a's and b's centred codes."""
     amax = max(abs(a.qmin - a.zero_point), abs(a.qmax - a.zero_point))
     bmax = max(abs(b.qmin - b.zero_point), abs(b.qmax - b.zero_point))
-    if inner_dim * amax * bmax >= 2**31:
+    return inner_dim * amax * bmax
+
+
+def check_matmul_headroom(inner_dim: int, a: QuantParams, b: QuantParams) -> None:
+    """Raise if a matmul over inner_dim could overflow a 32-bit accumulator."""
+    if product_bound(inner_dim, a, b) >= 2**31:
         raise OverflowRiskError(
             f"inner dim {inner_dim} with {a.bits}x{b.bits}-bit operands "
             "can overflow the 32-bit accumulator"

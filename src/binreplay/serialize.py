@@ -281,7 +281,21 @@ def read_dataset(path):
                               f"which need at least {need} bytes; {r.left} remain")
         xs = np.empty((count,) + shape)
         ys = np.empty(count, dtype=np.int64)
-        for i in range(count):
+        first = 0  # the records before it are read as one array, each field checked on its whole column
+        if count:
+            at = f.tell()
+            recs = np.frombuffer(r.take(need, "the samples"), [
+                ("magic", "S4"), ("version", "u1"), ("tag", "u1"), ("rank", "u1"), ("shape", "<u4", (rank,)),
+                ("x", "<f4", shape), ("y", "<u2")])
+            ok = ((recs["magic"] == TENSOR_MAGIC) & (recs["version"] >= 1)
+                  & (recs["version"] <= VERSIONS[TENSOR_MAGIC]) & (recs["tag"] == DTYPE_F32)
+                  & (recs["rank"] == rank) & (recs["shape"] == shape).all(axis=1)
+                  & np.isfinite(recs["x"]).reshape(count, math.prod(shape)).all(axis=1))
+            first = count if ok.all() else int(ok.argmin())
+            xs[:first], ys[:first] = recs["x"][:first], recs["y"][:first]
+            f.seek(at + first * recs.itemsize)  # the per-record reader names the first failing record's fault
+            r.left += (count - first) * recs.itemsize
+        for i in range(first, count):
             xs[i] = _read_as(r, np.ndarray, f"sample {i}", shape)
             (ys[i],) = r.unpack("H")
         if ys.max(initial=0) >= class_count:

@@ -26,7 +26,7 @@ def _thread_vars():
 
 def test_the_named_records_are_committed():
     assert {"BENCH_13.json", "BENCH_18.json", "BENCH_20.json", "BENCH_21.json", "BENCH_23.json", "BENCH_24.json",
-            "BENCH_25.json", "BENCH_27.json", "BENCH_28.json", "BENCH_29.json"} <= {p.name for p in RECORDS}
+            "BENCH_25.json", "BENCH_27.json", "BENCH_28.json", "BENCH_29.json", "BENCH_30.json"} <= {p.name for p in RECORDS}
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)

@@ -1,5 +1,7 @@
 """Bitpacked tensors and XNOR-popcount kernels against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,24 @@ class TestBinarize:
     def test_bit_tensor_passthrough(self):
         t = pack(np.array([1, -1]))
         assert binarize(t) is t
+
+    def test_a_bool_array_is_packed_without_a_copy(self, rng):
+        # one eval batch of the stem's signs: its 1.18 MB bool array was copied to uint8 before packing
+        x = rng.normal(size=(256, 12, 12, 32))
+        tracemalloc.start()
+        try:
+            binarize(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 64), (2, 5, 13)])
+    def test_from01_packs_bool_uint8_and_int64_alike(self, shape, rng):
+        bits = rng.integers(0, 2, size=shape)
+        want = from01(bits.astype(np.uint8))
+        assert from01(bits.astype(bool)) == want and from01(bits) == want
+        assert want.unpack01().tolist() == bits.tolist()
 
 
 class TestXnorDot:

@@ -35,8 +35,8 @@ from binreplay.graph import (
 )
 from binreplay.learner import (ContinualConfig, _latents_for, build_reference_model, calibrate_activations,
                                freeze_backbone, initialize_bn_stats)
-from binreplay.quant import (QuantError, QuantParams, calibrate_range, dequantize, qmatmul, quant_params,
-                             quantize)
+from binreplay.quant import (QuantError, QuantizedTensor, QuantParams, calibrate_range, dequantize, product_bound,
+                             qmatmul, quant_params, quantize)
 from helpers import (
     FLOAT_CFG,
     assert_within_column_sums,
@@ -1199,6 +1199,54 @@ class TestSignsOfQuantizedGemm:
         want_grads, want_act = backward(once, want_cache, direction, FLOAT_CFG, return_act_grads=True)
         assert got_act[0].tobytes() == want_act[-1].tobytes()
         assert got_grads[2]["w"].tobytes() == want_grads[1]["w"].tobytes()
+
+
+class TestStemThresholds:
+    """The sign of a finished exact product t, t * s + b snapped onto the output grid, is t >= one threshold per
+    channel (graph._thresholds) at every t within the bound, as the signs path of _quantized_gemm reads it."""
+
+    @staticmethod
+    def _case(bits, zero_point, rng):
+        x_p = QuantParams(bits, rng.uniform(1e-3, 0.05), int(rng.integers(0, 2**bits)), False)
+        w_p = QuantParams(bits, rng.uniform(1e-3, 0.05), 0, True)
+        out = QuantParams(bits, rng.uniform(1e-3, 0.5), zero_point, False)
+        s, m = x_p.scale * w_p.scale, product_bound(9, x_p, w_p)
+        # steps inside the bound and near its ends, 0 and +-0, and values far past either end
+        steps = np.concatenate([rng.integers(-m, m + 1, size=4), [-m, -m + 1, m - 1, m]])
+        b = np.concatenate([-s * steps + rng.uniform(-0.6, 0.6, size=8) * out.scale,
+                            [0.0, -0.0, 1e6, -1e6, 1e300, -1e300]])
+        return s, b, out, m
+
+    @pytest.mark.parametrize("zero_point", [0, 1, 128, 255])
+    def test_8_bit_signs_at_every_product(self, zero_point, rng):
+        s, b, out, _ = self._case(8, zero_point, rng)
+        m = 9 * 255 * 127
+        cut = graph_module._thresholds(s, b, out, m)
+        assert cut.shape == (1, len(b)) and ((-m <= cut) & (cut <= m + 1)).all()
+        acc = np.arange(-m, m + 1)
+        finished = dequantize(QuantizedTensor(acc[:, None], QuantParams(32, s, 0, True)))
+        for c in range(len(b)):
+            want = _snap_activation(finished + b[c], out).ravel() >= 0.0
+            assert np.array_equal(acc >= cut[0, c], want), c
+
+    @pytest.mark.parametrize("zero_point", [0, 1, 2**15, 2**16 - 1])
+    def test_16_bit_signs_about_the_threshold_and_at_random_products(self, zero_point, rng):
+        s, b, out, m = self._case(16, zero_point, rng)
+        cut = graph_module._thresholds(s, b, out, m)
+        for c in range(len(b)):
+            t = cut[0, c]
+            acc = np.clip(np.concatenate([np.arange(t - 2, t + 3), rng.integers(-m, m + 1, size=2000), [-m, m]]),
+                          -m, m)
+            want = _snap_activation(np.multiply(acc, s) + b[c], out) >= 0.0
+            assert np.array_equal(acc >= t, want), c
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_no_thresholds_where_a_value_is_not_finite(self, bad, rng):
+        s, b, out, m = self._case(8, 128, rng)
+        b[3] = bad
+        assert graph_module._thresholds(s, b, out, m) is None
+        with np.errstate(over="ignore"):  # m * s overflows
+            assert graph_module._thresholds(1e305, np.zeros(2), out, m) is None
 
 
 class TestActivationSnap:

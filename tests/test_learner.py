@@ -64,6 +64,22 @@ class TestSyntheticData:
         assert xs.min() >= -1.0 and xs.max() <= 1.0
         assert sorted(np.unique(ys)) == [0, 1, 2]
 
+    @pytest.mark.parametrize("shape", [(12, 12, 1), (5, 7, 3), (1, 1, 1)])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_equals_the_per_sample_loop(self, shape, seed):
+        # the oracle: each sample rolls its prototype, adds its noise and is clipped on its own
+        rng = np.random.default_rng(seed)
+        protos = [datasets._smooth_field(rng, *shape) for _ in range(3)]
+        want = []
+        for cls in range(3):
+            for _ in range(6):
+                dy, dx = rng.integers(-datasets.MAX_SHIFT, datasets.MAX_SHIFT + 1, size=2)
+                img = np.roll(protos[cls], (int(dy), int(dx)), axis=(0, 1))
+                want.append(np.clip(img + rng.normal(0.0, datasets.NOISE, size=img.shape), -1.0, 1.0))
+        xs, ys = datasets.make_synthetic(3, 6, shape=shape, seed=seed)
+        assert xs.tobytes() == np.array(want).tobytes() and xs.shape == (18, *shape)
+        assert ys.dtype == np.int64 and ys.tolist() == [c for c in range(3) for _ in range(6)]
+
     def test_deterministic_given_seed(self):
         a, _ = datasets.make_synthetic(2, 4, seed=9)
         b, _ = datasets.make_synthetic(2, 4, seed=9)

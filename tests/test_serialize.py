@@ -353,6 +353,80 @@ class TestDatasetFormat:
             read_dataset(p)
 
 
+def read_dataset_per_record(path):
+    """read_dataset with every sample read as its own record: the oracle of the one-pass read."""
+    with open(path, "rb") as f, serialize._reading(f, path) as r:
+        _, count, rank = r.header(serialize.DATASET_MAGIC, "IB")
+        shape = r.unpack(f"{rank}I")
+        (class_count,) = r.unpack("H")
+        need = count * (7 + 4 * rank + 4 * math.prod(shape) + 2)
+        if need > r.left:
+            raise FormatError(f"header claims {count} samples of shape {shape}, "
+                              f"which need at least {need} bytes; {r.left} remain")
+        xs = np.empty((count,) + shape)
+        ys = np.empty(count, dtype=np.int64)
+        for i in range(count):
+            xs[i] = serialize._read_as(r, np.ndarray, f"sample {i}", shape)
+            (ys[i],) = r.unpack("H")
+        if ys.max(initial=0) >= class_count:
+            raise FormatError(f"labels outside [0, {class_count})")
+    return xs, ys, class_count
+
+
+def assert_reads_as_per_record(path):
+    """read_dataset of path returns what the per-record oracle does, or raises its FormatError message."""
+    try:
+        want = read_dataset_per_record(path)
+    except FormatError as e:
+        with pytest.raises(FormatError) as got:
+            read_dataset(path)
+        assert str(got.value) == str(e)
+        return str(e)
+    got = read_dataset(path)
+    assert got[2] == want[2] and got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+    return None
+
+
+class TestOnePassDatasetRead:
+    """The samples are read as one array of fixed-size records; a record that fails a check is read on its own,
+    so each error names the first failing record as the per-record reader does."""
+
+    # the 24-byte header, then 6 records of 85 bytes: a 19-byte tensor header (magic, version, tag, rank, three
+    # u32 dims), 16 f32 values and a u16 label
+    FIELDS = {"magic": (0, b"QTNX"), "version-0": (4, b"\x00"), "version-2": (4, b"\x02"), "tag": (5, b"\x01"),
+              "rank": (6, b"\x02"), "shape": (11, struct.pack("<I", 5)), "nan": (47, struct.pack("<f", np.nan)),
+              "inf": (19, struct.pack("<f", -np.inf)), "label": (83, struct.pack("<H", 3))}
+
+    @pytest.mark.parametrize("record", [0, 3, 5])
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_a_bad_field_gives_the_per_record_message(self, field, record, small_files, tmp_path):
+        at, value = self.FIELDS[field]
+        data = bytearray((small_files / "d.brds").read_bytes())
+        at += 24 + 85 * record
+        data[at:at + len(value)] = value
+        p = tmp_path / "d.brds"
+        p.write_bytes(bytes(data))
+        assert assert_reads_as_per_record(p) is not None
+
+    @given(at=st.integers(0, 24 + 6 * 85 - 1), value=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_one_byte_edit_reads_as_per_record(self, at, value, tmp_path_factory):
+        path = tmp_path_factory.mktemp("edit") / "d.brds"
+        write_small_dataset(path)
+        data = bytearray(path.read_bytes())
+        data[at] = value
+        path.write_bytes(bytes(data))
+        assert_reads_as_per_record(path)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4, 1), (0,), (3,), (2, 0, 3)])
+    def test_zero_rows_and_odd_shapes(self, shape, tmp_path):
+        p = tmp_path / "d.brds"
+        write_dataset(p, ramp(*shape) if math.prod(shape) else np.zeros(shape), np.zeros(shape[0], int), 2)
+        assert_reads_as_per_record(p)
+        assert read_dataset(p)[0].shape == shape
+
+
 def replay_image(quota, max_classes, classes, version=2) -> bytes:
     """A .brrm file: classes lists (class id, seen count, latents).  At
     version 1 each latent is a record; at version 2 a class's latents are

@@ -371,6 +371,80 @@ class TestChainStops:
             assert [shapes for n, shapes in read if n == name] == want, name
 
 
+def _sign_gathers(monkeypatch):
+    """(whether it read no table, its index type, its table's 0/1 bits) of each packed sign table gathered."""
+    seen, reads, gather, read = [], [], G._Tabled.gather, G._Tabled.read
+    monkeypatch.setattr(G._Tabled, "read", lambda t, *a: reads.append(t) or read(t, *a))
+
+    def spy(t):
+        before, out = len(reads), gather(t)
+        if isinstance(t.table, BitTensor):
+            seen.append((len(reads) == before, t.index.dtype, t.table.unpack01()))
+        return out
+
+    monkeypatch.setattr(G._Tabled, "gather", spy)
+    return seen
+
+
+def dense_chain(rng, k, c, ops):
+    """sign -> binary_dense (k -> c) -> each (kind, params) of ops -> sign."""
+    g = Graph((k,))
+    g.add("binarize")
+    g.add("binary_dense", params={"latent": rng.uniform(-1.0, 1.0, size=(k, c))})
+    for kind, params in ops:
+        g.add(kind, params=params)
+    g.add("binarize")
+    return g
+
+
+class TestStepTables:
+    """A bn -> sign chain's sign table steps once per channel in the row index, so it is gathered as one
+    compare of the index with a threshold per channel, with the bytes of the node-by-node forward."""
+
+    @pytest.mark.parametrize("gamma", ["rising", "falling", "flat"])
+    @pytest.mark.parametrize("bits", ["float", "8/16/4"])
+    def test_bn_sign_chain(self, gamma, bits, rng, monkeypatch):
+        c, k = 9, 24
+        bn = batchnorm_params(rng, c, k)
+        bn["gamma"] = {"rising": -rng.uniform(0.5, 2.0, size=c), "falling": rng.uniform(0.5, 2.0, size=c),
+                       "flat": rng.choice([0.0, -0.0], size=c)}[gamma]
+        bn["beta"][:3] = [-0.5, 0.0, 0.5]  # with gamma 0, a column of zeros, of +-0 and of ones
+        g = dense_chain(rng, k, c, [("batchnorm", bn)])
+        seen = _sign_gathers(monkeypatch)
+        check_against_node_by_node(g, rng.normal(size=(40, k)), GATE_BITS[bits], rng)
+        assert seen and all(compared for compared, _, _ in seen)
+        bits01 = seen[0][2]
+        steps = (bits01.min(axis=0) != bits01.max(axis=0)).sum()
+        assert steps == 0 if gamma == "flat" else steps > 0  # steps inside the table, and no step with gamma 0
+
+    def test_thresholds_at_the_end_of_the_index_type(self, rng, monkeypatch):
+        # 16 rows of 16 channels: the index ends at 255, a uint8's maximum, and the last channel's one set row
+        # is the last, so its threshold is 255; channels 13 and 14 are all ones and all zeros
+        k, c = 15, 16
+        g = dense_chain(rng, k, c, [("batchnorm", {
+            "gamma": np.r_[-np.ones(13), 1.0, 1.0, -1.0], "beta": np.zeros(c), "running_var": np.ones(c),
+            "running_mean": np.r_[10.0 - 2.0 * np.arange(13), -100.0, 100.0, -14.0]})])
+        w = G.as_float(g.nodes[1].weight_bits)[:, -1]
+        x = np.concatenate([[-w, w], rng.normal(size=(20, k))])  # the last channel's counts -15 and 15
+        seen = _sign_gathers(monkeypatch)
+        check_against_node_by_node(g, x, GATE_BITS["float"], rng)
+        compared, dtype, bits01 = seen[0]
+        assert compared and dtype == np.uint8
+        assert bits01[:, -1].tolist() == [0] * 15 + [1]
+        assert bits01[:, 13].all() and not bits01[:, 14].any()
+
+    @pytest.mark.parametrize("bits", ["float", "8/16/4"])
+    def test_a_sign_after_prelu_of_negative_slope_reads_its_table(self, bits, rng, monkeypatch):
+        # prelu(alpha < 0) folds the counts into a V, which a batchnorm of negative beta shifts below 0 about
+        # its tip: its sign falls and rises again, which is no step, so the sign gathers through its table
+        c, k = 6, 16
+        g = dense_chain(rng, k, c, [("prelu", {"alpha": np.full(c, -0.5)}), ("batchnorm", {
+            "gamma": np.ones(c), "beta": np.full(c, -2.0), "running_mean": np.zeros(c), "running_var": np.ones(c)})])
+        seen = _sign_gathers(monkeypatch)
+        check_against_node_by_node(g, rng.normal(size=(30, k)), GATE_BITS[bits], rng)
+        assert seen and not any(compared for compared, _, _ in seen)
+
+
 def _arrays(obj):
     """Every array a cache entry holds."""
     if isinstance(obj, np.ndarray):

@@ -58,6 +58,10 @@ FAULTS = (
           'pgrads.update({} if binary else {"w": gw.reshape(w.shape)})', "test_graph.py"),
     Fault("bias-dropped-from-first-block", "graph.py",  # a quantized GEMM's first block keeps no bias
           "        part += b\n", "        part += b if block.start else 0.0\n", "test_graph.py"),
+    Fault("stem-threshold-off-by-one", "graph.py",  # a sign's threshold one product too low
+          "mid + 1)\n    return lo\n", "mid + 1)\n    return lo - 1\n", "test_graph.py"),
+    Fault("step-table-direction-dropped", "graph.py",  # a falling column read as rising
+          "bitpack.from01(np.bitwise_xor(bits, down, out=bits))", "bitpack.from01(bits)", "test_tables.py"),
     Fault("pad-column-read-as-data", "bitpack.py",
           ".reshape(len(rows), taps, width)[:, :, :c]", ".reshape(len(rows), taps, width)[:, :, width - c:]",
           "test_bitpack.py"),

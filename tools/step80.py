@@ -10,12 +10,13 @@ parameter update, at each bitwidth of the bytes gate (tools/bytes_gate.py).
 Each pair runs one child per tree, alternating which tree goes first, with
 every BLAS and thread variable pinned to 1. A child times --steps steps per
 width and reports the median forward and backward ms, the tracemalloc
-peak of one more backward, and the tracemalloc peak of one infer forward of
+peak of one more backward, and the median ms of --steps infer forwards of
 one 256-row eval batch (`learner.EVAL_BATCH`) from the input, as `eval`
-runs it. It also times the binary conv's two kernels, `bitpack.conv_rows`
-and the XNOR GEMM `bitpack._xnor_gemm` (3x3, padding 1, 32 -> 32
-channels), on the step's 80 rows and on one 256-row eval batch of
-12x12x32 packed rows: the median ms of --steps calls each. Two lines per
+runs it, and the tracemalloc peak of one more. It also times the binary
+conv's two kernels, `bitpack.conv_rows` and the XNOR GEMM
+`bitpack._xnor_gemm` (3x3, padding 1, 32 -> 32 channels), on the step's
+80 rows and on one 256-row eval batch of 12x12x32 packed rows: the median
+ms of --steps calls each. Two lines per
 width, the step's and the eval forward's, and one per kernel batch give the
 median over the children of each tree; the last line is all of it as JSON.
 """
@@ -73,8 +74,8 @@ def kernels(steps: int) -> dict:
 
 
 def child(steps: int) -> dict:
-    """{width: {forward_ms, backward_ms, peak_bytes, eval_peak_bytes}} of the binreplay package on the path, and
-    its kernels."""
+    """{width: {forward_ms, backward_ms, peak_bytes, eval_forward_ms, eval_peak_bytes}} of the binreplay package on
+    the path, and its kernels."""
     import time
     import tracemalloc
 
@@ -96,6 +97,11 @@ def child(steps: int) -> dict:
         calibrate_activations(g, xs, bw.q_f)
         freeze_backbone(g, cfg)
         batch = np.random.default_rng(0).uniform(-1.0, 1.0, size=(KERNEL_ROWS[1], 12, 12, 1))  # its own draws
+        evals = []
+        for _ in range(steps + 1):
+            t0 = time.perf_counter()
+            forward(g, batch, bw, mode="infer")
+            evals.append(time.perf_counter() - t0)
         tracemalloc.start()
         try:
             forward(g, batch, bw, mode="infer")
@@ -123,7 +129,7 @@ def child(steps: int) -> dict:
             tracemalloc.stop()
         out[name] = {"forward_ms": 1e3 * statistics.median(fwd[1:]),
                      "backward_ms": 1e3 * statistics.median(bwd[1:]), "peak_bytes": peak,
-                     "eval_peak_bytes": eval_peak}
+                     "eval_forward_ms": 1e3 * statistics.median(evals[1:]), "eval_peak_bytes": eval_peak}
     return out
 
 
@@ -163,7 +169,8 @@ def main(argv: list[str]) -> int:
         print(f"{name:<9} forward {old['forward_ms']:6.2f} -> {new['forward_ms']:6.2f} ms   "
               f"backward {old['backward_ms']:6.2f} -> {new['backward_ms']:6.2f} ms   "
               f"peak {old['peak_bytes'] / 1e6:5.2f} -> {new['peak_bytes'] / 1e6:5.2f} MB", flush=True)
-        print(f"{name:<9} eval forward of {KERNEL_ROWS[1]} rows: peak {old['eval_peak_bytes'] / 1e6:5.2f} -> "
+        print(f"{name:<9} eval forward of {KERNEL_ROWS[1]} rows: {old['eval_forward_ms']:6.2f} -> "
+              f"{new['eval_forward_ms']:6.2f} ms   peak {old['eval_peak_bytes'] / 1e6:5.2f} -> "
               f"{new['eval_peak_bytes'] / 1e6:5.2f} MB", flush=True)
     batches = {n: medians(lambda r: r["kernels"][n]) for n in map(str, KERNEL_ROWS)}
     for n, row in batches.items():
